@@ -9,7 +9,6 @@ Submodules:
     metrics    AP / AL latency metrics and corpus BLEU
     data       synthetic task generator, feature I/O, vocab, batching
     train      two-stage training, checkpointing, evaluation
-    cli        command-line entry point
 """
 
 __version__ = "0.1.0"

@@ -342,13 +342,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return record_op(out, (x, gain, bias), vjp)
 
 
-def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int) -> Tensor:
+def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
+                     context: np.ndarray | None = None, end: bool = True) -> Tensor:
     """Causal 1-D convolution with a bounded right-context window.
 
     ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. The input is padded
-    with K-1-lookahead zeros on the left and ``lookahead`` zeros on the
+    with K-1-lookahead rows on the left and ``lookahead`` zeros on the
     right, so output frame t depends only on inputs <= t*stride + lookahead.
     Output length is ceil(T / stride).
+
+    The left rows are zeros, or ``context`` when given: the K-1-lookahead
+    input rows that preceded ``x`` in a stream (a constant to the tape).
+    ``end=False`` means more input follows, so there is no right padding
+    and only the outputs whose window lies inside the input are computed.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -356,15 +362,20 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int) -> 
         raise ValueError(f"lookahead must be >= 0, got {lookahead}")
     K, c_in, _ = kernel.shape
     T = x.shape[0]
-    if T < 1:
+    if T < 1 and context is None:
         raise ShapeError("conv1d_lookahead: empty input")
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_lookahead: input channels {x.shape[1]} != kernel {c_in}")
     if lookahead > K - 1:
         raise ShapeError(f"lookahead {lookahead} exceeds kernel window {K}; kernel wider than padded input")
     left = K - 1 - lookahead
-    xp = np.pad(x.data, ((left, lookahead), (0, 0)))
-    t_out = -(-T // stride)
+    if context is None:
+        context = np.zeros((left, c_in), dtype=x.data.dtype)
+    elif context.shape != (left, c_in):
+        raise ShapeError(f"conv1d_lookahead: context shape {context.shape} != {(left, c_in)}")
+    right = lookahead if end else 0
+    xp = np.concatenate([context, x.data, np.zeros((right, c_in), dtype=x.data.dtype)])
+    t_out = -(-T // stride) if end else max((T - 1 - lookahead) // stride + 1, 0)
     idx = (np.arange(t_out) * stride)[:, None] + np.arange(K)[None, :]
     win = xp[idx]  # [t_out, K, c_in]
     out = np.einsum("tkc,kco->to", win, kernel.data)

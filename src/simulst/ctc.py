@@ -156,18 +156,23 @@ def greedy_path(posteriors) -> np.ndarray:
     return np.where(path == blank, BLANK, path)
 
 
+def boundary_cuts(path, start: int = 0) -> np.ndarray:
+    """Frames that open a segment, scanning from frame ``start``: a boundary
+    sits between frames t and t+1 (t >= start) when frame t is non-blank
+    and frame t+1 carries a different label. It becomes known with frame
+    t+1, so a stream that extends its path rescans from its last old frame."""
+    path = np.asarray(path)
+    prev, nxt = path[start:-1], path[start + 1:]
+    return np.flatnonzero((prev != BLANK) & (nxt != prev)) + start + 1
+
+
 def detect_boundaries(path) -> SegmentSet:
-    """Segment a label path: a boundary sits between frames t and t+1 when
-    frame t is non-blank and frame t+1 carries a different label. Leading
-    and trailing blanks fold into the first and last segments."""
+    """Segment a label path at its ``boundary_cuts``. Leading and trailing
+    blanks fold into the first and last segments."""
     path = np.asarray(path)
     if path.size < 1:
         raise ValueError("detect_boundaries: empty path")
-    cuts = [0]
-    for t in range(path.size - 1):
-        if path[t] != BLANK and path[t + 1] != path[t]:
-            cuts.append(t + 1)
-    cuts.append(path.size)
+    cuts = [0, *boundary_cuts(path).tolist(), path.size]
     return SegmentSet(tuple(zip(cuts[:-1], cuts[1:])))
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,14 @@ from .shrink import ShrinkConfig
 log = logging.getLogger(__name__)
 
 WAIT_INF = math.inf
+
+
+class NonCausalEncoderError(ValueError):
+    """The encoder sees future frames, so it cannot encode a stream as it arrives."""
+
+
+class NoLossError(ValueError):
+    """No utterance of the batch produced the loss term asked for."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,22 @@ def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
 
 
 @dataclass
+class AcousticState:
+    """What one stream's acoustic encoder keeps between calls.
+
+    ``conv`` holds, per conv, the input rows its next outputs still read:
+    the left context of the next output's window and any rows after it.
+    ``kv`` holds, per self-attention layer, the keys and values of every
+    row computed so far. A fresh state is the start of a stream: zero left
+    context and empty caches. Rows carried between calls are constants to
+    the tape, so a live state serves inference only.
+    """
+
+    conv: dict[str, np.ndarray] = field(default_factory=dict)
+    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+
+@dataclass
 class EncoderOutput:
     """Everything the decoder and the policy need about one source prefix."""
 
@@ -236,12 +260,21 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.add(ad.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
 
-    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray) -> Tensor:
+    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
+                   kv_cache: dict | None = None) -> Tensor:
+        """Multi-head attention; with ``kv_cache`` the keys and values of
+        earlier calls (held under ``prefix``) precede the new ones, and the
+        cache is extended by the new rows."""
         n_heads = self.cfg.n_heads
         d_head = self.cfg.d_model // n_heads
         q = self._affine(f"{prefix}.q", q_in)
         k = self._affine(f"{prefix}.k", kv_in)
         v = self._affine(f"{prefix}.v", kv_in)
+        if kv_cache is not None:
+            if prefix in kv_cache:
+                past_k, past_v = kv_cache[prefix]
+                k, v = ad.concat_rows([past_k, k]), ad.concat_rows([past_v, v])
+            kv_cache[prefix] = (k, v)
         heads = []
         for h in range(n_heads):
             lo, hi = h * d_head, (h + 1) * d_head
@@ -257,10 +290,11 @@ class Model:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray, rng,
-                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | None = None) -> Tensor:
+                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | None = None,
+                    kv_cache: dict | None = None) -> Tensor:
         p = self.cfg.dropout
         normed = self._norm_of(f"{prefix}.ln1", x)
-        h = self._multihead(f"{prefix}.attn", normed, normed, self_mask)
+        h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
         x = ad.add(x, ad.dropout(h, p, rng))
         if cross_kv is not None:
             h = self._multihead(f"{prefix}.xattn", self._norm_of(f"{prefix}.lnx", x), cross_kv, cross_mask)
@@ -268,33 +302,64 @@ class Model:
         h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
         return ad.add(x, ad.dropout(h, p, rng))
 
-    def _self_mask(self, n: int) -> np.ndarray:
+    def _self_mask(self, n: int, past: int = 0) -> np.ndarray:
+        """[n, past+n]: n new rows over ``past`` cached rows and themselves."""
         if self.cfg.unidirectional:
-            return np.tril(np.ones((n, n), dtype=bool))
-        return np.ones((n, n), dtype=bool)
+            return np.tri(n, past + n, past, dtype=bool)
+        return np.ones((n, past + n), dtype=bool)
 
-    def acoustic_encode(self, features: np.ndarray, rng=None) -> tuple[Tensor, Optional[Tensor]]:
-        """Conv-Transformer stack plus the CTC grid (None when CTC is off)."""
+    def _conv(self, b: int, i: int, x: Tensor, state: AcousticState, end: bool) -> Tensor:
+        name = f"acoustic.conv{b}.{i}"
+        kernel = self.params[f"{name}.w"]
+        stride, lookahead = (2 if i == 1 else 1), self.cfg.conv_lookahead[i]
+        left = kernel.shape[0] - 1 - lookahead
+        # a stream starts with a zero left context
+        held = state.conv.get(name, np.zeros((left, x.shape[1]), dtype=x.data.dtype))
+        rows = np.concatenate([held, x.data])
+        if rows.shape[0] <= left:  # nothing of the next output's window has arrived
+            state.conv[name] = rows
+            return Tensor(np.zeros((0, kernel.shape[2]), dtype=x.data.dtype))
+        if held.shape[0] != left:  # the context ends inside x, or held rows follow it
+            x = Tensor(rows[left:], dtype=x.data.dtype)
+        y = ad.conv1d_lookahead(x, kernel, stride, lookahead, rows[:left], end)
+        state.conv[name] = rows[y.shape[0] * stride:]
+        return ad.relu(ad.add(y, self.params[f"{name}.b"]))
+
+    def acoustic_encode(self, features: np.ndarray, rng=None, state: AcousticState | None = None,
+                        end: bool = True) -> tuple[Tensor, Optional[Tensor]]:
+        """Conv-Transformer stack plus the CTC grid (None when CTC is off).
+
+        Without ``state`` this encodes one whole utterance. With one it
+        continues a stream: ``features`` are the rows that arrived since
+        the last call, and the result holds only the output frames that
+        became final, each computed once. ``end=False`` means more rows
+        follow; ``end=True`` pads the stream's end with zeros and so
+        closes its remaining frames.
+        """
         cfg = self.cfg
-        if features.shape[0] < cfg.downsample:
-            raise ValueError(
-                f"input of {features.shape[0]} frames is shorter than the "
-                f"downsampling factor {cfg.downsample}"
-            )
+        if state is None:
+            if features.shape[0] < cfg.downsample:
+                raise ValueError(
+                    f"input of {features.shape[0]} frames is shorter than the "
+                    f"downsampling factor {cfg.downsample}"
+                )
+            state = AcousticState()
+        elif not cfg.unidirectional:
+            raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
 
         def convs_of_block(b: int, x: Tensor) -> Tensor:
             for i in range(cfg.convs_per_block):
-                kernel = self.params[f"acoustic.conv{b}.{i}.w"]
-                stride = 2 if i == 1 else 1
-                x = ad.conv1d_lookahead(x, kernel, stride, cfg.conv_lookahead[i])
-                x = ad.relu(ad.add(x, self.params[f"acoustic.conv{b}.{i}.b"]))
+                x = self._conv(b, i, x, state, end)
             return x
 
         def transformers_of_block(b: int, x: Tensor) -> Tensor:
-            mask = self._self_mask(x.shape[0])
+            if x.shape[0] == 0:  # no new rows: the caches stand as they are
+                return x
+            past = state.kv.get(f"acoustic.block{b}.tf0.attn")
+            mask = self._self_mask(x.shape[0], 0 if past is None else past[0].shape[0])
             for l in range(cfg.transformer_layers_per_block):
-                x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng)
+                x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng, kv_cache=state.kv)
             return x
 
         if cfg.gradual_downsample:
@@ -436,7 +501,9 @@ class Model:
         }
         return loss_st, loss_ctc, diagnostics
 
-    def total_loss(self, loss_st: Tensor, loss_ctc: Optional[Tensor]) -> Tensor:
+    def total_loss(self, loss_st: Optional[Tensor], loss_ctc: Optional[Tensor]) -> Tensor:
+        if loss_st is None:
+            raise NoLossError("no utterance of the batch produced a translation loss")
         if loss_ctc is None or self.cfg.ctc_loss_weight == 0.0:
             return loss_st
         return ad.add(loss_st, ad.scale(loss_ctc, self.cfg.ctc_loss_weight))

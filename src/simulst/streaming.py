@@ -1,10 +1,15 @@
 """Incremental wait-k-stride-n inference.
 
-A session consumes audio frames, finalizes encoder outputs once their
-look-ahead window is satisfied (finalized values are bit-identical to an
-offline pass, so any chunking of the input yields the same run), detects
-segment boundaries online, and alternates reading n new source units with
-beam-reranked writes of n tokens.
+A session consumes audio frames and finalizes encoder outputs once their
+look-ahead window is satisfied. The acoustic encoder keeps a per-stream
+state and computes each output frame once, at the input length where it
+becomes final; those lengths do not depend on how the caller chunks the
+audio, so any chunking yields the same run. Finalized values match an
+offline pass up to float rounding (the two compute the same sums over
+row blocks of different sizes). The session detects segment boundaries
+online and alternates reading n new source units with beam-reranked
+writes of n tokens. The encoder must be unidirectional: a bidirectional
+one is rejected with ``NonCausalEncoderError``.
 
 Listening times d(y_i) are stamped with the minimal audio prefix that
 completed the stride's required unit, which makes them invariant to how
@@ -14,7 +19,7 @@ the caller chunks the audio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +31,7 @@ from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
 from .data import EOS
-from .model import EncoderOutput, Model, build_cross_attention_mask
+from .model import EncoderOutput, Model, NonCausalEncoderError, build_cross_attention_mask
 
 READ, WRITE, FINISH = "read", "write", "finish"
 
@@ -36,6 +41,17 @@ class BeamHypothesis:
     tokens: tuple[int, ...]
     score: float  # cumulative log-probability
     ended: bool = False
+
+
+@dataclass
+class SessionStats:
+    """Work one session did."""
+
+    encoder_frames: int = 0  # acoustic encoder output frames computed
+    acoustic_encode_calls: int = 0
+    semantic_encode_calls: int = 0
+    decode_logits_calls: int = 0
+    beam_expansions: int = 0  # candidates made by extending a hypothesis by one token
 
 
 @dataclass
@@ -58,6 +74,11 @@ class StreamSession:
     def __init__(self, model: Model, wait_k=None, stride_n=None, beam_size: int = 5,
                  allow_schedule_override: bool = False, tgt_vocab=None):
         cfg = model.cfg
+        if not cfg.unidirectional:
+            raise NonCausalEncoderError(
+                "streaming needs a unidirectional encoder; with bidirectional attention "
+                "no frame is final before end-of-stream"
+            )
         self.model = model
         self.wait_k = cfg.wait_k if wait_k is None else wait_k
         self.stride_n = cfg.stride_n if stride_n is None else stride_n
@@ -69,7 +90,12 @@ class StreamSession:
         self.beam_size = beam_size
         self.tgt_vocab = tgt_vocab
         self.unit_kind = "segment" if (cfg.use_ctc and cfg.use_shrink) else "frame"
-        self._buf = np.zeros((0, cfg.d_feat), dtype=np.float32)
+        self.stats = SessionStats()
+        self._enc_state = model_mod.AcousticState()
+        self._n_fed = 0  # input frames pushed
+        self._unencoded = np.zeros((0, cfg.d_feat), dtype=np.float32)  # pushed, not yet encoded
+        self._states: list[np.ndarray] = []  # finalized acoustic states, in chunks
+        self._posteriors: list[np.ndarray] = []  # their CTC rows, when CTC is on
         self._n_final = 0
         self._labels = np.zeros(0, dtype=np.int64)
         self._segments: list[tuple[int, int]] = []
@@ -82,7 +108,6 @@ class StreamSession:
         self._finished = False
         self._eos = False
         self._last_stamp: Optional[float] = None
-        self._enc_cache: tuple[int, np.ndarray, Optional[np.ndarray]] | None = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -115,69 +140,73 @@ class StreamSession:
         return n * (len(self._committed) // n) + self.wait_k
 
     def _fed_ms(self) -> float:
-        return self._buf.shape[0] * self.model.cfg.frame_ms
+        return self._n_fed * self.model.cfg.frame_ms
 
     def _total_frames_out(self) -> int:
-        return model_mod.output_length(self.model.cfg, self._buf.shape[0])
+        return model_mod.output_length(self.model.cfg, self._n_fed)
 
     def _total_ms(self) -> float:
         return self._total_frames_out() * self.model.cfg.output_frame_ms
 
     # -- encoding ------------------------------------------------------------
 
-    def _encode_buffer(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Offline encode of everything buffered; cached per buffer length."""
-        n = self._buf.shape[0]
-        if self._enc_cache is not None and self._enc_cache[0] == n:
-            return self._enc_cache[1], self._enc_cache[2]
-        with ad.no_grad():
-            states, posteriors = self.model.acoustic_encode(self._buf)
-        post = posteriors.data if posteriors is not None else None
-        self._enc_cache = (n, states.data, post)
-        return states.data, post
+    def _finalized(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Finalized acoustic states and CTC rows, joined into one chunk each."""
+        for chunks in (self._states, self._posteriors):
+            if len(chunks) > 1:
+                chunks[:] = [np.concatenate(chunks)]
+        post = self._posteriors[0] if self._posteriors else None
+        return self._states[0], post
 
-    def _advance_finalized(self, n_final: int) -> list[tuple[int, int]]:
-        """Labels/boundaries for newly finalized frames; returns new segments."""
-        cfg = self.model.cfg
+    def _advance(self, rows: np.ndarray, n_final: int, stamp: float,
+                 end: bool = False) -> list[tuple[int, int]]:
+        """Encode ``rows``, the input since the last call, which makes frames
+        [self._n_final, n_final) final; returns the segments they complete."""
+        with ad.no_grad():
+            states, posteriors = self.model.acoustic_encode(rows, state=self._enc_state, end=end)
+        self.stats.acoustic_encode_calls += 1
+        self.stats.encoder_frames += states.shape[0]
+        self._states.append(states.data)
+        if posteriors is not None:
+            self._posteriors.append(posteriors.data)
         new_segments = []
         if self.unit_kind == "frame":
-            for _ in range(self._n_final, n_final):
-                self._unit_ready_ms.append(self._fed_ms())
-                idx = len(self._unit_ready_ms) - 1
-                self._trace.append((self._fed_ms(), "READ", f"frame={idx}"))
-            self._n_final = n_final
-            return []
-        _, post = self._encode_buffer()
-        labels = ctc_mod.greedy_path(post[:n_final])
-        old = self._labels
-        self._labels = labels
-        # a boundary between t and t+1 becomes knowable when label t+1 finalizes
-        start_scan = max(len(old) - 1, 0)
-        for t in range(start_scan, n_final - 1):
-            if labels[t] != ctc_mod.BLANK and labels[t + 1] != labels[t]:
-                seg_start = self._segments[-1][1] if self._segments else 0
-                segment = (seg_start, t + 1)
-                self._segments.append(segment)
-                self._unit_ready_ms.append(self._fed_ms())
-                new_segments.append(segment)
-                self._trace.append(
-                    (self._fed_ms(), "READ", f"segment={len(self._segments) - 1}")
-                )
+            for idx in range(self._n_final, n_final):
+                self._unit_ready_ms.append(stamp)
+                self._trace.append((stamp, "READ", f"frame={idx}"))
+        else:
+            self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
+            for cut in ctc_mod.boundary_cuts(self._labels, max(self._n_final - 1, 0)):
+                new_segments.append(self._close_segment(int(cut), stamp))
         self._n_final = n_final
         return new_segments
 
+    def _close_segment(self, end: int, stamp: float) -> tuple[int, int]:
+        segment = (self._segments[-1][1] if self._segments else 0, end)
+        self._segments.append(segment)
+        self._unit_ready_ms.append(stamp)
+        self._trace.append((stamp, "READ", f"segment={len(self._segments) - 1}"))
+        return segment
+
     def push_frames(self, frames: np.ndarray) -> list[tuple[int, int]]:
-        """Feed audio; returns segments that completed. Frame-at-a-time
-        bookkeeping keeps completion stamps chunking-invariant."""
+        """Feed audio; returns segments that completed. The encoder advances
+        at each input length where a frame finalizes, whatever the chunking,
+        so completion stamps and encoder outputs are chunking-invariant."""
         if self._ended:
             raise RuntimeError("push_frames after end-of-stream")
-        frames = np.asarray(frames, dtype=np.float32).reshape(-1, self.model.cfg.d_feat)
+        cfg = self.model.cfg
+        frames = np.asarray(frames, dtype=np.float32).reshape(-1, cfg.d_feat)
+        rows = np.concatenate([self._unencoded, frames])
+        first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
+        horizon = model_mod.effective_lookahead_frames(cfg)
         new_segments = []
-        for row in frames:
-            self._buf = np.concatenate([self._buf, row[None, :]], axis=0)
-            n_final = model_mod.finalized_frames(self.model.cfg, self._buf.shape[0])
-            if n_final > self._n_final:
-                new_segments.extend(self._advance_finalized(n_final))
+        for t in range(self._n_final, model_mod.finalized_frames(cfg, first + rows.shape[0])):
+            # frame t is final once input t*downsample + horizon has arrived
+            self._n_fed = t * cfg.downsample + horizon + 1
+            new_segments.extend(self._advance(rows[: self._n_fed - first], t + 1, self._fed_ms()))
+            rows, first = rows[self._n_fed - first:], self._n_fed
+        self._n_fed = first + rows.shape[0]
+        self._unencoded = rows
         return new_segments
 
     def end_stream(self) -> None:
@@ -186,41 +215,23 @@ class StreamSession:
             raise RuntimeError("end_stream called twice")
         self._ended = True
         cfg = self.model.cfg
-        if self._buf.shape[0] < cfg.downsample:
+        if self._n_fed < cfg.downsample:
             raise ValueError(
-                f"stream ended with {self._buf.shape[0]} frames; the encoder needs "
+                f"stream ended with {self._n_fed} frames; the encoder needs "
                 f"at least {cfg.downsample}"
             )
         t_out = self._total_frames_out()
         total = self._total_ms()
-        if self.unit_kind == "frame":
-            while self._n_final < t_out:
-                self._n_final += 1
-                self._unit_ready_ms.append(total)
-                self._trace.append((total, "READ", f"frame={self._n_final - 1}"))
-            return
-        _, post = self._encode_buffer()
-        labels = ctc_mod.greedy_path(post)
-        start_scan = max(self._n_final - 1, 0)
-        for t in range(start_scan, t_out - 1):
-            if labels[t] != ctc_mod.BLANK and labels[t + 1] != labels[t]:
-                seg_start = self._segments[-1][1] if self._segments else 0
-                self._segments.append((seg_start, t + 1))
-                self._unit_ready_ms.append(total)
-                self._trace.append((total, "READ", f"segment={len(self._segments) - 1}"))
-        self._labels = labels
-        self._n_final = t_out
-        tail_start = self._segments[-1][1] if self._segments else 0
-        # the open tail always closes at end-of-stream; an all-blank stream
-        # yields this single segment so the decoder has at least one unit
-        self._segments.append((tail_start, t_out))
-        self._unit_ready_ms.append(total)
-        self._trace.append((total, "READ", f"segment={len(self._segments) - 1}"))
+        self._advance(self._unencoded, t_out, total, end=True)
+        if self.unit_kind == "segment":
+            # the open tail always closes at end-of-stream; an all-blank stream
+            # yields this single segment so the decoder has at least one unit
+            self._close_segment(t_out, total)
 
     # -- decoding --------------------------------------------------------------
 
     def _visible_source(self, n_units: int) -> EncoderOutput:
-        states, post = self._encode_buffer()
+        states, post = self._finalized()
         cfg = self.model.cfg
         with ad.no_grad():
             if self.unit_kind == "frame":
@@ -235,6 +246,7 @@ class StreamSession:
                 shrink_mod.ShrinkConfig(cfg.shrink_temperature, cfg.shrink_mode),
             )
             units = self.model.semantic_encode(shrunk)
+            self.stats.semantic_encode_calls += 1
         return EncoderOutput(Tensor(states[:end]), None, None, seg_set, units)
 
     def _score_continuations(self, source: EncoderOutput, prefix_tokens: list[int],
@@ -246,6 +258,7 @@ class StreamSession:
             mask[j, : min(v, n_src)] = True
         with ad.no_grad():
             logits = self.model.decode_logits(ids, source, mask)
+        self.stats.decode_logits_calls += 1
         return _log_softmax_row(logits.data[-1].astype(np.float64))
 
     def _beam_stride(self, source: EncoderOutput, visible: int, stride_len: int) -> list[BeamHypothesis]:
@@ -260,6 +273,7 @@ class StreamSession:
                 vis_rows = self._visibility + [visible] * (len(hyp.tokens) + 1)
                 logp = self._score_continuations(source, prefix, vis_rows)
                 order = np.argsort(-logp, kind="stable")[: self.beam_size]
+                self.stats.beam_expansions += len(order)
                 for tok in order:
                     candidates.append(
                         BeamHypothesis(hyp.tokens + (int(tok),), hyp.score + float(logp[tok]),

@@ -40,6 +40,10 @@ class FingerprintMismatch(ValueError):
     """A checkpoint was produced under a different model configuration."""
 
 
+class NoUpdatesError(ValueError):
+    """A training epoch made no optimizer update: every batch was skipped."""
+
+
 @dataclass
 class Checkpoint:
     params: dict[str, np.ndarray]
@@ -237,6 +241,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
         batches = make_batches(corpus, settings.max_frames)
         for epoch in range(epoch0, epoch0 + epochs):
             order = rng.permutation(len(batches))
+            updates = 0
             for bi in order:
                 batch = batches[bi]
                 ad.reset_tape()
@@ -259,10 +264,17 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                 ad.backward(total)
                 lr = ad.inverse_sqrt_lr(opt.step + 1, opt.base_lr, opt.warmup)
                 ad.adam_step(params, opt, lr)
+                updates += 1
                 if log_fh:
                     ctc_val = loss_ctc.item() if loss_ctc is not None else float("nan")
                     log_fh.write(f"{opt.step}\t{lr:.6g}\t{st_val:.6g}\t{ctc_val:.6g}\t"
                                  f"{diag['blank_fraction']:.4f}\n")
+            if updates == 0:
+                raise NoUpdatesError(
+                    f"{stage} epoch {epoch + 1} made no update: no batch had an utterance "
+                    f"at least {cfg.downsample} frames long whose transcript aligns to its "
+                    f"encoder frames"
+                )
             log.info("%s epoch %d done (step %d)", stage, epoch + 1, opt.step)
     finally:
         if log_fh:

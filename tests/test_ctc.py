@@ -150,6 +150,17 @@ class TestDetectBoundaries:
                 else:
                     assert n_seg == n_tok
 
+    def test_incremental_scan_matches_one_scan(self):
+        # a stream extends its path and rescans from its last old frame
+        alphabet = [0, 1, ctc.BLANK]
+        for path in itertools.product(alphabet, repeat=6):
+            path = np.array(path)
+            whole = ctc.boundary_cuts(path).tolist()
+            for split in range(1, 6):
+                head = ctc.boundary_cuts(path[:split]).tolist()
+                tail = ctc.boundary_cuts(path, max(split - 1, 0)).tolist()
+                assert head + tail == whole
+
 
 class TestBlankPenalty:
     def test_no_blank_argmax_gives_zero(self):

@@ -289,3 +289,44 @@ def test_loss_decreases_under_training():
             first = total.item()
         last = total.item()
     assert last <= 0.5 * first, (first, last)
+
+
+class TestStreamingEncode:
+    def test_fresh_state_records_the_plain_tape(self):
+        m = model.Model(tiny_cfg(n_blocks=2), seed=0)
+        x = np.random.default_rng(0).normal(size=(23, 6)).astype(np.float32)
+        runs = []
+        for state in (None, model.AcousticState()):
+            ad.reset_tape()
+            states, post = m.acoustic_encode(x, state=state)
+            ops = [(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries]
+            runs.append((ops, states.data, post.data))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])
+
+    @pytest.mark.parametrize("sizes", [[1] * 30, [3, 0, 7, 2, 18], [30]])
+    def test_any_split_matches_one_call(self, sizes):
+        # calls may finalize no frame at all; the state carries their rows
+        cfg = tiny_cfg(n_blocks=3, transformer_layers_per_block=2)
+        x = np.random.default_rng(1).normal(size=(30, 6)).astype(np.float32)
+        with ad.using_dtype(np.float64):
+            m = model.Model(cfg, seed=2)
+            with ad.no_grad():
+                whole, whole_post = m.acoustic_encode(x)
+                state = model.AcousticState()
+                outs, pos = [], 0
+                for n in sizes:
+                    outs.append(m.acoustic_encode(x[pos:pos + n], state=state, end=False))
+                    pos += n
+                    assert sum(o[0].shape[0] for o in outs) == model.finalized_frames(cfg, pos)
+                outs.append(m.acoustic_encode(x[:0], state=state, end=True))
+        states = np.concatenate([o[0].data for o in outs])
+        post = np.concatenate([o[1].data for o in outs])
+        np.testing.assert_allclose(states, whole.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post, whole_post.data, rtol=0, atol=1e-12)
+
+    def test_total_loss_without_translation_loss_is_typed_error(self):
+        m = model.Model(tiny_cfg(), seed=0)
+        with pytest.raises(model.NoLossError):
+            m.total_loss(None, None)

@@ -27,7 +27,7 @@ class ScriptedModel:
         self.script = script or {}
         self.eos_after = eos_after
 
-    def acoustic_encode(self, features, rng=None):
+    def acoustic_encode(self, features, rng=None, state=None, end=True):
         states = np.asarray(features, dtype=np.float32)[::2]
         pad = np.zeros((model.output_length(self.cfg, len(features)) - len(states), states.shape[1]))
         if len(pad):
@@ -260,3 +260,85 @@ class TestChunkingInvariance:
             _, post = m.acoustic_encode(feats)
         offline_segments = ctc_mod.detect_boundaries(ctc_mod.greedy_path(post))
         assert res.segment_count == len(offline_segments)
+
+
+class TestCausalityGuard:
+    def test_bidirectional_model_rejected(self):
+        m = real_model(unidirectional=False)
+        with pytest.raises(model.NonCausalEncoderError):
+            streaming.StreamSession(m)
+        assert issubclass(model.NonCausalEncoderError, ValueError)
+
+    def test_model_rejects_a_stream_state_when_bidirectional(self):
+        m = real_model(unidirectional=False)
+        with pytest.raises(model.NonCausalEncoderError):
+            m.acoustic_encode(np.zeros((4, 6), dtype=np.float32), state=model.AcousticState(), end=False)
+
+
+def encoder_cfg(**kw):
+    base = dict(
+        d_feat=4, n_blocks=3, transformer_layers_per_block=1, d_model=16, n_heads=2, ffn_dim=32,
+        semantic_layers=1, decoder_layers=1, src_vocab_size=6, tgt_vocab_size=6, dropout=0.0,
+    )
+    base.update(kw)
+    return model.ModelConfig(**base)
+
+
+class TestEncoderEquivalence:
+    """The session's finalized states and CTC rows equal one offline
+    encode of the whole input; float64 leaves only summation-order error."""
+
+    @pytest.mark.parametrize("gradual", [True, False])
+    @pytest.mark.parametrize("use_ctc", [True, False])
+    @pytest.mark.parametrize("chunk", [1, 8, 13])
+    def test_finalized_rows_match_offline(self, gradual, use_ctc, chunk):
+        cfg = encoder_cfg(gradual_downsample=gradual, use_ctc=use_ctc, use_shrink=use_ctc)
+        feats = np.random.default_rng(chunk).normal(size=(101, 4)).astype(np.float32)
+        with ad.using_dtype(np.float64):
+            m = model.Model(cfg, seed=3)
+            with ad.no_grad():
+                off_states, off_post = m.acoustic_encode(feats)
+            session = streaming.StreamSession(m)
+            for i in range(0, len(feats), chunk):
+                session.push_frames(feats[i:i + chunk])
+                n = model.finalized_frames(cfg, min(i + chunk, len(feats)))
+                if n:
+                    states, _ = session._finalized()
+                    np.testing.assert_allclose(states, off_states.data[:n], rtol=0, atol=1e-12)
+            session.end_stream()
+            states, post = session._finalized()
+        assert states.dtype == np.float64
+        np.testing.assert_allclose(states, off_states.data, rtol=0, atol=1e-12)
+        if use_ctc:
+            np.testing.assert_allclose(post, off_post.data, rtol=0, atol=1e-12)
+        else:
+            assert post is None
+
+
+class TestSessionStats:
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_each_encoder_frame_computed_once(self, chunk):
+        cfg = encoder_cfg()
+        m = model.Model(cfg, seed=0)
+        feats = np.random.default_rng(0).normal(size=(77, 4)).astype(np.float32)
+        session = streaming.StreamSession(m)
+        for i in range(0, len(feats), chunk):
+            session.push_frames(feats[i:i + chunk])
+            pushed = min(i + chunk, len(feats))
+            assert session.stats.encoder_frames == model.finalized_frames(cfg, pushed)
+        session.end_stream()
+        assert session.stats.encoder_frames == model.output_length(cfg, len(feats))
+
+    def test_decoder_work_counted(self):
+        m = real_model()
+        session = streaming.StreamSession(m, beam_size=3)
+        session.push_frames(np.random.default_rng(3).normal(size=(30, 6)).astype(np.float32))
+        session.end_stream()
+        while session.step()[0] != streaming.FINISH:
+            pass
+        stats = session.stats
+        assert stats.encoder_frames == model.output_length(m.cfg, 30)
+        assert stats.semantic_encode_calls >= 1
+        assert stats.decode_logits_calls >= 1
+        # a decoder call scores one hypothesis and extends it by at most beam tokens
+        assert stats.decode_logits_calls <= stats.beam_expansions <= 3 * stats.decode_logits_calls

@@ -240,3 +240,17 @@ class TestEvaluate:
         m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=0)
         acc = train.token_accuracy(m, corpus)
         assert 0.0 <= acc <= 1.0
+
+
+class TestNoUpdates:
+    def test_default_configs_fail_loudly(self):
+        # 8x downsampling leaves too few encoder frames for 2-5 frames per
+        # token, so every utterance is CTC-infeasible and no batch trains
+        corpus = data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 3)
+        cfg = model.ModelConfig(src_vocab_size=len(corpus.src_vocab),
+                                tgt_vocab_size=len(corpus.tgt_vocab))
+        with pytest.raises(train.NoUpdatesError):
+            train.pretrain_ctc(corpus, cfg, 1, settings())
+        start = train.pretrain_ctc(corpus, cfg, 0, settings())
+        with pytest.raises(train.NoUpdatesError):
+            train.finetune(corpus, start, cfg, 1, settings())
