@@ -278,12 +278,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return record_op(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
     return record_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
@@ -390,11 +384,14 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
     return record_op(out, (x, kernel), vjp)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention; mask[i, j]=True lets query i see key j.
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one op; mask[i, j]=True
+    lets query i see key j, in every head.
 
-    Disallowed scores get an additive -1e9 before the softmax. Every query
-    row must have at least one allowed key.
+    ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
+    ``n_heads`` column blocks; head h attends with block h and writes
+    output columns h*dv:(h+1)*dv. Disallowed scores get an additive -1e9
+    before the softmax. Every query row must have at least one allowed key.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (q.shape[0], k.shape[0]):
@@ -402,11 +399,36 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise ValueError(f"attention mask row {bad} allows no keys")
-    d_k = q.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    bias = np.where(mask, 0.0, -1e9).astype(scores.data.dtype)
-    weights = softmax(add(scores, Tensor(bias, dtype=scores.data.dtype)), axis=-1)
-    return matmul(weights, v)
+    if q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
+        raise ShapeError(f"masked_attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
+    if q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"masked_attention: {n_heads} heads do not divide widths {q.shape[1]}, {v.shape[1]}")
+
+    def heads(x: np.ndarray) -> np.ndarray:  # [T, H*d] -> [H, T, d] view
+        return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+
+    # BLAS rounds by memory layout; with a contiguous k^T and row-major
+    # gradients, outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    s = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    scores = (qh @ kt) * s
+    scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)  # [H, Tq, Tk]
+    out = (w @ vh).transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
+
+    def vjp(g):
+        gh = heads(g)
+        gw = gh @ vh.transpose(0, 2, 1)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * s
+        gq = gs @ kt.transpose(0, 2, 1)
+        gk = (qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        gv = w.transpose(0, 2, 1) @ gh
+        return tuple(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t.shape)
+                     for x, t in ((gq, q), (gk, k), (gv, v)))
+
+    return record_op(out, (q, k, v), vjp)
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -475,17 +497,6 @@ def col(x: Tensor, j: int) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
-def cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = x.data[:, start:stop].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return record_op(out, (x,), vjp)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
     out = np.concatenate([p.data for p in parts], axis=0)
@@ -494,18 +505,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     def vjp(g):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return record_op(out, tuple(parts), vjp)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    out = np.concatenate([p.data for p in parts], axis=1)
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return record_op(out, tuple(parts), vjp)
 

@@ -22,6 +22,7 @@ class InfeasibleAlignmentError(ValueError):
 
 
 BLANK = -1  # blank marker in label-sequence form (grids keep blank as the last column)
+BLANK_PENALTY_MODES = ("argmax_blank_frames", "all_frames")
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def ctc_nll(posteriors: Tensor, labels) -> Tensor:
         with np.errstate(invalid="ignore"):
             contrib = np.exp(occupancy - log_z - lab)
         contrib[~np.isfinite(contrib)] = 0.0
-        for s in range(n_states):
-            grad[:, ext[s]] -= contrib[:, s]
+        np.subtract.at(grad.T, ext, contrib.T)  # unbuffered: states sharing a label all count
         return (float(g) * grad.astype(posteriors.data.dtype),)
 
     value = np.asarray(-log_z, dtype=posteriors.data.dtype)
@@ -183,13 +183,13 @@ def blank_penalty(posteriors: Tensor, mode: str = "argmax_blank_frames") -> Tens
     blank (the argmax selection is held constant for gradients);
     ``all_frames`` sums p(blank) over every frame.
     """
+    if mode not in BLANK_PENALTY_MODES:
+        raise ValueError(f"blank_penalty_mode must be one of {BLANK_PENALTY_MODES}, got {mode!r}")
     blank = posteriors.shape[1] - 1
     if mode == "argmax_blank_frames":
         sel = (posteriors.data.argmax(axis=1) == blank).astype(posteriors.data.dtype)
-    elif mode == "all_frames":
-        sel = np.ones(posteriors.shape[0], dtype=posteriors.data.dtype)
     else:
-        raise ValueError(f"unknown blank_penalty_mode {mode!r}")
+        sel = np.ones(posteriors.shape[0], dtype=posteriors.data.dtype)
     return ad.reduce_sum(ad.mul(ad.col(posteriors, blank), Tensor(sel, dtype=posteriors.data.dtype)))
 
 

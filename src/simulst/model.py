@@ -9,6 +9,7 @@ loops with padding sliced off before any computation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -78,6 +79,14 @@ class ModelConfig:
             raise ValueError(f"wait_k must be a positive integer or inf, got {self.wait_k}")
         if self.stride_n < 1:
             raise ValueError(f"stride_n must be >= 1, got {self.stride_n}")
+        self.shrink_config  # ShrinkConfig rejects a bad mode or temperature
+        if self.blank_penalty_mode not in ctc_mod.BLANK_PENALTY_MODES:
+            raise ValueError(f"blank_penalty_mode must be one of {ctc_mod.BLANK_PENALTY_MODES}, "
+                             f"got {self.blank_penalty_mode!r}")
+
+    @property
+    def shrink_config(self) -> ShrinkConfig:
+        return ShrinkConfig(self.shrink_temperature, self.shrink_mode)
 
     @property
     def downsample(self) -> int:
@@ -262,11 +271,10 @@ class Model:
 
     def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                    kv_cache: dict | None = None) -> Tensor:
-        """Multi-head attention; with ``kv_cache`` the keys and values of
-        earlier calls (held under ``prefix``) precede the new ones, and the
-        cache is extended by the new rows."""
-        n_heads = self.cfg.n_heads
-        d_head = self.cfg.d_model // n_heads
+        """Multi-head attention, all ``cfg.n_heads`` heads in one op; with
+        ``kv_cache`` the keys and values of earlier calls (held under
+        ``prefix``) precede the new ones, and the cache is extended by the
+        new rows."""
         q = self._affine(f"{prefix}.q", q_in)
         k = self._affine(f"{prefix}.k", kv_in)
         v = self._affine(f"{prefix}.v", kv_in)
@@ -275,13 +283,7 @@ class Model:
                 past_k, past_v = kv_cache[prefix]
                 k, v = ad.concat_rows([past_k, k]), ad.concat_rows([past_v, v])
             kv_cache[prefix] = (k, v)
-        heads = []
-        for h in range(n_heads):
-            lo, hi = h * d_head, (h + 1) * d_head
-            heads.append(
-                ad.masked_attention(ad.cols(q, lo, hi), ad.cols(k, lo, hi), ad.cols(v, lo, hi), mask)
-            )
-        return self._affine(f"{prefix}.o", ad.concat_cols(heads))
+        return self._affine(f"{prefix}.o", ad.masked_attention(q, k, v, mask, self.cfg.n_heads))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         return self._affine(f"{prefix}.2", ad.relu(self._affine(f"{prefix}.1", x)))
@@ -399,8 +401,7 @@ class Model:
             if cfg.use_shrink:
                 blank_probs = ad.col(posteriors, cfg.blank_index)
                 shrunk = shrink_mod.shrink_states(
-                    states, blank_probs, path, segments,
-                    ShrinkConfig(cfg.shrink_temperature, cfg.shrink_mode),
+                    states, blank_probs, path, segments, cfg.shrink_config
                 )
                 units = self.semantic_encode(shrunk, rng)
         return EncoderOutput(states, posteriors, path, segments, units)
@@ -479,18 +480,8 @@ class Model:
             st_terms.append(ad.scale(ad.cross_entropy(logits, target_out, PAD), float(len(target_out))))
             n_tokens += len(target_out)
             correct += int((logits.data.argmax(axis=1) == target_out).sum())
-        loss_st = None
-        if st_terms:
-            loss_st = st_terms[0]
-            for term in st_terms[1:]:
-                loss_st = ad.add(loss_st, term)
-            loss_st = ad.scale(loss_st, 1.0 / n_tokens)
-        loss_ctc = None
-        if ctc_terms:
-            loss_ctc = ctc_terms[0]
-            for term in ctc_terms[1:]:
-                loss_ctc = ad.add(loss_ctc, term)
-            loss_ctc = ad.scale(loss_ctc, 1.0 / len(ctc_terms))
+        loss_st = ad.scale(functools.reduce(ad.add, st_terms), 1.0 / n_tokens) if st_terms else None
+        loss_ctc = ad.scale(functools.reduce(ad.add, ctc_terms), 1.0 / len(ctc_terms)) if ctc_terms else None
         diagnostics = {
             "tokens": n_tokens,
             "token_correct": correct,

@@ -242,8 +242,7 @@ class StreamSession:
             seg_set = ctc_mod.SegmentSet(tuple(segs))
             blank_probs = Tensor(post[:end, cfg.blank_index])
             shrunk = shrink_mod.shrink_states(
-                Tensor(states[:end]), blank_probs, self._labels[:end], seg_set,
-                shrink_mod.ShrinkConfig(cfg.shrink_temperature, cfg.shrink_mode),
+                Tensor(states[:end]), blank_probs, self._labels[:end], seg_set, cfg.shrink_config
             )
             units = self.model.semantic_encode(shrunk)
             self.stats.semantic_encode_calls += 1
@@ -285,24 +284,24 @@ class StreamSession:
                 break
         return beams
 
+    def _stride_len(self) -> int:
+        """Tokens the next write may commit. After end-of-stream the output
+        is capped at 2 * units + 10 tokens, so a session always finishes."""
+        if not self._ended:
+            return self.stride_n
+        return min(self.stride_n, 2 * self.units_completed + 10 - len(self._committed))
+
     def _write_stride(self) -> list[int]:
         """Beam search over the next stride; commits the best continuation."""
         if self._ended:
             visible = self.units_completed
             stamp = self._total_ms()
-            cap = 2 * self.units_completed + 10
-            stride_len = min(self.stride_n, max(cap - len(self._committed), 0))
-            if stride_len == 0:
-                self._eos = True
-                return []
         else:
-            budget = self._next_budget()
-            visible = int(budget)
+            visible = int(self._next_budget())
             stamp = self._unit_ready_ms[visible - 1]
-            stride_len = self.stride_n
         self._last_stamp = stamp
         source = self._visible_source(visible)
-        best = self._beam_stride(source, visible, stride_len)[0]
+        best = self._beam_stride(source, visible, self._stride_len())[0]
         committed = []
         for tok in best.tokens:
             if tok == EOS:
@@ -335,17 +334,10 @@ class StreamSession:
         """Advance the policy one action: read, write, or finish."""
         if self._finished:
             raise RuntimeError("step on a finished session")
-        if not self._ended:
-            if self._eos:
-                return self._finish()
-            if self.units_completed >= self._next_budget():
-                tokens = self._write_stride()
-                if tokens:
-                    return WRITE, tokens
-                return self._finish()
-            return READ, None
-        if self._eos or len(self._committed) >= 2 * self.units_completed + 10:
+        if self._eos or self._stride_len() < 1:
             return self._finish()
+        if not self._ended and self.units_completed < self._next_budget():
+            return READ, None
         tokens = self._write_stride()
         if tokens:
             return WRITE, tokens
@@ -383,10 +375,12 @@ def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_
                      reference_length: Optional[int] = None, tgt_vocab=None,
                      allow_schedule_override: bool = False) -> SessionResult:
     """Drive one utterance through a session, pushing fixed-size chunks."""
+    chunk = model.cfg.downsample if chunk_frames is None else chunk_frames
+    if chunk < 1:
+        raise ValueError(f"chunk_frames must be >= 1, got {chunk_frames}")
     session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
                             allow_schedule_override=allow_schedule_override, tgt_vocab=tgt_vocab)
     feats = np.asarray(features, dtype=np.float32)
-    chunk = chunk_frames or model.cfg.downsample
     pos = 0
     while True:
         action, _ = session.step()

@@ -127,6 +127,64 @@ class TestMaskedAttention:
             ad.masked_attention(q, k, v, mask)
 
 
+def per_head_attention(q, k, v, mask, n_heads):
+    """numpy reference: each head attends with its own column block, and
+    the head outputs sit side by side."""
+    outs = []
+    for qh, kh, vh in zip(*(np.split(x, n_heads, axis=1) for x in (q, k, v))):
+        scores = np.where(mask, qh @ kh.T / math.sqrt(qh.shape[1]), -np.inf)
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append(w / w.sum(axis=1, keepdims=True) @ vh)
+    return np.concatenate(outs, axis=1)
+
+
+def cached_past_inputs(seed, n=3, past=2, width=8, v_width=4):
+    """q, k, v and the mask of n new rows over ``past`` cached ones."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, width)), rng.normal(size=(past + n, width)),
+              rng.normal(size=(past + n, v_width))]
+    return arrays, np.tri(n, past + n, past, dtype=bool)
+
+
+class TestMultiHeadAttention:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_matches_per_head_reference(self, n_heads):
+        (q, k, v), mask = cached_past_inputs(n_heads)
+        with ad.using_dtype(np.float64):
+            out = ad.masked_attention(t64(q), t64(k), t64(v), mask, n_heads)
+        np.testing.assert_allclose(out.data, per_head_attention(q, k, v, mask, n_heads), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_gradcheck_cached_past_mask(self, n_heads):
+        arrays, mask = cached_past_inputs(10 + n_heads)
+        weights = np.random.default_rng(n_heads).normal(size=(mask.shape[0], arrays[2].shape[1]))
+
+        def loss(q, k, v):
+            out = ad.masked_attention(q, k, v, mask, n_heads)
+            return ad.reduce_sum(ad.mul(out, t64(weights)))
+
+        def f(*arrs):
+            with ad.using_dtype(np.float64):
+                ad.reset_tape()
+                return loss(*(t64(a) for a in arrs)).item()
+
+        expected = central_difference(f, arrays)
+        with ad.using_dtype(np.float64):
+            ad.reset_tape()
+            leaves = [t64(a, requires_grad=True) for a in arrays]
+            ad.backward(loss(*leaves))
+        for leaf, exp in zip(leaves, expected):
+            assert relative_error(leaf.grad, exp) < 1e-7
+
+    @pytest.mark.parametrize("widths", [(6, 8), (8, 6)])
+    def test_head_count_must_divide_widths(self, widths):
+        qk_width, v_width = widths
+        q, k = ad.Tensor(np.zeros((2, qk_width))), ad.Tensor(np.zeros((2, qk_width)))
+        v = ad.Tensor(np.zeros((2, v_width)))
+        with pytest.raises(ad.ShapeError, match="heads"):
+            ad.masked_attention(q, k, v, np.ones((2, 2), dtype=bool), n_heads=4)
+
+
 class TestLayerNorm:
     def test_constant_row_zeros(self):
         x = ad.Tensor([[3.0, 3.0, 3.0]])

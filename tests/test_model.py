@@ -53,6 +53,17 @@ class TestConfig:
             model.ModelConfig(d_model=30, n_heads=4)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(shrink_mode="bogus"),
+    dict(shrink_temperature=-1.0),
+    dict(shrink_temperature=float("nan")),
+    dict(blank_penalty_mode="bogus"),
+])
+def test_bad_loss_settings_rejected_at_construction(kw):
+    with pytest.raises(ValueError, match="mode|temperature"):
+        model.ModelConfig(**kw)
+
+
 class TestLookahead:
     def test_no_lookahead_is_zero_ms(self):
         cfg = model.ModelConfig(conv_lookahead=(0, 0, 0))
@@ -289,6 +300,18 @@ def test_loss_decreases_under_training():
             first = total.item()
         last = total.item()
     assert last <= 0.5 * first, (first, last)
+
+
+def test_attention_records_one_op_for_any_head_count():
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(5, 16)))
+    tapes = []
+    for n_heads in (1, 4):
+        m = model.Model(tiny_cfg(n_heads=n_heads), seed=0)
+        ad.reset_tape()
+        m._tf_forward("semantic.tf0", x, m._self_mask(5), None)
+        tapes.append([(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries])
+    assert tapes[0] == tapes[1]
+    assert sum(name.startswith("masked_attention") for name, _ in tapes[1]) == 1
 
 
 class TestStreamingEncode:

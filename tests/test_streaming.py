@@ -179,6 +179,22 @@ class TestPolicySchedule:
         session = streaming.StreamSession(ScriptedModel(cfg), wait_k=5, allow_schedule_override=True)
         assert session.wait_k == 5
 
+    def test_output_capped_after_end_of_stream(self):
+        cfg = frame_cfg(wait_k=1, stride_n=2)
+        feats = np.zeros((6, 4), dtype=np.float32)  # 3 units
+        res = streaming.translate_stream(ScriptedModel(cfg), feats)  # never writes EOS
+        assert len(res.tokens) == 2 * res.n_units + 10
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected_before_streaming(self, monkeypatch, chunk):
+        # -1 would otherwise push empty chunks forever
+        def no_session(*args, **kwargs):
+            raise AssertionError("a session was started")
+
+        monkeypatch.setattr(streaming, "StreamSession", no_session)
+        with pytest.raises(ValueError, match="chunk_frames"):
+            streaming.translate_stream(ScriptedModel(frame_cfg()), np.zeros((8, 4)), chunk_frames=chunk)
+
 
 class TestBeamReranking:
     def test_beam_beats_greedy_on_garden_path(self):
