@@ -174,40 +174,46 @@ def record_from_trace(tr: UtteranceTrace, reference_length: int) -> LatencyRecor
     )
 
 
-def score_traces(traces: list[UtteranceTrace], references: dict[str, list[str]]) -> dict:
-    """Aggregate BLEU / mean AP / mean AL over utterance traces; returns the
-    summary plus one report row per utterance."""
+def summarize(utterances) -> dict:
+    """BLEU over all utterances, mean AP and AL over those with a
+    hypothesis, and one report row per utterance. ``utterances`` yields
+    ``(utt_id, hypothesis tokens, reference tokens, LatencyRecord)``."""
     rows = []
     hyps, refs = [], []
     ap_values, al_values = [], []
-    for tr in traces:
-        if tr.utt_id not in references:
-            raise ValueError(f"no reference for utterance {tr.utt_id}")
-        ref = list(references[tr.utt_id])
-        hyp = tr.hypothesis
-        rec = record_from_trace(tr, len(ref))
+    for utt_id, hyp, ref, rec in utterances:
+        ap = al = float("nan")
         if hyp:
             ap = average_proportion(rec)
             al = average_lagging(rec)
             ap_values.append(ap)
             al_values.append(al)
-        else:
-            ap = al = float("nan")
         hyps.append(hyp)
         refs.append(ref)
         rows.append({
-            "id": tr.utt_id,
+            "id": utt_id,
             "hypothesis": " ".join(hyp),
             "reference": " ".join(ref),
             "ap": ap,
             "al": al,
         })
     return {
-        "bleu": corpus_bleu(hyps, refs),
+        "bleu": corpus_bleu(hyps, refs) if hyps else float("nan"),
         "mean_ap": sum(ap_values) / len(ap_values) if ap_values else float("nan"),
         "mean_al": sum(al_values) / len(al_values) if al_values else float("nan"),
         "rows": rows,
     }
+
+
+def score_traces(traces: list[UtteranceTrace], references: dict[str, list[str]]) -> dict:
+    """``summarize`` utterance traces against their references."""
+    utterances = []
+    for tr in traces:
+        if tr.utt_id not in references:
+            raise ValueError(f"no reference for utterance {tr.utt_id}")
+        ref = list(references[tr.utt_id])
+        utterances.append((tr.utt_id, tr.hypothesis, ref, record_from_trace(tr, len(ref))))
+    return summarize(utterances)
 
 
 def write_report(path, summary: dict, extra: dict | None = None) -> None:

@@ -39,6 +39,15 @@ class NoLossError(ValueError):
     """No utterance of the batch produced the loss term asked for."""
 
 
+def check_schedule(wait_k, stride_n) -> None:
+    """The wait-k-stride-n rule: wait_k is a positive integer or inf and
+    stride_n a positive integer; anything else raises ValueError."""
+    if wait_k != WAIT_INF and not (wait_k >= 1 and float(wait_k).is_integer()):
+        raise ValueError(f"wait_k must be a positive integer or inf, got {wait_k}")
+    if not (stride_n >= 1 and float(stride_n).is_integer()):
+        raise ValueError(f"stride_n must be a positive integer, got {stride_n}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_feat: int = 16
@@ -73,12 +82,14 @@ class ModelConfig:
             raise ValueError("need at least 2 convs per block (the second carries stride 2)")
         if len(self.conv_lookahead) != self.convs_per_block:
             raise ValueError("conv_lookahead needs one entry per conv in a block")
-        if self.d_model % self.n_heads:
+        if self.n_heads < 1 or self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.wait_k != WAIT_INF and (self.wait_k < 1 or self.wait_k != int(self.wait_k)):
-            raise ValueError(f"wait_k must be a positive integer or inf, got {self.wait_k}")
-        if self.stride_n < 1:
-            raise ValueError(f"stride_n must be >= 1, got {self.stride_n}")
+        check_schedule(self.wait_k, self.stride_n)
+        for name in ("blank_penalty_weight", "ctc_loss_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         self.shrink_config  # ShrinkConfig rejects a bad mode or temperature
         if self.blank_penalty_mode not in ctc_mod.BLANK_PENALTY_MODES:
             raise ValueError(f"blank_penalty_mode must be one of {ctc_mod.BLANK_PENALTY_MODES}, "
@@ -150,16 +161,16 @@ def build_cross_attention_mask(wait_k, stride_n: int, n_targets: int, n_source: 
     attend the first stride_n*floor((t-1)/stride_n) + wait_k source units."""
     if n_source < 1:
         raise ValueError("mask needs at least one source unit")
-    if stride_n < 1 or (wait_k != WAIT_INF and wait_k < 1):
-        raise ValueError(f"invalid schedule wait_k={wait_k}, stride_n={stride_n}")
+    check_schedule(wait_k, stride_n)
     t = np.arange(1, n_targets + 1)
     budget = stride_n * ((t - 1) // stride_n) + wait_k
     counts = np.minimum(budget, n_source).astype(np.int64)
     return np.arange(n_source)[None, :] < counts[:, None]
 
 
-def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
-    pos = np.arange(n)[:, None].astype(np.float64)
+def sinusoidal_positions(n: int, d: int, dtype, start: int = 0) -> np.ndarray:
+    """Encodings of positions start, .., start+n-1."""
+    pos = np.arange(start, start + n)[:, None].astype(np.float64)
     dim = np.arange((d + 1) // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * dim / d)
     out = np.zeros((n, d))
@@ -182,6 +193,40 @@ class AcousticState:
 
     conv: dict[str, np.ndarray] = field(default_factory=dict)
     kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+
+@dataclass
+class SemanticState:
+    """What one stream's semantic encoder keeps between calls: the count of
+    units encoded so far and, per self-attention layer, their keys and
+    values. Like ``AcousticState``, a live state serves inference only."""
+
+    units: int = 0
+    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+
+@dataclass
+class DecoderState:
+    """What one stream's decoder keeps between calls.
+
+    ``ids`` are the input tokens of the rows computed so far; ``kv`` holds,
+    per decoder layer, the self-attention keys and values of those rows and
+    the cross-attention keys and values of the source units seen so far.
+    Every call extends both; ``fork`` gives a copy whose extension leaves
+    this state as it is. A live state serves inference only.
+    """
+
+    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def fork(self) -> "DecoderState":
+        return DecoderState(dict(self.kv), self.ids)
+
+
+def _cached_rows(kv: dict, prefix: str) -> int:
+    """Rows (or source units) whose keys and values ``kv`` holds under ``prefix``."""
+    past = kv.get(prefix)
+    return 0 if past is None else past[0].shape[0]
 
 
 @dataclass
@@ -273,16 +318,19 @@ class Model:
                    kv_cache: dict | None = None) -> Tensor:
         """Multi-head attention, all ``cfg.n_heads`` heads in one op; with
         ``kv_cache`` the keys and values of earlier calls (held under
-        ``prefix``) precede the new ones, and the cache is extended by the
-        new rows."""
+        ``prefix``) precede those of ``kv_in``'s rows, and the cache is
+        extended by them."""
         q = self._affine(f"{prefix}.q", q_in)
-        k = self._affine(f"{prefix}.k", kv_in)
-        v = self._affine(f"{prefix}.v", kv_in)
-        if kv_cache is not None:
-            if prefix in kv_cache:
-                past_k, past_v = kv_cache[prefix]
-                k, v = ad.concat_rows([past_k, k]), ad.concat_rows([past_v, v])
-            kv_cache[prefix] = (k, v)
+        past = None if kv_cache is None else kv_cache.get(prefix)
+        if past is not None and kv_in.shape[0] == 0:
+            k, v = past
+        else:
+            k = self._affine(f"{prefix}.k", kv_in)
+            v = self._affine(f"{prefix}.v", kv_in)
+            if past is not None:
+                k, v = ad.concat_rows([past[0], k]), ad.concat_rows([past[1], v])
+            if kv_cache is not None:
+                kv_cache[prefix] = (k, v)
         return self._affine(f"{prefix}.o", ad.masked_attention(q, k, v, mask, self.cfg.n_heads))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -299,7 +347,8 @@ class Model:
         h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
         x = ad.add(x, ad.dropout(h, p, rng))
         if cross_kv is not None:
-            h = self._multihead(f"{prefix}.xattn", self._norm_of(f"{prefix}.lnx", x), cross_kv, cross_mask)
+            h = self._multihead(f"{prefix}.xattn", self._norm_of(f"{prefix}.lnx", x), cross_kv,
+                                cross_mask, kv_cache)
             x = ad.add(x, ad.dropout(h, p, rng))
         h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
         return ad.add(x, ad.dropout(h, p, rng))
@@ -358,8 +407,7 @@ class Model:
         def transformers_of_block(b: int, x: Tensor) -> Tensor:
             if x.shape[0] == 0:  # no new rows: the caches stand as they are
                 return x
-            past = state.kv.get(f"acoustic.block{b}.tf0.attn")
-            mask = self._self_mask(x.shape[0], 0 if past is None else past[0].shape[0])
+            mask = self._self_mask(x.shape[0], _cached_rows(state.kv, f"acoustic.block{b}.tf0.attn"))
             for l in range(cfg.transformer_layers_per_block):
                 x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng, kv_cache=state.kv)
             return x
@@ -381,12 +429,25 @@ class Model:
             posteriors = ad.softmax(self._affine("ctc.out", hidden), axis=-1)
         return x, posteriors
 
-    def semantic_encode(self, shrunk: Tensor, rng=None) -> Tensor:
-        pos = sinusoidal_positions(shrunk.shape[0], self.cfg.d_model, shrunk.data.dtype)
+    def semantic_encode(self, shrunk: Tensor, rng=None, state: SemanticState | None = None) -> Tensor:
+        """Self-attention stack over shrunk segment states, one row per unit.
+
+        Without ``state`` this encodes the units of one whole utterance.
+        With one it continues a stream: ``shrunk`` holds the units after
+        those already encoded, which take the next positions and attend to
+        the cached units, and the caches are extended by them.
+        """
+        if state is None:
+            state = SemanticState()
+        elif not self.cfg.unidirectional:
+            raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
+        past = state.units
+        pos = sinusoidal_positions(shrunk.shape[0], self.cfg.d_model, shrunk.data.dtype, past)
         x = ad.add(shrunk, Tensor(pos, dtype=shrunk.data.dtype))
-        mask = self._self_mask(x.shape[0])
+        mask = self._self_mask(x.shape[0], past)
         for l in range(self.cfg.semantic_layers):
-            x = self._tf_forward(f"semantic.tf{l}", x, mask, rng)
+            x = self._tf_forward(f"semantic.tf{l}", x, mask, rng, kv_cache=state.kv)
+        state.units += x.shape[0]
         return x
 
     def encode_source(self, features: np.ndarray, rng=None) -> EncoderOutput:
@@ -406,17 +467,38 @@ class Model:
                 units = self.semantic_encode(shrunk, rng)
         return EncoderOutput(states, posteriors, path, segments, units)
 
-    def decode_logits(self, prefix_ids: np.ndarray, source: EncoderOutput,
-                      cross_mask: np.ndarray, rng=None) -> Tensor:
-        """Teacher-forced decoder logits for inputs [EOS, y_1, ..]."""
+    def decode_logits(self, prefix_ids: np.ndarray, source: EncoderOutput, cross_mask: np.ndarray,
+                      rng=None, state: DecoderState | None = None, hyps: int = 1) -> Tensor:
+        """Decoder logits, one row per input row; ``cross_mask[i, j]`` lets
+        row i see source unit j.
+
+        Without ``state`` the rows are the teacher-forced inputs
+        [EOS, y_1, ..] of one utterance. With one they continue the rows
+        the state holds: ``prefix_ids`` is ``hyps`` equal-length blocks,
+        each a continuation of the cached rows, and a row sees the cached
+        rows and the rows before it in its own block. Source units past
+        those the state has seen get their cross-attention keys and values
+        computed once, here. The state is extended by the new rows, so
+        scoring several blocks at once is meant for a ``fork``.
+        """
         cfg = self.cfg
+        if state is None:
+            state = DecoderState()
+        n_rows, past = len(prefix_ids), len(state.ids)
+        if hyps < 1 or n_rows % hyps:
+            raise ValueError(f"{n_rows} rows do not split into {hyps} equal blocks")
+        block = n_rows // hyps
         emb = ad.scale(ad.embedding(self.params["decoder.embed"], prefix_ids), math.sqrt(cfg.d_model))
-        pos = sinusoidal_positions(len(prefix_ids), cfg.d_model, emb.data.dtype)
+        pos = np.tile(sinusoidal_positions(block, cfg.d_model, emb.data.dtype, past), (hyps, 1))
         x = ad.dropout(ad.add(emb, Tensor(pos, dtype=emb.data.dtype)), cfg.dropout, rng)
-        causal = np.tril(np.ones((len(prefix_ids), len(prefix_ids)), dtype=bool))
+        own_block = np.kron(np.eye(hyps, dtype=bool), np.tri(block, dtype=bool))
+        self_mask = np.concatenate([np.ones((n_rows, past), dtype=bool), own_block], axis=1)
+        seen = _cached_rows(state.kv, "decoder.tf0.xattn")
+        units = source.units if seen == 0 else Tensor(source.units.data[seen:])
         for l in range(cfg.decoder_layers):
-            x = self._tf_forward(f"decoder.tf{l}", x, causal, rng,
-                                 cross_kv=source.units, cross_mask=cross_mask)
+            x = self._tf_forward(f"decoder.tf{l}", x, self_mask, rng,
+                                 cross_kv=units, cross_mask=cross_mask, kv_cache=state.kv)
+        state.ids = np.concatenate([state.ids, prefix_ids])
         return self._affine("decoder.out", self._norm_of("decoder.ln_out", x))
 
     # -- training objective -------------------------------------------------

@@ -11,6 +11,19 @@ online and alternates reading n new source units with beam-reranked
 writes of n tokens. The encoder must be unidirectional: a bidirectional
 one is rejected with ``NonCausalEncoderError``.
 
+The semantic encoder and the decoder keep per-stream state too, and both
+are extended only at writes. A write that may see ``visible`` units first
+shrinks and semantic-encodes the units in [encoded, visible), over the
+cached ones, and gives their cross-attention keys and values to every
+decoder layer. Beam step 0 then extends the decoder's self-attention cache
+by the rows of [EOS] + committed it lacks: a row's cross-attention is fixed
+once the token it predicts is committed, so from that write on it is final.
+Later beam steps score all live hypotheses in one decoder call on a fork of
+that cache and leave it as it was. Both ends of every extension come from
+the schedule (units visible, tokens committed), never from when audio
+arrived, so row blocks, and with them float rounding, do not depend on the
+chunking either.
+
 Listening times d(y_i) are stamped with the minimal audio prefix that
 completed the stride's required unit, which makes them invariant to how
 the caller chunks the audio.
@@ -19,6 +32,7 @@ the caller chunks the audio.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +45,7 @@ from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
 from .data import EOS
-from .model import EncoderOutput, Model, NonCausalEncoderError, build_cross_attention_mask
+from .model import EncoderOutput, Model, NonCausalEncoderError
 
 READ, WRITE, FINISH = "read", "write", "finish"
 
@@ -50,7 +64,9 @@ class SessionStats:
     encoder_frames: int = 0  # acoustic encoder output frames computed
     acoustic_encode_calls: int = 0
     semantic_encode_calls: int = 0
+    semantic_units: int = 0  # source units the semantic encoder encoded
     decode_logits_calls: int = 0
+    hypotheses_scored: int = 0  # beam hypotheses the decoder scored a next token for
     beam_expansions: int = 0  # candidates made by extending a hypothesis by one token
 
 
@@ -61,6 +77,13 @@ class SessionResult:
     trace: list[tuple[float, str, str]]
     n_units: int
     segment_count: Optional[int]  # segments detected by the CTC head, if any
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The rows of ``chunks``, which are joined in place into one chunk."""
+    if len(chunks) > 1:
+        chunks[:] = [np.concatenate(chunks)]
+    return chunks[0]
 
 
 def _log_softmax_row(row: np.ndarray) -> np.ndarray:
@@ -87,6 +110,9 @@ class StreamSession:
                 f"inference schedule ({self.wait_k},{self.stride_n}) differs from the "
                 f"training schedule ({cfg.wait_k},{cfg.stride_n}); pass allow_schedule_override=True"
             )
+        model_mod.check_schedule(self.wait_k, self.stride_n)
+        if not isinstance(beam_size, numbers.Integral) or beam_size < 1:
+            raise ValueError(f"beam_size must be a positive integer, got {beam_size!r}")
         self.beam_size = beam_size
         self.tgt_vocab = tgt_vocab
         self.unit_kind = "segment" if (cfg.use_ctc and cfg.use_shrink) else "frame"
@@ -97,6 +123,9 @@ class StreamSession:
         self._states: list[np.ndarray] = []  # finalized acoustic states, in chunks
         self._posteriors: list[np.ndarray] = []  # their CTC rows, when CTC is on
         self._n_final = 0
+        self._semantic = model_mod.SemanticState()
+        self._decoder = model_mod.DecoderState()
+        self._units: list[np.ndarray] = []  # source units encoded for the decoder, in chunks
         self._labels = np.zeros(0, dtype=np.int64)
         self._segments: list[tuple[int, int]] = []
         self._unit_ready_ms: list[float] = []
@@ -152,11 +181,7 @@ class StreamSession:
 
     def _finalized(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Finalized acoustic states and CTC rows, joined into one chunk each."""
-        for chunks in (self._states, self._posteriors):
-            if len(chunks) > 1:
-                chunks[:] = [np.concatenate(chunks)]
-        post = self._posteriors[0] if self._posteriors else None
-        return self._states[0], post
+        return _joined(self._states), (_joined(self._posteriors) if self._posteriors else None)
 
     def _advance(self, rows: np.ndarray, n_final: int, stamp: float,
                  end: bool = False) -> list[tuple[int, int]]:
@@ -230,47 +255,69 @@ class StreamSession:
 
     # -- decoding --------------------------------------------------------------
 
-    def _visible_source(self, n_units: int) -> EncoderOutput:
-        states, post = self._finalized()
-        cfg = self.model.cfg
-        with ad.no_grad():
+    def _visible_source(self, visible: int) -> EncoderOutput:
+        """Source units [0, visible); those not yet encoded are shrunk and
+        semantic-encoded now, over the cached ones, so each unit is encoded once."""
+        encoded = sum(u.shape[0] for u in self._units)
+        if visible > encoded:
+            states, post = self._finalized()
             if self.unit_kind == "frame":
-                units = Tensor(states[:n_units])
-                return EncoderOutput(units, None, None, None, units)
-            segs = self._segments[:n_units]
-            end = segs[-1][1]
-            seg_set = ctc_mod.SegmentSet(tuple(segs))
-            blank_probs = Tensor(post[:end, cfg.blank_index])
-            shrunk = shrink_mod.shrink_states(
-                Tensor(states[:end]), blank_probs, self._labels[:end], seg_set, cfg.shrink_config
-            )
-            units = self.model.semantic_encode(shrunk)
-            self.stats.semantic_encode_calls += 1
-        return EncoderOutput(Tensor(states[:end]), None, None, seg_set, units)
+                self._units.append(states[encoded:visible])
+            else:
+                cfg = self.model.cfg
+                segs = self._segments[encoded:visible]
+                lo, hi = segs[0][0], segs[-1][1]
+                seg_set = ctc_mod.SegmentSet(tuple((a - lo, b - lo) for a, b in segs))
+                with ad.no_grad():
+                    shrunk = shrink_mod.shrink_states(
+                        Tensor(states[lo:hi]), Tensor(post[lo:hi, cfg.blank_index]),
+                        self._labels[lo:hi], seg_set, cfg.shrink_config,
+                    )
+                    self._units.append(self.model.semantic_encode(shrunk, state=self._semantic).data)
+                self.stats.semantic_encode_calls += 1
+                self.stats.semantic_units += len(segs)
+        units = Tensor(_joined(self._units))
+        return EncoderOutput(units, None, None, None, units)
 
-    def _score_continuations(self, source: EncoderOutput, prefix_tokens: list[int],
-                             vis_rows: list[int]) -> np.ndarray:
-        ids = np.array([EOS] + prefix_tokens, dtype=np.int64)
-        n_src = source.n_units
-        mask = np.zeros((len(ids), n_src), dtype=bool)
-        for j, v in enumerate(vis_rows):
-            mask[j, : min(v, n_src)] = True
+    def _score(self, source: EncoderOutput, rows: list[int], vis_rows: list[int],
+               state: model_mod.DecoderState, hyps: int = 1) -> list[np.ndarray]:
+        """Log-probabilities of the next token after each of ``hyps`` equal
+        blocks of ``rows``, which continue the rows ``state`` holds; row j
+        sees the first ``vis_rows[j]`` source units."""
+        mask = np.arange(source.n_units)[None, :] < np.array(vis_rows)[:, None]
         with ad.no_grad():
-            logits = self.model.decode_logits(ids, source, mask)
+            logits = self.model.decode_logits(np.array(rows, dtype=np.int64), source, mask,
+                                              state=state, hyps=hyps)
         self.stats.decode_logits_calls += 1
-        return _log_softmax_row(logits.data[-1].astype(np.float64))
+        self.stats.hypotheses_scored += hyps
+        ends = logits.data[len(rows) // hyps - 1::len(rows) // hyps]
+        return [_log_softmax_row(row.astype(np.float64)) for row in ends]
 
     def _beam_stride(self, source: EncoderOutput, visible: int, stride_len: int) -> list[BeamHypothesis]:
+        """Beam search over the next ``stride_len`` tokens, one decoder call
+        per step. Step 0 extends the decoder state by the rows not yet in it,
+        [EOS] + committed, whose cross-attention is final from this write on,
+        and scores the empty hypothesis. Each later step scores every live
+        hypothesis at once on a fork of that state, so the state keeps
+        committed rows only."""
         beams = [BeamHypothesis((), 0.0)]
-        for _ in range(stride_len):
+        for step in range(stride_len):
+            if step == 0:
+                cached = len(self._decoder.ids)
+                rows = ([EOS] + self._committed)[cached:]
+                vis_rows = (self._visibility + [visible])[cached:]
+                scores = iter(self._score(source, rows, vis_rows, self._decoder))
+            else:
+                live = [h for h in beams if not h.ended]
+                rows = [tok for h in live for tok in h.tokens]
+                scores = iter(self._score(source, rows, [visible] * len(rows),
+                                          self._decoder.fork(), len(live)))
             candidates = []
             for hyp in beams:
                 if hyp.ended:
                     candidates.append(hyp)
                     continue
-                prefix = self._committed + list(hyp.tokens)
-                vis_rows = self._visibility + [visible] * (len(hyp.tokens) + 1)
-                logp = self._score_continuations(source, prefix, vis_rows)
+                logp = next(scores)
                 order = np.argsort(-logp, kind="stable")[: self.beam_size]
                 self.stats.beam_expansions += len(order)
                 for tok in order:

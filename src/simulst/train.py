@@ -323,10 +323,8 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
              chunk_frames: Optional[int] = None, trace_sink: Optional[list] = None) -> dict:
     """Run the streaming engine per utterance; aggregate BLEU, AP, AL, and
     the shrink-quality histogram."""
-    hyps, refs = [], []
-    ap_vals, al_vals = [], []
     seg_counts, transcript_lens = [], []
-    rows = []
+    utterances = []
     skipped = 0
     override = wait_k is not None or stride_n is not None
     for utt in corpus:
@@ -338,29 +336,14 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
             chunk_frames=chunk_frames, reference_length=len(utt.target),
             tgt_vocab=corpus.tgt_vocab, allow_schedule_override=override,
         )
-        hyp_tokens = corpus.tgt_vocab.decode(res.tokens)
-        ref_tokens = corpus.tgt_vocab.decode(utt.target)
-        hyps.append(hyp_tokens)
-        refs.append(ref_tokens)
-        ap = al = float("nan")
-        if res.tokens:
-            ap = metrics_mod.average_proportion(res.record)
-            al = metrics_mod.average_lagging(res.record)
-            ap_vals.append(ap)
-            al_vals.append(al)
+        utterances.append((utt.id, corpus.tgt_vocab.decode(res.tokens),
+                           corpus.tgt_vocab.decode(utt.target), res.record))
         if res.segment_count is not None:
             seg_counts.append(res.segment_count)
             transcript_lens.append(len(utt.source))
         if trace_sink is not None:
             trace_sink.append((utt.id, res.trace))
-        rows.append({"id": utt.id, "hypothesis": " ".join(hyp_tokens),
-                     "reference": " ".join(ref_tokens), "ap": ap, "al": al})
-    report = {
-        "bleu": metrics_mod.corpus_bleu(hyps, refs) if hyps else float("nan"),
-        "mean_ap": float(np.mean(ap_vals)) if ap_vals else float("nan"),
-        "mean_al": float(np.mean(al_vals)) if al_vals else float("nan"),
-        "shrink_quality": ctc_mod.shrink_quality(seg_counts, transcript_lens) if seg_counts else None,
-        "skipped": skipped,
-        "rows": rows,
-    }
+    report = metrics_mod.summarize(utterances)
+    report["shrink_quality"] = ctc_mod.shrink_quality(seg_counts, transcript_lens) if seg_counts else None
+    report["skipped"] = skipped
     return report

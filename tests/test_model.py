@@ -353,3 +353,106 @@ class TestStreamingEncode:
         m = model.Model(tiny_cfg(), seed=0)
         with pytest.raises(model.NoLossError):
             m.total_loss(None, None)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(blank_penalty_weight=-1.0),
+    dict(ctc_loss_weight=-1.0),
+    dict(ctc_loss_weight=float("nan")),
+    dict(dropout=1.5),
+    dict(dropout=1.0),
+    dict(dropout=-0.1),
+    dict(n_heads=0),
+    dict(wait_k=1.5),
+    dict(stride_n=1.5),
+])
+def test_bad_numbers_rejected_at_construction(kw):
+    with pytest.raises(ValueError):
+        model.ModelConfig(**kw)
+
+
+@pytest.mark.parametrize("wait_k, stride_n", [(1.5, 2), (0, 2), (2, 0), (2, 1.5)])
+def test_mask_rejects_a_bad_schedule(wait_k, stride_n):
+    with pytest.raises(ValueError, match="wait_k|stride_n"):
+        model.build_cross_attention_mask(wait_k, stride_n, 4, 5)
+
+
+class TestStreamingDecode:
+    """Semantic encoder and decoder states: a fresh state is the plain call,
+    and a state carried over calls gives the rows of one whole call."""
+
+    def _source(self, m, n_units, seed=0):
+        units = ad.Tensor(np.random.default_rng(seed).normal(size=(n_units, m.cfg.d_model)))
+        return model.EncoderOutput(units, None, None, None, units)
+
+    def test_fresh_state_records_the_plain_tape(self):
+        m = model.Model(tiny_cfg(semantic_layers=2, decoder_layers=2), seed=0)
+        shrunk = ad.Tensor(np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32))
+        source = self._source(m, 5)
+        ids = np.array([data.EOS, 3, 4, 5])
+        mask = model.build_cross_attention_mask(2, 2, 4, 5)
+        runs = []
+        for sem_state, dec_state in ((None, None), (model.SemanticState(), model.DecoderState())):
+            ad.reset_tape()
+            units = m.semantic_encode(shrunk, state=sem_state)
+            logits = m.decode_logits(ids, source, mask, state=dec_state)
+            ops = [(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries]
+            runs.append((ops, units.data, logits.data))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])
+
+    @pytest.mark.parametrize("sizes", [[1] * 7, [3, 4], [2, 1, 4]])
+    def test_semantic_units_in_any_split_match_one_call(self, sizes):
+        shrunk = np.random.default_rng(1).normal(size=(7, 16))
+        with ad.using_dtype(np.float64):
+            m = model.Model(tiny_cfg(semantic_layers=2), seed=1)
+            with ad.no_grad():
+                whole = m.semantic_encode(ad.Tensor(shrunk))
+                state, parts, pos = model.SemanticState(), [], 0
+                for n in sizes:
+                    parts.append(m.semantic_encode(ad.Tensor(shrunk[pos:pos + n]), state=state).data)
+                    pos += n
+        np.testing.assert_allclose(np.concatenate(parts), whole.data, rtol=0, atol=1e-12)
+
+    def test_cached_rows_and_stacked_blocks_match_whole_prefixes(self):
+        # rows EOS and 3 see 2 units, row 4 sees 4 of 6; then three
+        # continuations of two tokens are scored in one call on a fork
+        vis = [2, 2, 4]
+        blocks = [[5, 6], [7, 5], [3, 3]]
+        with ad.using_dtype(np.float64):
+            m = model.Model(tiny_cfg(decoder_layers=2), seed=2)
+            source = self._source(m, 6, seed=2)
+
+            def visible(n_units):
+                units = ad.Tensor(source.units.data[:n_units])
+                return model.EncoderOutput(units, None, None, None, units)
+
+            def whole(ids, rows_vis):
+                mask = np.arange(6)[None, :] < np.array(rows_vis)[:, None]
+                return m.decode_logits(np.array(ids), source, mask).data
+
+            with ad.no_grad():
+                state = model.DecoderState()
+                first = m.decode_logits(np.array([data.EOS, 3]), visible(2), np.ones((2, 2), dtype=bool),
+                                        state=state).data
+                second = m.decode_logits(np.array([4]), source, np.arange(6)[None, :] < 4, state=state).data
+                stacked = m.decode_logits(np.array(sum(blocks, [])), source, np.ones((6, 6), dtype=bool),
+                                          state=state.fork(), hyps=3).data
+                expect = whole([data.EOS, 3, 4], vis)
+                expect_blocks = [whole([data.EOS, 3, 4] + b, vis + [6, 6])[3:] for b in blocks]
+        assert list(state.ids) == [data.EOS, 3, 4]  # the fork left the state as it was
+        np.testing.assert_allclose(first, expect[:2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(second, expect[2:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked, np.concatenate(expect_blocks), rtol=0, atol=1e-12)
+
+    def test_rows_must_split_into_equal_blocks(self):
+        m = model.Model(tiny_cfg(), seed=0)
+        with pytest.raises(ValueError, match="blocks"):
+            m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), np.ones((3, 2), dtype=bool),
+                            state=model.DecoderState(), hyps=2)
+
+    def test_semantic_state_rejected_when_bidirectional(self):
+        m = model.Model(tiny_cfg(unidirectional=False), seed=0)
+        with pytest.raises(model.NonCausalEncoderError):
+            m.semantic_encode(ad.Tensor(np.zeros((2, 16))), state=model.SemanticState())

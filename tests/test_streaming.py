@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simulst import autodiff as ad
-from simulst import data, model, streaming
+from simulst import ctc, data, model, shrink, streaming
 from simulst.data import EOS
 
 
@@ -34,21 +34,26 @@ class ScriptedModel:
             states = np.concatenate([states, pad.astype(np.float32)])
         return ad.Tensor(states), None
 
-    def semantic_encode(self, shrunk, rng=None):
+    def semantic_encode(self, shrunk, rng=None, state=None):
         return shrunk
 
-    def decode_logits(self, prefix_ids, source, cross_mask, rng=None):
+    def decode_logits(self, prefix_ids, source, cross_mask, rng=None, state=None, hyps=1):
         v = self.cfg.tgt_vocab_size
-        decoded = tuple(int(t) for t in prefix_ids[1:])
+        cached = [] if state is None else list(state.ids)
+        blocks = np.asarray(prefix_ids).reshape(hyps, -1)
         logits = np.full((len(prefix_ids), v), -20.0, dtype=np.float32)
-        probs = self.script.get(decoded)
-        if probs is None:
-            if self.eos_after is not None and len(decoded) >= self.eos_after:
-                probs = {EOS: 0.99}
-            else:
-                probs = {3 + (len(decoded) % 3): 0.99}
-        for tok, p in probs.items():
-            logits[-1, tok] = np.log(p)
+        for b, block in enumerate(blocks):
+            decoded = tuple(int(t) for t in cached + list(block))[1:]
+            probs = self.script.get(decoded)
+            if probs is None:
+                if self.eos_after is not None and len(decoded) >= self.eos_after:
+                    probs = {EOS: 0.99}
+                else:
+                    probs = {3 + (len(decoded) % 3): 0.99}
+            for tok, p in probs.items():
+                logits[(b + 1) * blocks.shape[1] - 1, tok] = np.log(p)
+        if state is not None:
+            state.ids = np.concatenate([state.ids, prefix_ids])
         return ad.Tensor(logits)
 
 
@@ -223,18 +228,34 @@ class TestBeamReranking:
         assert a.tokens == b.tokens  # scripted distribution is near-deterministic
 
 
-def real_model(seed=0, **kw):
+def real_model(seed=0, emitting=False, **kw):
+    """A small untrained model. Its CTC head emits almost only blanks, so a
+    stream makes one segment; ``emitting=True`` biases ``ctc.out.b`` so
+    that labels change every few frames and a stream makes many segments."""
     cfg_kw = dict(
         d_feat=6, n_blocks=1, conv_lookahead=(0, 0, 1), transformer_layers_per_block=1,
         d_model=16, n_heads=2, ffn_dim=32, semantic_layers=1, decoder_layers=1,
         src_vocab_size=8, tgt_vocab_size=8, dropout=0.0, wait_k=2, stride_n=2,
     )
     cfg_kw.update(kw)
-    return model.Model(model.ModelConfig(**cfg_kw), seed=seed)
+    m = model.Model(model.ModelConfig(**cfg_kw), seed=seed)
+    if emitting:
+        # cancel each label's mean logit over the states of random input, so
+        # the per-frame argmax follows the input, and put blank 0.5 below
+        feats = np.random.default_rng(99).normal(size=(64, 6)).astype(np.float32)
+        with ad.no_grad():
+            states, _ = m.acoustic_encode(feats)
+            hidden = ad.relu(m._affine("ctc.hidden", states)).data
+        w, b = m.params["ctc.out.w"].data, m.params["ctc.out.b"].data
+        w *= 4
+        b[:] = -hidden.mean(axis=0) @ w
+        b[m.cfg.blank_index] -= 0.5
+    return m
 
 
 class TestChunkingInvariance:
-    @pytest.mark.parametrize("kw", [dict(), dict(use_ctc=False, use_shrink=False), dict(use_shrink=False)])
+    @pytest.mark.parametrize("kw", [dict(), dict(use_ctc=False, use_shrink=False), dict(use_shrink=False),
+                                    dict(emitting=True)])
     def test_any_chunking_matches_single_push(self, kw):
         m = real_model(**kw)
         rng = np.random.default_rng(0)
@@ -350,11 +371,160 @@ class TestSessionStats:
         session = streaming.StreamSession(m, beam_size=3)
         session.push_frames(np.random.default_rng(3).normal(size=(30, 6)).astype(np.float32))
         session.end_stream()
-        while session.step()[0] != streaming.FINISH:
-            pass
         stats = session.stats
+        while True:
+            stride_len, calls = session._stride_len(), stats.decode_logits_calls
+            action, _ = session.step()
+            # one decoder call per beam step, whatever the beam width
+            assert stats.decode_logits_calls - calls <= max(stride_len, 0)
+            if action == streaming.FINISH:
+                break
         assert stats.encoder_frames == model.output_length(m.cfg, 30)
         assert stats.semantic_encode_calls >= 1
         assert stats.decode_logits_calls >= 1
-        # a decoder call scores one hypothesis and extends it by at most beam tokens
-        assert stats.decode_logits_calls <= stats.beam_expansions <= 3 * stats.decode_logits_calls
+        # a scored hypothesis is extended by at most beam tokens
+        assert stats.hypotheses_scored <= stats.beam_expansions <= 3 * stats.hypotheses_scored
+
+    def test_each_unit_semantic_encoded_once(self):
+        m = real_model(emitting=True)
+        m.params["decoder.out.b"].data[EOS] -= 30.0  # never stop: write up to the output cap
+        encoded = []
+        encode = m.semantic_encode
+        m.semantic_encode = lambda shrunk, *a, **kw: encoded.append(shrunk.shape[0]) or encode(shrunk, *a, **kw)
+        feats = np.random.default_rng(4).normal(size=(36, 6)).astype(np.float32)
+        session = streaming.StreamSession(m, beam_size=3)
+        pos = 0
+        while True:
+            action, _ = session.step()
+            if action == streaming.READ:
+                if pos < len(feats):
+                    session.push_frames(feats[pos:pos + 3])
+                    pos += 3
+                else:
+                    session.end_stream()
+            elif action == streaming.FINISH:
+                break
+        assert session.units_completed >= 3
+        assert sum(encoded) == session.stats.semantic_units == session.units_completed
+        assert session.stats.semantic_encode_calls == len(encoded) > 1
+
+
+def stream_feats(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(int(rng.integers(10, 40)), 6)).astype(np.float32) for _ in range(n)]
+
+
+def test_emitting_model_makes_several_segments_per_stream():
+    m = real_model(emitting=True)
+    for feats in stream_feats(6):
+        assert streaming.translate_stream(m, feats, chunk_frames=3).segment_count >= 3
+
+
+def reference_translate(m, feats, wait_k, stride_n, beam):
+    """The session's policy with every write scored from scratch: all visible
+    units shrunk and semantic-encoded in one plain call, and every beam
+    hypothesis decoded over its whole prefix in a plain call of its own.
+    Units and their completion times come from a session's read side."""
+    cfg = m.cfg
+    session = streaming.StreamSession(m, wait_k=wait_k, stride_n=stride_n, allow_schedule_override=True)
+    session.push_frames(feats)
+    ready = list(session._unit_ready_ms)  # units complete before end-of-stream
+    session.end_stream()
+    states, post = session._finalized()
+    n_units, total = session.units_completed, session._total_ms()
+    committed, visibility, listen = [], [], []
+    while True:
+        budget = stride_n * (len(committed) // stride_n) + wait_k
+        if budget <= len(ready):
+            visible, stamp, stride_len = budget, ready[budget - 1], stride_n
+        else:
+            visible, stamp = n_units, total
+            stride_len = min(stride_n, 2 * n_units + 10 - len(committed))
+            if stride_len < 1:
+                return committed, listen
+        segs = ctc.SegmentSet(tuple(session._segments[:visible]))
+        end = segs.total_frames
+        with ad.no_grad():
+            shrunk = shrink.shrink_states(ad.Tensor(states[:end]), ad.Tensor(post[:end, cfg.blank_index]),
+                                          session._labels[:end], segs, cfg.shrink_config)
+            units = m.semantic_encode(shrunk)
+        source = model.EncoderOutput(units, None, None, segs, units)
+        beams = [((), 0.0, False)]
+        for _ in range(stride_len):
+            candidates = []
+            for tokens, score, ended in beams:
+                if ended:
+                    candidates.append((tokens, score, ended))
+                    continue
+                ids = np.array([EOS] + committed + list(tokens))
+                vis_rows = np.array(visibility + [visible] * (len(tokens) + 1))
+                with ad.no_grad():
+                    logits = m.decode_logits(ids, source, np.arange(visible)[None, :] < vis_rows[:, None])
+                row = logits.data[-1] - logits.data[-1].max()
+                logp = row - np.log(np.exp(row).sum())
+                for tok in np.argsort(-logp, kind="stable")[:beam]:
+                    candidates.append((tokens + (int(tok),), score + float(logp[tok]), tok == EOS))
+            candidates.sort(key=lambda h: (-h[1], h[0]))
+            beams = candidates[:beam]
+            if all(ended for _, _, ended in beams):
+                break
+        for tok in beams[0][0]:
+            if tok == EOS:
+                return committed, listen
+            committed.append(tok)
+            visibility.append(visible)
+            listen.append(stamp)
+
+
+class TestCachedDecoding:
+    """The session encodes each unit once and scores the beam on cached
+    decoder rows; in float64 its output equals scoring from scratch."""
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("schedule", [(2, 2), (1, 1), (3, 3)])
+    def test_session_matches_uncached_reference(self, beam, schedule):
+        wait_k, stride_n = schedule
+        with ad.using_dtype(np.float64):
+            # two layers each: with one, a cached row's keys and values would
+            # not depend on its cross-attention or its predecessors
+            m = real_model(seed=1, emitting=True, semantic_layers=2, decoder_layers=2)
+            m.params["decoder.out.b"].data[EOS] -= 1.0  # longer outputs, still some stops
+            lengths = []
+            for feats in stream_feats(4, seed=beam):
+                res = streaming.translate_stream(m, feats, wait_k=wait_k, stride_n=stride_n,
+                                                 beam_size=beam, chunk_frames=3,
+                                                 allow_schedule_override=True)
+                tokens, listen = reference_translate(m, feats, wait_k, stride_n, beam)
+                assert res.tokens == tokens
+                assert list(res.record.token_listen_ms) == listen
+                lengths.append(len(tokens))
+        assert max(lengths) > 2 * stride_n  # several writes extended the caches
+
+
+class TestSessionArguments:
+    @pytest.mark.parametrize("beam_size", [0, -1, 1.5])
+    def test_bad_beam_size_rejected(self, beam_size):
+        with pytest.raises(ValueError, match="beam_size"):
+            streaming.StreamSession(ScriptedModel(frame_cfg()), beam_size=beam_size)
+
+    @pytest.mark.parametrize("schedule", [dict(stride_n=0), dict(wait_k=0), dict(wait_k=1.5),
+                                          dict(stride_n=1.5), dict(wait_k=-2)])
+    def test_bad_schedule_override_rejected(self, schedule):
+        with pytest.raises(ValueError, match="wait_k|stride_n"):
+            streaming.StreamSession(ScriptedModel(frame_cfg()), allow_schedule_override=True, **schedule)
+
+
+def test_positional_only_semantic_encoder_streams_like_offline():
+    # with no semantic layers no cache counts the units; the positions must still run on
+    m = real_model(emitting=True, semantic_layers=0)
+    feats = stream_feats(1, seed=5)[0]
+    session = streaming.StreamSession(m)
+    session.push_frames(feats)
+    session.end_stream()
+    with ad.no_grad():
+        offline = m.encode_source(feats).units.data
+        first = session._visible_source(2).units.data
+        units = session._visible_source(session.units_completed).units.data
+    assert session.units_completed >= 3
+    np.testing.assert_allclose(first, offline[:2], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(units, offline, rtol=0, atol=1e-6)

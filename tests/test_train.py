@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simulst import autodiff as ad
-from simulst import data, model, train
+from simulst import data, metrics, model, train
 
 
 def small_cfg(vocab, **kw):
@@ -254,3 +254,19 @@ class TestNoUpdates:
         start = train.pretrain_ctc(corpus, cfg, 0, settings())
         with pytest.raises(train.NoUpdatesError):
             train.finetune(corpus, start, cfg, 1, settings())
+
+
+def test_evaluate_summary_is_the_trace_summary(tmp_path):
+    # one aggregation rule: scoring the traces evaluate wrote gives its summary
+    corpus = small_corpus(5)
+    m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=0)
+    traces = []
+    report = train.evaluate(corpus, m, beam_size=2, trace_sink=traces)
+    path = tmp_path / "trace.tsv"
+    metrics.write_trace_file(path, traces)
+    refs = {u.id: corpus.tgt_vocab.decode(u.target) for u in corpus}
+    scored = metrics.score_traces(metrics.read_trace_file(path), refs)
+    assert scored["bleu"] == report["bleu"]
+    assert scored["mean_ap"] == pytest.approx(report["mean_ap"])
+    assert scored["mean_al"] == pytest.approx(report["mean_al"])
+    assert [r["hypothesis"] for r in scored["rows"]] == [r["hypothesis"] for r in report["rows"]]
