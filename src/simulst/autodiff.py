@@ -337,7 +337,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
-                     context: np.ndarray | None = None, end: bool = True) -> Tensor:
+                     context: np.ndarray | None = None, end: bool = True,
+                     lengths=None) -> Tensor:
     """Causal 1-D convolution with a bounded right-context window.
 
     ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. The input is padded
@@ -345,10 +346,15 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
     right, so output frame t depends only on inputs <= t*stride + lookahead.
     Output length is ceil(T / stride).
 
+    ``lengths`` splits the rows of ``x`` into consecutive sequences (one
+    sequence by default). Each is padded on its own and gives
+    ceil(T_i / stride) consecutive output rows, all in one op.
+
     The left rows are zeros, or ``context`` when given: the K-1-lookahead
     input rows that preceded ``x`` in a stream (a constant to the tape).
     ``end=False`` means more input follows, so there is no right padding
     and only the outputs whose window lies inside the input are computed.
+    A stream is one sequence.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -362,24 +368,43 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
         raise ShapeError(f"conv1d_lookahead: input channels {x.shape[1]} != kernel {c_in}")
     if lookahead > K - 1:
         raise ShapeError(f"lookahead {lookahead} exceeds kernel window {K}; kernel wider than padded input")
+    lengths = [T] if lengths is None else [int(n) for n in lengths]
+    if sum(lengths) != T or (len(lengths) > 1 and min(lengths) < 1):
+        raise ShapeError(f"conv1d_lookahead: sequence lengths {lengths} do not split {T} rows")
+    if len(lengths) > 1 and (context is not None or not end):
+        raise ValueError("conv1d_lookahead: a stream's context and end apply to one sequence")
     left = K - 1 - lookahead
     if context is None:
         context = np.zeros((left, c_in), dtype=x.data.dtype)
     elif context.shape != (left, c_in):
         raise ShapeError(f"conv1d_lookahead: context shape {context.shape} != {(left, c_in)}")
     right = lookahead if end else 0
-    xp = np.concatenate([context, x.data, np.zeros((right, c_in), dtype=x.data.dtype)])
-    t_out = -(-T // stride) if end else max((T - 1 - lookahead) // stride + 1, 0)
-    idx = (np.arange(t_out) * stride)[:, None] + np.arange(K)[None, :]
-    win = xp[idx]  # [t_out, K, c_in]
+    # padded sequences laid end to end; x_at[i] is where sequence i's rows start in xp
+    pieces, firsts, x_at = [], [], []
+    zeros_left = np.zeros((left, c_in), dtype=x.data.dtype)
+    zeros_right = np.zeros((right, c_in), dtype=x.data.dtype)
+    at = row = 0
+    for i, n in enumerate(lengths):
+        pieces += [context if i == 0 else zeros_left, x.data[row:row + n], zeros_right]
+        t_out = -(-n // stride) if end else max((n - 1 - lookahead) // stride + 1, 0)
+        firsts.append(np.arange(at, at + t_out * stride, stride))
+        x_at.append(at + left)
+        at += left + n + right
+        row += n
+    xp = np.concatenate(pieces)
+    first = np.concatenate(firsts)
+    idx = first[:, None] + np.arange(K)[None, :]
+    win = xp[idx]  # [sum t_out, K, c_in]
     out = np.einsum("tkc,kco->to", win, kernel.data)
 
     def vjp(g):
-        gk = np.einsum("tkc,to->kco", win, g)
+        flat = win.reshape(win.shape[0], -1)  # [sum t_out, K*c_in]
+        gk = (flat.T @ g).reshape(kernel.shape)
+        gwin = (g @ kernel.data.reshape(flat.shape[1], -1).T).reshape(win.shape)
         gxp = np.zeros_like(xp)
-        np.add.at(gxp, idx, np.einsum("to,kco->tkc", g, kernel.data))
-        gx = gxp[left:left + T]
-        return gx, gk
+        for k in range(K):  # windows start at distinct rows, so each k adds to distinct rows
+            gxp[first + k] += gwin[:, k]
+        return np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)]), gk
 
     return record_op(out, (x, kernel), vjp)
 
@@ -518,11 +543,6 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape).astype(x.data.dtype),)
 
     return record_op(np.asarray(out), (x,), vjp)
-
-
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    denom = x.size if axis is None else x.shape[axis]
-    return scale(reduce_sum(x, axis=axis), 1.0 / denom)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -4,11 +4,12 @@ A posterior grid is a Tensor of shape [T', |V|+1]: one distribution per
 downsampled frame, blank fixed as the LAST column. The negative
 log-likelihood runs the forward algorithm in log space (float64
 internally) and exposes a hand-written gradient w.r.t. the grid, so it
-composes with the autodiff tape through the upstream softmax.
+composes with the autodiff tape through the upstream log-softmax.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,12 @@ def _extended_labels(labels: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def ctc_nll(posteriors: Tensor, labels) -> Tensor:
-    """-ln of the total probability of all paths collapsing to ``labels``."""
+def ctc_nll(log_posteriors: Tensor, labels) -> Tensor:
+    """-ln of the total probability of all paths collapsing to ``labels``,
+    from a grid of log posteriors (a log-softmax stays finite where a
+    float32 softmax underflows to zero)."""
     labels = np.asarray(labels, dtype=np.int64)
-    t_frames, width = posteriors.shape
+    t_frames, width = log_posteriors.shape
     blank = width - 1
     if labels.size == 0:
         raise ValueError("ctc_nll: empty label sequence")
@@ -85,9 +88,7 @@ def ctc_nll(posteriors: Tensor, labels) -> Tensor:
 
     ext = _extended_labels(labels, blank)
     n_states = ext.size
-    with np.errstate(divide="ignore"):
-        logp = np.log(posteriors.data.astype(np.float64))
-    lab = logp[:, ext]  # [T, S] emission log-probs per extended state
+    lab = log_posteriors.data.astype(np.float64)[:, ext]  # [T, S] emission log-probs per extended state
 
     # forward pass
     alpha = np.full((t_frames, n_states), -np.inf)
@@ -121,15 +122,16 @@ def ctc_nll(posteriors: Tensor, labels) -> Tensor:
     occupancy = alpha + beta  # log path mass through each (frame, state)
 
     def vjp(g):
-        grad = np.zeros_like(posteriors.data, dtype=np.float64)
+        # d(-ln Z)/d(ln p[t, k]) is minus the posterior occupancy of label k at frame t
+        grad = np.zeros_like(log_posteriors.data, dtype=np.float64)
         with np.errstate(invalid="ignore"):
-            contrib = np.exp(occupancy - log_z - lab)
+            contrib = np.exp(occupancy - log_z)
         contrib[~np.isfinite(contrib)] = 0.0
         np.subtract.at(grad.T, ext, contrib.T)  # unbuffered: states sharing a label all count
-        return (float(g) * grad.astype(posteriors.data.dtype),)
+        return (float(g) * grad.astype(log_posteriors.data.dtype),)
 
-    value = np.asarray(-log_z, dtype=posteriors.data.dtype)
-    return ad.record_op(value, (posteriors,), vjp)
+    value = np.asarray(-log_z, dtype=log_posteriors.data.dtype)
+    return ad.record_op(value, (log_posteriors,), vjp)
 
 
 def collapse_path(path) -> list[int]:
@@ -166,13 +168,19 @@ def boundary_cuts(path, start: int = 0) -> np.ndarray:
     return np.flatnonzero((prev != BLANK) & (nxt != prev)) + start + 1
 
 
-def detect_boundaries(path) -> SegmentSet:
+def detect_boundaries(path, lengths=None) -> SegmentSet:
     """Segment a label path at its ``boundary_cuts``. Leading and trailing
-    blanks fold into the first and last segments."""
+    blanks fold into the first and last segments. ``lengths`` splits the
+    path into consecutive sequences, each segmented as if alone: every
+    sequence also opens a segment."""
     path = np.asarray(path)
     if path.size < 1:
         raise ValueError("detect_boundaries: empty path")
-    cuts = [0, *boundary_cuts(path).tolist(), path.size]
+    lengths = np.array([path.size] if lengths is None else lengths, dtype=np.int64)
+    if lengths.sum() != path.size or (lengths < 1).any():
+        raise ValueError(f"detect_boundaries: lengths {lengths.tolist()} do not split {path.size} frames")
+    # a cut between two sequences is one of their starts, so the union leaves each one's own cuts
+    cuts = [*np.union1d(np.cumsum(lengths) - lengths, boundary_cuts(path)).tolist(), path.size]
     return SegmentSet(tuple(zip(cuts[:-1], cuts[1:])))
 
 
@@ -194,18 +202,32 @@ def blank_penalty(posteriors: Tensor, mode: str = "argmax_blank_frames") -> Tens
 
 
 def blank_limited_ctc_loss(
+    log_posteriors: Tensor,
     posteriors: Tensor,
-    labels,
+    transcripts,
+    lengths,
     lam: float,
     mode: str = "argmax_blank_frames",
 ) -> Tensor:
-    """ctc_nll plus ``lam`` times the blank penalty."""
+    """Mean over utterances of ctc_nll plus ``lam`` times the blank penalty.
+
+    ``log_posteriors`` and ``posteriors`` are one grid of consecutive
+    utterances, ``lengths[i]`` frames each, in log and linear form;
+    ``transcripts[i]`` are utterance i's labels. The NLL runs per
+    utterance on its rows of the log grid; the penalty is a sum over
+    frames, so the whole grid's penalty is the sum of the utterances'.
+    """
     if lam < 0:
         raise ValueError(f"blank penalty weight must be >= 0, got {lam}")
-    nll = ctc_nll(posteriors, labels)
-    if lam == 0.0:
-        return nll
-    return ad.add(nll, ad.scale(blank_penalty(posteriors, mode), lam))
+    if len(transcripts) != len(lengths) or sum(lengths) != log_posteriors.shape[0]:
+        raise ValueError(f"{len(transcripts)} transcripts and lengths {list(lengths)} do not "
+                         f"split {log_posteriors.shape[0]} frames")
+    ends = np.cumsum(lengths)
+    terms = [ctc_nll(ad.rows(log_posteriors, end - n, end), labels)
+             for labels, n, end in zip(transcripts, lengths, ends)]
+    if lam != 0.0:
+        terms.append(ad.scale(blank_penalty(posteriors, mode), lam))
+    return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(transcripts))
 
 
 def shrink_quality(segment_counts, transcript_lengths) -> dict[int, float]:

@@ -3,13 +3,17 @@ head, weighted shrinking into segment states, a semantic encoder, and a
 prefix-to-prefix decoder whose cross-attention follows the
 wait-k-stride-n schedule.
 
-Everything operates on one utterance at a time (desk scale); batches are
-loops with padding sliced off before any computation.
+A training batch is packed: its utterances, padding sliced off, are laid
+end to end as one sequence of rows per stage, so each layer runs once per
+batch. Convolutions pad each utterance on its own, attention masks are
+block-diagonal (causal blocks for self-attention, the wait-k-stride-n rule
+for cross-attention) and positions restart with each utterance; only the
+CTC forward algorithm runs per utterance, on its rows. One utterance is the
+packed case with one sequence.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -156,16 +160,49 @@ def output_length(cfg: ModelConfig, t_input: int) -> int:
     return out
 
 
-def build_cross_attention_mask(wait_k, stride_n: int, n_targets: int, n_source: int) -> np.ndarray:
+def skip_reason(cfg: ModelConfig, frames: int, transcript) -> Optional[str]:
+    """Why an utterance cannot train, or None: it is shorter than the
+    downsampling factor, or (with CTC) its transcript needs more encoder
+    frames than it has, the case ``ctc_nll`` raises
+    ``InfeasibleAlignmentError`` for."""
+    if frames < cfg.downsample:
+        return f"{frames} frames < downsampling factor"
+    if cfg.use_ctc and ctc_mod.min_path_length(transcript) > output_length(cfg, frames):
+        return f"transcript too long for {output_length(cfg, frames)} encoder frames"
+    return None
+
+
+def packed_offsets(lengths) -> np.ndarray:
+    """Index of each row of consecutive sequences of ``lengths`` rows
+    within its own sequence."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def same_sequence(row_lengths, col_lengths) -> np.ndarray:
+    """Boolean [sum(row_lengths), sum(col_lengths)]: True where the row and
+    the column belong to the same one of consecutive sequences (row
+    sequence i pairs with column sequence i)."""
+    row_seq = np.repeat(np.arange(len(row_lengths)), row_lengths)
+    col_seq = np.repeat(np.arange(len(col_lengths)), col_lengths)
+    return row_seq[:, None] == col_seq[None, :]
+
+
+def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
     """Boolean [n_targets, n_source]: target position t (1-indexed) may
-    attend the first stride_n*floor((t-1)/stride_n) + wait_k source units."""
-    if n_source < 1:
+    attend the first stride_n*floor((t-1)/stride_n) + wait_k source units.
+
+    With sequences of lengths for ``n_targets`` and ``n_source`` (one pair
+    per utterance) the mask is block-diagonal: each utterance's targets
+    see its own source units under the rule."""
+    n_targets, n_source = np.atleast_1d(n_targets), np.atleast_1d(n_source)
+    if (n_source < 1).any():
         raise ValueError("mask needs at least one source unit")
     check_schedule(wait_k, stride_n)
-    t = np.arange(1, n_targets + 1)
+    t = packed_offsets(n_targets) + 1
     budget = stride_n * ((t - 1) // stride_n) + wait_k
-    counts = np.minimum(budget, n_source).astype(np.int64)
-    return np.arange(n_source)[None, :] < counts[:, None]
+    counts = np.minimum(budget, np.repeat(n_source, n_targets)).astype(np.int64)
+    return same_sequence(n_targets, n_source) & (packed_offsets(n_source)[None, :] < counts[:, None])
 
 
 def sinusoidal_positions(n: int, d: int, dtype, start: int = 0) -> np.ndarray:
@@ -177,6 +214,13 @@ def sinusoidal_positions(n: int, d: int, dtype, start: int = 0) -> np.ndarray:
     out[:, 0::2] = np.sin(angle)
     out[:, 1::2] = np.cos(angle[:, : d // 2])
     return out.astype(dtype)
+
+
+def packed_positions(lengths, d: int, dtype, start: int = 0) -> np.ndarray:
+    """Encodings of consecutive sequences' rows; each sequence's positions
+    run from ``start``."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return sinusoidal_positions(int(lengths.max(initial=0)), d, dtype, start)[packed_offsets(lengths)]
 
 
 @dataclass
@@ -231,13 +275,18 @@ def _cached_rows(kv: dict, prefix: str) -> int:
 
 @dataclass
 class EncoderOutput:
-    """Everything the decoder and the policy need about one source prefix."""
+    """Everything the decoder and the policy need about one source prefix,
+    or about the packed utterances of a batch."""
 
     states: Tensor  # [T', d_model] acoustic states
     posteriors: Optional[Tensor]  # [T', |V|+1] CTC grid, blank last
     path: Optional[np.ndarray]  # greedy labels, BLANK sentinel for blank
     segments: Optional[ctc_mod.SegmentSet]
     units: Tensor  # [S, d_model] decoder-facing source states
+    ctc_logits: Optional[Tensor] = None  # [T', |V|+1], the grid before its softmax
+    frame_lengths: Optional[np.ndarray] = None  # encoder frames per utterance
+    segment_counts: Optional[np.ndarray] = None  # CTC segments per utterance
+    unit_lengths: Optional[np.ndarray] = None  # units per utterance
 
     @property
     def n_units(self) -> int:
@@ -248,16 +297,25 @@ class Model:
     """Parameter container plus forward passes; training mutates params only
     through the optimizer."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: Optional[int] = 0):
+        """Weights are drawn from ``seed``. ``seed=None`` draws nothing and
+        leaves them unset, for a caller that loads every parameter next
+        (``train.load_params``)."""
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         self._build(rng)
 
     # -- parameter construction -------------------------------------------
 
+    @staticmethod
+    def _uniform(shape, fan_in: int, rng) -> Tensor:
+        if rng is None:
+            return Tensor(np.empty(shape, dtype=ad.default_dtype()), requires_grad=True)
+        return ad.uniform_init(shape, fan_in, rng)
+
     def _linear(self, name: str, fan_in: int, fan_out: int, rng) -> None:
-        self.params[f"{name}.w"] = ad.uniform_init((fan_in, fan_out), fan_in, rng)
+        self.params[f"{name}.w"] = self._uniform((fan_in, fan_out), fan_in, rng)
         self.params[f"{name}.b"] = ad.zeros_param(fan_out)
 
     def _norm(self, name: str) -> None:
@@ -282,7 +340,7 @@ class Model:
         c_in = cfg.d_feat
         for b, i, _ in _conv_layout(cfg):
             k = cfg.conv_kernel
-            self.params[f"acoustic.conv{b}.{i}.w"] = ad.uniform_init(
+            self.params[f"acoustic.conv{b}.{i}.w"] = self._uniform(
                 (k, c_in, cfg.d_model), k * c_in, rng
             )
             self.params[f"acoustic.conv{b}.{i}.b"] = ad.zeros_param(cfg.d_model)
@@ -294,7 +352,7 @@ class Model:
         self._linear("ctc.out", cfg.d_model, cfg.src_vocab_size + 1, rng)
         for l in range(cfg.semantic_layers):
             self._tf_block(f"semantic.tf{l}", rng)
-        self.params["decoder.embed"] = ad.uniform_init(
+        self.params["decoder.embed"] = self._uniform(
             (cfg.tgt_vocab_size, cfg.d_model), cfg.d_model, rng
         )
         for l in range(cfg.decoder_layers):
@@ -353,146 +411,192 @@ class Model:
         h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
         return ad.add(x, ad.dropout(h, p, rng))
 
-    def _self_mask(self, n: int, past: int = 0) -> np.ndarray:
-        """[n, past+n]: n new rows over ``past`` cached rows and themselves."""
-        if self.cfg.unidirectional:
-            return np.tri(n, past + n, past, dtype=bool)
-        return np.ones((n, past + n), dtype=bool)
+    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None) -> np.ndarray:
+        """[N, past+N] for N rows in consecutive sequences of ``lengths``:
+        each row sees the ``past`` cached rows and the rows of its own
+        sequence, only those up to itself when ``causal`` (by default
+        ``cfg.unidirectional``; the decoder is always causal)."""
+        lengths = np.atleast_1d(lengths)
+        n = int(lengths.sum())
+        if self.cfg.unidirectional if causal is None else causal:
+            mask = np.tri(n, past + n, past, dtype=bool)
+        else:
+            mask = np.ones((n, past + n), dtype=bool)
+        if len(lengths) > 1:
+            mask[:, past:] &= same_sequence(lengths, lengths)
+        return mask
 
-    def _conv(self, b: int, i: int, x: Tensor, state: AcousticState, end: bool) -> Tensor:
+    def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[AcousticState],
+              end: bool) -> tuple[Tensor, np.ndarray]:
+        """One conv plus ReLU over packed sequences of ``lengths`` rows, or
+        over a stream's new rows when ``state`` is given; returns the
+        output and its sequence lengths."""
         name = f"acoustic.conv{b}.{i}"
         kernel = self.params[f"{name}.w"]
         stride, lookahead = (2 if i == 1 else 1), self.cfg.conv_lookahead[i]
+        if state is None:
+            y = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
+            return ad.relu(ad.add(y, self.params[f"{name}.b"])), -(-lengths // stride)
         left = kernel.shape[0] - 1 - lookahead
         # a stream starts with a zero left context
         held = state.conv.get(name, np.zeros((left, x.shape[1]), dtype=x.data.dtype))
         rows = np.concatenate([held, x.data])
         if rows.shape[0] <= left:  # nothing of the next output's window has arrived
             state.conv[name] = rows
-            return Tensor(np.zeros((0, kernel.shape[2]), dtype=x.data.dtype))
+            return Tensor(np.zeros((0, kernel.shape[2]), dtype=x.data.dtype)), np.array([0])
         if held.shape[0] != left:  # the context ends inside x, or held rows follow it
             x = Tensor(rows[left:], dtype=x.data.dtype)
         y = ad.conv1d_lookahead(x, kernel, stride, lookahead, rows[:left], end)
         state.conv[name] = rows[y.shape[0] * stride:]
-        return ad.relu(ad.add(y, self.params[f"{name}.b"]))
+        return ad.relu(ad.add(y, self.params[f"{name}.b"])), np.array([y.shape[0]])
 
-    def acoustic_encode(self, features: np.ndarray, rng=None, state: AcousticState | None = None,
-                        end: bool = True) -> tuple[Tensor, Optional[Tensor]]:
-        """Conv-Transformer stack plus the CTC grid (None when CTC is off).
-
-        Without ``state`` this encodes one whole utterance. With one it
-        continues a stream: ``features`` are the rows that arrived since
-        the last call, and the result holds only the output frames that
-        became final, each computed once. ``end=False`` means more rows
-        follow; ``end=True`` pads the stream's end with zeros and so
-        closes its remaining frames.
-        """
+    def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[AcousticState], end: bool,
+                        lengths) -> Tensor:
         cfg = self.cfg
         if state is None:
-            if features.shape[0] < cfg.downsample:
+            lengths = np.array([features.shape[0]] if lengths is None else lengths, dtype=np.int64)
+            if lengths.sum() != features.shape[0]:
+                raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
+                                 f"{features.shape[0]} input frames")
+            if lengths.min() < cfg.downsample:
                 raise ValueError(
-                    f"input of {features.shape[0]} frames is shorter than the "
+                    f"input of {lengths.min()} frames is shorter than the "
                     f"downsampling factor {cfg.downsample}"
                 )
-            state = AcousticState()
         elif not cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
+        elif lengths is not None:
+            raise ValueError("a stream is one sequence; it takes no sequence lengths")
+        kv = None if state is None else state.kv
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
 
-        def convs_of_block(b: int, x: Tensor) -> Tensor:
+        def convs_of_block(b: int, x: Tensor, lengths: np.ndarray):
             for i in range(cfg.convs_per_block):
-                x = self._conv(b, i, x, state, end)
-            return x
+                x, lengths = self._conv(b, i, x, lengths, state, end)
+            return x, lengths
 
-        def transformers_of_block(b: int, x: Tensor) -> Tensor:
+        def transformers_of_block(b: int, x: Tensor, lengths: np.ndarray) -> Tensor:
             if x.shape[0] == 0:  # no new rows: the caches stand as they are
                 return x
-            mask = self._self_mask(x.shape[0], _cached_rows(state.kv, f"acoustic.block{b}.tf0.attn"))
+            mask = self._self_mask(lengths, _cached_rows(kv or {}, f"acoustic.block{b}.tf0.attn"))
             for l in range(cfg.transformer_layers_per_block):
-                x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng, kv_cache=state.kv)
+                x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng, kv_cache=kv)
             return x
 
         if cfg.gradual_downsample:
             for b in range(cfg.n_blocks):
-                x = convs_of_block(b, x)
-                x = transformers_of_block(b, x)
+                x, lengths = convs_of_block(b, x, lengths)
+                x = transformers_of_block(b, x, lengths)
         else:
             # ablation: all downsampling convs first, Transformer layers after
             for b in range(cfg.n_blocks):
-                x = convs_of_block(b, x)
+                x, lengths = convs_of_block(b, x, lengths)
             for b in range(cfg.n_blocks):
-                x = transformers_of_block(b, x)
+                x = transformers_of_block(b, x, lengths)
+        return x
 
-        posteriors = None
-        if cfg.use_ctc:
-            hidden = ad.relu(self._affine("ctc.hidden", x))
-            posteriors = ad.softmax(self._affine("ctc.out", hidden), axis=-1)
-        return x, posteriors
+    def _ctc_head(self, states: Tensor) -> tuple[Optional[Tensor], Optional[Tensor]]:
+        """CTC logits and their softmax grid; (None, None) when CTC is off."""
+        if not self.cfg.use_ctc:
+            return None, None
+        logits = self._affine("ctc.out", ad.relu(self._affine("ctc.hidden", states)))
+        return logits, ad.softmax(logits, axis=-1)
 
-    def semantic_encode(self, shrunk: Tensor, rng=None, state: SemanticState | None = None) -> Tensor:
+    def acoustic_encode(self, features: np.ndarray, rng=None, state: AcousticState | None = None,
+                        end: bool = True, lengths=None) -> tuple[Tensor, Optional[Tensor]]:
+        """Conv-Transformer stack plus the CTC grid (None when CTC is off).
+
+        Without ``state`` this encodes whole utterances: one, or the
+        consecutive sequences of ``lengths`` rows of ``features``, each
+        encoded as if alone. With one it continues a stream: ``features``
+        are the rows that arrived since the last call, and the result
+        holds only the output frames that became final, each computed
+        once. ``end=False`` means more rows follow; ``end=True`` pads the
+        stream's end with zeros and so closes its remaining frames.
+        """
+        states = self._acoustic_stack(features, rng, state, end, lengths)
+        return states, self._ctc_head(states)[1]
+
+    def semantic_encode(self, shrunk: Tensor, rng=None, state: SemanticState | None = None,
+                        lengths=None) -> Tensor:
         """Self-attention stack over shrunk segment states, one row per unit.
 
-        Without ``state`` this encodes the units of one whole utterance.
-        With one it continues a stream: ``shrunk`` holds the units after
-        those already encoded, which take the next positions and attend to
-        the cached units, and the caches are extended by them.
+        Without ``state`` this encodes the units of whole utterances: one,
+        or consecutive sequences of ``lengths`` units, each with its own
+        positions and attending within itself. With one it continues a
+        stream: ``shrunk`` holds the units after those already encoded,
+        which take the next positions and attend to the cached units, and
+        the caches are extended by them.
         """
         if state is None:
             state = SemanticState()
         elif not self.cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
+        elif lengths is not None:
+            raise ValueError("a stream is one sequence; it takes no sequence lengths")
         past = state.units
-        pos = sinusoidal_positions(shrunk.shape[0], self.cfg.d_model, shrunk.data.dtype, past)
+        lengths = [shrunk.shape[0]] if lengths is None else lengths
+        pos = packed_positions(lengths, self.cfg.d_model, shrunk.data.dtype, past)
         x = ad.add(shrunk, Tensor(pos, dtype=shrunk.data.dtype))
-        mask = self._self_mask(x.shape[0], past)
+        mask = self._self_mask(lengths, past)
         for l in range(self.cfg.semantic_layers):
             x = self._tf_forward(f"semantic.tf{l}", x, mask, rng, kv_cache=state.kv)
         state.units += x.shape[0]
         return x
 
-    def encode_source(self, features: np.ndarray, rng=None) -> EncoderOutput:
-        """Acoustic encoding, boundary detection, shrinking, semantic encoding."""
+    def _encode_frames(self, features: np.ndarray, rng, lengths) -> EncoderOutput:
+        """Acoustic encoding, CTC grid, greedy path and segments of packed
+        utterances; the units are the encoder frames."""
+        states = self._acoustic_stack(features, rng, None, True, lengths)
+        logits, posteriors = self._ctc_head(states)
+        frames = output_length(self.cfg, np.array([features.shape[0]] if lengths is None else lengths))
+        enc = EncoderOutput(states, posteriors, None, None, states, logits, frames, unit_lengths=frames)
+        if posteriors is not None:
+            enc.path = ctc_mod.greedy_path(posteriors)
+            enc.segments = ctc_mod.detect_boundaries(enc.path, frames)
+            starts = np.array([start for start, _ in enc.segments])
+            enc.segment_counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
+        return enc
+
+    def encode_source(self, features: np.ndarray, rng=None, lengths=None) -> EncoderOutput:
+        """Acoustic encoding, boundary detection, shrinking, semantic
+        encoding; of one utterance, or of the consecutive utterances of
+        ``lengths`` input frames, all in one pass."""
         cfg = self.cfg
-        states, posteriors = self.acoustic_encode(features, rng)
-        path = segments = None
-        units = states
-        if cfg.use_ctc:
-            path = ctc_mod.greedy_path(posteriors)
-            segments = ctc_mod.detect_boundaries(path)
-            if cfg.use_shrink:
-                blank_probs = ad.col(posteriors, cfg.blank_index)
-                shrunk = shrink_mod.shrink_states(
-                    states, blank_probs, path, segments, cfg.shrink_config
-                )
-                units = self.semantic_encode(shrunk, rng)
-        return EncoderOutput(states, posteriors, path, segments, units)
+        enc = self._encode_frames(features, rng, lengths)
+        if cfg.use_ctc and cfg.use_shrink:
+            blank_probs = ad.col(enc.posteriors, cfg.blank_index)
+            shrunk = shrink_mod.shrink_states(enc.states, blank_probs, enc.path, enc.segments,
+                                              cfg.shrink_config)
+            enc.unit_lengths = enc.segment_counts
+            enc.units = self.semantic_encode(shrunk, rng, lengths=enc.unit_lengths)
+        return enc
 
     def decode_logits(self, prefix_ids: np.ndarray, source: EncoderOutput, cross_mask: np.ndarray,
-                      rng=None, state: DecoderState | None = None, hyps: int = 1) -> Tensor:
+                      rng=None, state: DecoderState | None = None, lengths=None) -> Tensor:
         """Decoder logits, one row per input row; ``cross_mask[i, j]`` lets
         row i see source unit j.
 
-        Without ``state`` the rows are the teacher-forced inputs
-        [EOS, y_1, ..] of one utterance. With one they continue the rows
-        the state holds: ``prefix_ids`` is ``hyps`` equal-length blocks,
-        each a continuation of the cached rows, and a row sees the cached
-        rows and the rows before it in its own block. Source units past
-        those the state has seen get their cross-attention keys and values
-        computed once, here. The state is extended by the new rows, so
-        scoring several blocks at once is meant for a ``fork``.
+        The rows are consecutive blocks of ``lengths`` rows (one block by
+        default), each with its own positions and attending causally
+        within itself. Without ``state`` each block is the teacher-forced
+        inputs [EOS, y_1, ..] of one utterance. With one, every block
+        continues the rows the state holds and also sees them. Source units
+        past those the state has seen get their cross-attention keys and
+        values computed once, here. The state is extended by the new rows,
+        so scoring several blocks at once is meant for a ``fork``.
         """
         cfg = self.cfg
         if state is None:
             state = DecoderState()
         n_rows, past = len(prefix_ids), len(state.ids)
-        if hyps < 1 or n_rows % hyps:
-            raise ValueError(f"{n_rows} rows do not split into {hyps} equal blocks")
-        block = n_rows // hyps
+        lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
+        if lengths.sum() != n_rows or (lengths < 1).any():
+            raise ValueError(f"{n_rows} rows do not split into blocks of {lengths.tolist()}")
         emb = ad.scale(ad.embedding(self.params["decoder.embed"], prefix_ids), math.sqrt(cfg.d_model))
-        pos = np.tile(sinusoidal_positions(block, cfg.d_model, emb.data.dtype, past), (hyps, 1))
+        pos = packed_positions(lengths, cfg.d_model, emb.data.dtype, past)
         x = ad.dropout(ad.add(emb, Tensor(pos, dtype=emb.data.dtype)), cfg.dropout, rng)
-        own_block = np.kron(np.eye(hyps, dtype=bool), np.tri(block, dtype=bool))
-        self_mask = np.concatenate([np.ones((n_rows, past), dtype=bool), own_block], axis=1)
+        self_mask = self._self_mask(lengths, past, causal=True)
         seen = _cached_rows(state.kv, "decoder.tf0.xattn")
         units = source.units if seen == 0 else Tensor(source.units.data[seen:])
         for l in range(cfg.decoder_layers):
@@ -505,73 +609,52 @@ class Model:
 
     def forward_train(self, batch: Batch, rng=None, compute_st: bool = True,
                       wait_k=None) -> tuple[Optional[Tensor], Optional[Tensor], dict]:
-        """Mean token NLL under the wait-k-stride-n mask plus the CTC term.
+        """Mean token NLL under the wait-k-stride-n mask plus the CTC term,
+        over the batch's utterances packed into one pass.
 
-        Utterances whose transcript cannot align to the downsampled length
-        (or that are shorter than the downsampling factor) are skipped with
-        a warning and counted in the diagnostics. ``compute_st=False``
+        Utterances ``skip_reason`` rejects are skipped before encoding, with
+        a warning, and listed in the diagnostics. ``compute_st=False``
         restricts the pass to the CTC objective (pre-training). ``wait_k``
         overrides the configured schedule for this pass only.
         """
         cfg = self.cfg
         k = cfg.wait_k if wait_k is None else wait_k
-        st_terms: list[Tensor] = []
-        ctc_terms: list[Tensor] = []
-        n_tokens = 0
-        correct = 0
-        blank_frames = 0
-        total_frames = 0
-        skipped = 0
-        seg_counts: list[int] = []
-        for i in range(len(batch)):
-            feats = batch.features[i, : batch.frame_lengths[i]]
-            transcript = batch.source[i, : batch.source_lengths[i]]
-            translation = batch.target[i, : batch.target_lengths[i]]
-            if feats.shape[0] < cfg.downsample:
-                skipped += 1
-                log.warning("skipping %s: %d frames < downsampling factor", batch.ids[i], feats.shape[0])
-                continue
-            if compute_st:
-                enc = self.encode_source(feats, rng)
+        keep, skipped_ids = [], {}
+        for i, utt_id in enumerate(batch.ids):
+            reason = skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
+            if reason is None:
+                keep.append(i)
             else:
-                states, posteriors = self.acoustic_encode(feats, rng)
-                path = ctc_mod.greedy_path(posteriors)
-                enc = EncoderOutput(states, posteriors, path, ctc_mod.detect_boundaries(path), states)
-            if cfg.use_ctc:
-                try:
-                    ctc_terms.append(
-                        ctc_mod.blank_limited_ctc_loss(
-                            enc.posteriors, transcript,
-                            lam=cfg.blank_penalty_weight, mode=cfg.blank_penalty_mode,
-                        )
-                    )
-                except ctc_mod.InfeasibleAlignmentError:
-                    skipped += 1
-                    log.warning("skipping %s: transcript too long for %d encoder frames",
-                                batch.ids[i], enc.states.shape[0])
-                    continue
-                blank_frames += int((enc.path == ctc_mod.BLANK).sum())
-                total_frames += enc.path.size
-                seg_counts.append(len(enc.segments))
-            if not compute_st:
-                continue
-            prefix = np.concatenate([[EOS], translation])
-            target_out = np.concatenate([translation, [EOS]])
-            mask = build_cross_attention_mask(k, cfg.stride_n, len(target_out), enc.n_units)
-            logits = self.decode_logits(prefix, enc, mask, rng)
-            st_terms.append(ad.scale(ad.cross_entropy(logits, target_out, PAD), float(len(target_out))))
-            n_tokens += len(target_out)
-            correct += int((logits.data.argmax(axis=1) == target_out).sum())
-        loss_st = ad.scale(functools.reduce(ad.add, st_terms), 1.0 / n_tokens) if st_terms else None
-        loss_ctc = ad.scale(functools.reduce(ad.add, ctc_terms), 1.0 / len(ctc_terms)) if ctc_terms else None
-        diagnostics = {
-            "tokens": n_tokens,
-            "token_correct": correct,
-            "token_accuracy": correct / max(n_tokens, 1),
-            "blank_fraction": blank_frames / max(total_frames, 1),
-            "skipped": skipped,
-            "segment_counts": seg_counts,
-        }
+                log.warning("skipping %s: %s", utt_id, reason)
+                skipped_ids[utt_id] = reason
+        diagnostics = {"tokens": 0, "token_correct": 0, "token_accuracy": 0.0, "blank_fraction": 0.0,
+                       "skipped": len(skipped_ids), "skipped_ids": skipped_ids, "segment_counts": []}
+        if not keep:
+            return None, None, diagnostics
+        lengths = batch.frame_lengths[keep]
+        feats = np.concatenate([batch.features[i, :n] for i, n in zip(keep, lengths)])
+        enc = self.encode_source(feats, rng, lengths) if compute_st else self._encode_frames(feats, rng, lengths)
+        loss_ctc = None
+        if cfg.use_ctc:
+            transcripts = [batch.source[i, : batch.source_lengths[i]] for i in keep]
+            loss_ctc = ctc_mod.blank_limited_ctc_loss(
+                ad.log_softmax(enc.ctc_logits, axis=-1), enc.posteriors, transcripts, enc.frame_lengths,
+                lam=cfg.blank_penalty_weight, mode=cfg.blank_penalty_mode,
+            )
+            diagnostics["blank_fraction"] = float((enc.path == ctc_mod.BLANK).mean())
+            diagnostics["segment_counts"] = enc.segment_counts.tolist()
+        if not compute_st:
+            return None, loss_ctc, diagnostics
+        translations = [batch.target[i, : batch.target_lengths[i]] for i in keep]
+        prefix = np.concatenate([np.concatenate([[EOS], y]) for y in translations])
+        target_out = np.concatenate([np.concatenate([y, [EOS]]) for y in translations])
+        rows = batch.target_lengths[keep] + 1
+        mask = build_cross_attention_mask(k, cfg.stride_n, rows, enc.unit_lengths)
+        logits = self.decode_logits(prefix, enc, mask, rng, lengths=rows)
+        loss_st = ad.cross_entropy(logits, target_out, PAD)
+        correct = int((logits.data.argmax(axis=1) == target_out).sum())
+        diagnostics.update(tokens=len(target_out), token_correct=correct,
+                           token_accuracy=correct / len(target_out))
         return loss_st, loss_ctc, diagnostics
 
     def total_loss(self, loss_st: Optional[Tensor], loss_ctc: Optional[Tensor]) -> Tensor:

@@ -42,31 +42,65 @@ def _check_inputs(states: Tensor, blank_probs: Tensor, segments: SegmentSet):
         raise ValueError("blank probabilities must lie in [0, 1]")
 
 
+def _shrink(states: Tensor, blank_probs: Tensor | None, segments: SegmentSet, mu: float,
+            weights: list[np.ndarray] | None) -> Tensor:
+    """Row i = w_i @ states[segment i], all segments in one recorded op.
+
+    w_i is the constant row ``weights[i]`` when given; otherwise the
+    softmax over the segment's frames of mu * (1 - p_blank), and gradients
+    also flow into ``blank_probs``. Each segment keeps the arithmetic of a
+    chain of primitive ops (scale, max-shifted softmax, a [1, n] @ [n, d]
+    matmul), so outputs and gradients equal that chain's bit for bit.
+    """
+    dtype = states.data.dtype
+    spans = list(segments)
+    if weights is None:
+        weights = []
+        for start, stop in spans:
+            conf = (np.asarray(1.0, dtype=dtype) - blank_probs.data[start:stop]) * mu
+            e = np.exp(conf - conf.max(axis=-1, keepdims=True))
+            weights.append((e / e.sum(axis=-1, keepdims=True)).reshape(1, stop - start))
+        inputs = (states, blank_probs)
+    else:
+        inputs = (states,)
+    out = np.concatenate([w @ states.data[start:stop] for w, (start, stop) in zip(weights, spans)])
+
+    def vjp(g):
+        g_states = np.zeros_like(states.data)
+        g_blank = None if len(inputs) == 1 else np.zeros_like(blank_probs.data)
+        for i, (w, (start, stop)) in enumerate(zip(weights, spans)):
+            g_row = g[i:i + 1]
+            g_states[start:stop] = w.T @ g_row
+            if g_blank is not None:
+                y = w.reshape(stop - start)
+                g_w = (g_row @ states.data[start:stop].T).reshape(stop - start)
+                g_blank[start:stop] = -((y * (g_w - (g_w * y).sum(axis=-1, keepdims=True))) * mu)
+        return (g_states,) if g_blank is None else (g_states, g_blank)
+
+    return ad.record_op(out, inputs, vjp)
+
+
 def weighted_shrink(
     states: Tensor,
     blank_probs: Tensor,
     segments: SegmentSet,
     cfg: ShrinkConfig = ShrinkConfig(),
 ) -> Tensor:
-    """One output row per segment; gradients flow into states and blank_probs."""
+    """One output row per segment, one recorded op; gradients flow into
+    states and, except in ``argmax_frame`` mode, blank_probs."""
     _check_inputs(states, blank_probs, segments)
     if cfg.mode == "drop_blank":
         raise ValueError("drop_blank mode needs the greedy path; call drop_blank_shrink")
-    mu = 0.0 if cfg.mode == "average" else cfg.temperature
-    out_rows = []
-    for start, stop in segments:
-        seg = ad.rows(states, start, stop)
-        if cfg.mode == "argmax_frame":
-            # hard selection: earliest frame with minimal blank probability
-            pick = int(np.argmin(blank_probs.data[start:stop]))
+    weights = None
+    if cfg.mode == "argmax_frame":
+        # hard selection: earliest frame with minimal blank probability
+        weights = []
+        for start, stop in segments:
             w = np.zeros((1, stop - start), dtype=states.data.dtype)
-            w[0, pick] = 1.0
-            out_rows.append(ad.matmul(Tensor(w, dtype=states.data.dtype), seg))
-            continue
-        conf = ad.scale(ad.sub(Tensor(1.0, dtype=states.data.dtype), ad.rows(blank_probs, start, stop)), mu)
-        w = ad.reshape(ad.softmax(conf, axis=-1), (1, stop - start))
-        out_rows.append(ad.matmul(w, seg))
-    return ad.concat_rows(out_rows)
+            w[0, int(np.argmin(blank_probs.data[start:stop]))] = 1.0
+            weights.append(w)
+    return _shrink(states, blank_probs, segments, 0.0 if cfg.mode == "average" else cfg.temperature,
+                   weights)
 
 
 def drop_blank_shrink(states: Tensor, path, segments: SegmentSet) -> Tensor:
@@ -75,14 +109,13 @@ def drop_blank_shrink(states: Tensor, path, segments: SegmentSet) -> Tensor:
     path = np.asarray(path)
     if segments.total_frames != states.shape[0] or path.size != states.shape[0]:
         raise ValueError("states, path, and segments must agree on frame count")
-    out_rows = []
+    weights = []
     for start, stop in segments:
         keep = path[start:stop] != ctc.BLANK
         if not keep.any():
             keep = np.ones(stop - start, dtype=bool)
-        w = (keep / keep.sum()).astype(states.data.dtype).reshape(1, -1)
-        out_rows.append(ad.matmul(Tensor(w, dtype=states.data.dtype), ad.rows(states, start, stop)))
-    return ad.concat_rows(out_rows)
+        weights.append((keep / keep.sum()).astype(states.data.dtype).reshape(1, -1))
+    return _shrink(states, None, segments, 0.0, weights)
 
 
 def shrink_states(

@@ -287,7 +287,7 @@ class StreamSession:
         mask = np.arange(source.n_units)[None, :] < np.array(vis_rows)[:, None]
         with ad.no_grad():
             logits = self.model.decode_logits(np.array(rows, dtype=np.int64), source, mask,
-                                              state=state, hyps=hyps)
+                                              state=state, lengths=[len(rows) // hyps] * hyps)
         self.stats.decode_logits_calls += 1
         self.stats.hypotheses_scored += hyps
         ends = logits.data[len(rows) // hyps - 1::len(rows) // hyps]

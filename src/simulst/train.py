@@ -129,7 +129,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    model = Model(ckpt.cfg, seed=0)
+    """A model holding the checkpoint's parameters; nothing is drawn at random."""
+    model = Model(ckpt.cfg, seed=None)
     load_params(model, ckpt.params)
     return model
 
@@ -142,7 +143,7 @@ def load_params(model: Model, params: dict[str, np.ndarray]) -> None:
     for name, arr in params.items():
         if own[name].data.shape != arr.shape:
             raise FingerprintMismatch(f"shape mismatch for {name}")
-        own[name].data = arr.astype(own[name].data.dtype).copy()
+        own[name].data[...] = arr
         own[name].zero_grad()
 
 
@@ -211,12 +212,12 @@ class TrainSettings:
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
            settings: TrainSettings, start: Optional[Checkpoint]) -> Checkpoint:
-    model = Model(cfg, seed=settings.seed)
+    if start is not None and start.fingerprint != cfg.fingerprint():
+        raise FingerprintMismatch(
+            f"checkpoint fingerprint {start.fingerprint} != config {cfg.fingerprint()}"
+        )
+    model = Model(cfg, seed=settings.seed if start is None else None)
     if start is not None:
-        if start.fingerprint != cfg.fingerprint():
-            raise FingerprintMismatch(
-                f"checkpoint fingerprint {start.fingerprint} != config {cfg.fingerprint()}"
-            )
         load_params(model, start.params)
     if start is not None and start.stage == stage:
         # resuming the same stage: restore optimizer and data-order RNG
@@ -268,7 +269,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                 if log_fh:
                     ctc_val = loss_ctc.item() if loss_ctc is not None else float("nan")
                     log_fh.write(f"{opt.step}\t{lr:.6g}\t{st_val:.6g}\t{ctc_val:.6g}\t"
-                                 f"{diag['blank_fraction']:.4f}\n")
+                                 f"{diag['blank_fraction']:.4f}\t{diag['skipped']}\n")
             if updates == 0:
                 raise NoUpdatesError(
                     f"{stage} epoch {epoch + 1} made no update: no batch had an utterance "

@@ -94,6 +94,47 @@ class TestConv1dLookahead:
         with pytest.raises(ad.ShapeError):
             ad.conv1d_lookahead(x, k, stride=1, lookahead=2)
 
+    @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1), (2, 0)])
+    def test_packed_sequences_match_separate_calls(self, stride, lookahead):
+        lengths = [3, 1, 6, 2]
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(sum(lengths), 3))
+        k = t64(rng.normal(size=(3, 3, 2)))
+        packed = ad.conv1d_lookahead(t64(x), k, stride, lookahead, lengths=lengths).data
+        ends = np.cumsum(lengths)
+        alone = [ad.conv1d_lookahead(t64(x[e - n:e]), k, stride, lookahead).data for n, e in zip(lengths, ends)]
+        assert [a.shape[0] for a in alone] == [-(-n // stride) for n in lengths]
+        np.testing.assert_allclose(packed, np.concatenate(alone), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,lookahead", [(1, 1), (2, 1), (2, 0)])
+    def test_packed_gradcheck(self, stride, lookahead):
+        lengths = [3, 1, 4]
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(sum(lengths), 2))
+        kernel = rng.normal(size=(3, 2, 2))
+        weights = rng.normal(size=(sum(-(-n // stride) for n in lengths), 2))
+
+        def f(xv, kv):
+            ad.reset_tape()
+            y = ad.conv1d_lookahead(t64(xv), t64(kv), stride, lookahead, lengths=lengths)
+            return float((y.data * weights).sum())
+
+        expected = central_difference(f, [x, kernel])
+        ad.reset_tape()
+        xt, kt = t64(x, requires_grad=True), t64(kernel, requires_grad=True)
+        y = ad.conv1d_lookahead(xt, kt, stride, lookahead, lengths=lengths)
+        ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
+        assert relative_error(xt.grad, expected[0]) < 1e-6
+        assert relative_error(kt.grad, expected[1]) < 1e-6
+
+    def test_lengths_must_split_the_rows(self):
+        x, k = ad.Tensor(np.zeros((5, 1))), ad.Tensor(np.zeros((2, 1, 1)))
+        for lengths in ([2, 2], [5, 0]):
+            with pytest.raises(ad.ShapeError):
+                ad.conv1d_lookahead(x, k, 1, 0, lengths=lengths)
+        with pytest.raises(ValueError, match="one sequence"):
+            ad.conv1d_lookahead(x, k, 1, 0, end=False, lengths=[2, 3])
+
 
 class TestMaskedAttention:
     def test_single_key_returns_value_row(self):

@@ -50,24 +50,30 @@ def random_grid(rng, t_frames, width):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def log_grid(grid) -> ad.Tensor:
+    """ctc_nll's input: the grid's log posteriors, in float64."""
+    with np.errstate(divide="ignore"):
+        return ad.Tensor(np.log(np.asarray(grid, dtype=np.float64)), dtype=np.float64)
+
+
 class TestCtcNll:
     def test_single_forced_path(self):
-        grid = ad.Tensor([[1.0, 0.0]], dtype=np.float64)  # V={a}, p(a)=1
+        grid = log_grid([[1.0, 0.0]])  # V={a}, p(a)=1
         assert ctc.ctc_nll(grid, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_two_frame_uniform(self):
         # paths collapsing to [a] among {aa, a_, _a, __}: all but __ -> p=0.75
-        grid = ad.Tensor(np.full((2, 2), 0.5), dtype=np.float64)
+        grid = log_grid(np.full((2, 2), 0.5))
         assert ctc.ctc_nll(grid, [0]).item() == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_repeat_needs_blank(self):
-        grid = ad.Tensor(np.full((2, 2), 0.5))
+        grid = log_grid(np.full((2, 2), 0.5))
         with pytest.raises(ctc.InfeasibleAlignmentError):
             ctc.ctc_nll(grid, [0, 0])
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError):
-            ctc.ctc_nll(ad.Tensor(np.full((2, 2), 0.5)), [])
+            ctc.ctc_nll(log_grid(np.full((2, 2), 0.5)), [])
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -81,9 +87,9 @@ class TestCtcNll:
         expected = brute_force_nll(grid, labels)
         if math.isinf(expected):
             with pytest.raises(ctc.InfeasibleAlignmentError):
-                ctc.ctc_nll(ad.Tensor(grid, dtype=np.float64), labels)
+                ctc.ctc_nll(log_grid(grid), labels)
         else:
-            got = ctc.ctc_nll(ad.Tensor(grid, dtype=np.float64), labels).item()
+            got = ctc.ctc_nll(log_grid(grid), labels).item()
             assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -187,22 +193,40 @@ class TestBlankPenalty:
 class TestBlankLimitedLoss:
     def test_lambda_zero_equals_nll(self):
         rng = np.random.default_rng(5)
-        grid = ad.Tensor(random_grid(rng, 4, 3), dtype=np.float64)
-        a = ctc.blank_limited_ctc_loss(grid, [0, 1], lam=0.0).item()
-        b = ctc.ctc_nll(grid, [0, 1]).item()
+        grid = random_grid(rng, 4, 3)
+        a = ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), [[0, 1]], [4],
+                                       lam=0.0).item()
+        b = ctc.ctc_nll(log_grid(grid), [0, 1]).item()
         assert a == b
 
     def test_weighted_sum(self):
         rng = np.random.default_rng(6)
-        grid = ad.Tensor(random_grid(rng, 5, 3), dtype=np.float64)
-        nll = ctc.ctc_nll(grid, [1]).item()
-        pen = ctc.blank_penalty(grid).item()
-        tot = ctc.blank_limited_ctc_loss(grid, [1], lam=0.5).item()
+        grid = random_grid(rng, 5, 3)
+        nll = ctc.ctc_nll(log_grid(grid), [1]).item()
+        pen = ctc.blank_penalty(ad.Tensor(grid, dtype=np.float64)).item()
+        tot = ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), [[1]], [5],
+                                         lam=0.5).item()
         assert tot == pytest.approx(nll + 0.5 * pen, rel=1e-12)
 
     def test_negative_lambda_rejected(self):
+        grid = np.full((2, 2), 0.5)
         with pytest.raises(ValueError):
-            ctc.blank_limited_ctc_loss(ad.Tensor(np.full((2, 2), 0.5)), [0], lam=-1.0)
+            ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid), [[0]], [2], lam=-1.0)
+
+    def test_packed_utterances_average_their_losses(self):
+        # two utterances on one grid: the mean of their own losses
+        rng = np.random.default_rng(7)
+        grid = random_grid(rng, 7, 3)
+        labels, lengths = [[0, 1], [1]], [4, 3]
+        parts = [(grid[:4], [0, 1], 4), (grid[4:], [1], 3)]
+        each = [ctc.blank_limited_ctc_loss(log_grid(g), ad.Tensor(g, dtype=np.float64), [y], [n],
+                                           lam=0.5).item() for g, y, n in parts]
+        both = ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), labels,
+                                          lengths, lam=0.5).item()
+        assert both == pytest.approx(sum(each) / 2, rel=1e-12)
+        with pytest.raises(ValueError, match="split"):
+            ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), labels,
+                                       [4, 4], lam=0.5)
 
 
 @settings(deadline=None, max_examples=20)
@@ -220,18 +244,20 @@ def test_loss_gradient_matches_finite_differences(seed, lam):
     if (gaps[:, -1] - gaps[:, -2] < 1e-3).any():
         logits[:, 0] += 0.1
 
+    def loss_of(lo):
+        return ctc.blank_limited_ctc_loss(ad.log_softmax(lo, axis=-1), ad.softmax(lo, axis=-1), [labels],
+                                          [t_frames], lam=lam)
+
     def f(lo):
         ad.reset_tape()
         with ad.using_dtype(np.float64):
-            grid = ad.softmax(ad.Tensor(lo), axis=-1)
-            return ctc.blank_limited_ctc_loss(grid, labels, lam=lam).item()
+            return loss_of(ad.Tensor(lo)).item()
 
     expected = central_difference(f, [logits])[0]
     ad.reset_tape()
     with ad.using_dtype(np.float64):
         lo = ad.Tensor(logits, requires_grad=True)
-        loss = ctc.blank_limited_ctc_loss(ad.softmax(lo, axis=-1), labels, lam=lam)
-        ad.backward(loss)
+        ad.backward(loss_of(lo))
     assert relative_error(lo.grad, expected) < 1e-4
 
 

@@ -1,10 +1,13 @@
+import dataclasses
+import functools
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from simulst import autodiff as ad
-from simulst import data, model
+from simulst import ctc, data, model
 
 
 def tiny_cfg(**kw):
@@ -248,17 +251,20 @@ class TestForwardTrain:
         assert a == pytest.approx(b, rel=1e-6)
 
 
+ABLATIONS = [
+    dict(use_shrink=False),
+    dict(use_ctc=False, use_shrink=False),
+    dict(gradual_downsample=False),
+    dict(shrink_mode="drop_blank"),
+    dict(shrink_mode="average"),
+    dict(shrink_mode="argmax_frame"),
+    dict(blank_penalty_mode="all_frames"),
+    dict(unidirectional=False),
+]
+
+
 class TestAblationVariants:
-    @pytest.mark.parametrize("kw", [
-        dict(use_shrink=False),
-        dict(use_ctc=False, use_shrink=False),
-        dict(gradual_downsample=False),
-        dict(shrink_mode="drop_blank"),
-        dict(shrink_mode="average"),
-        dict(shrink_mode="argmax_frame"),
-        dict(blank_penalty_mode="all_frames"),
-        dict(unidirectional=False),
-    ])
+    @pytest.mark.parametrize("kw", ABLATIONS)
     def test_variant_trains_one_step(self, kw):
         corpus = tiny_corpus()
         m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
@@ -438,7 +444,7 @@ class TestStreamingDecode:
                                         state=state).data
                 second = m.decode_logits(np.array([4]), source, np.arange(6)[None, :] < 4, state=state).data
                 stacked = m.decode_logits(np.array(sum(blocks, [])), source, np.ones((6, 6), dtype=bool),
-                                          state=state.fork(), hyps=3).data
+                                          state=state.fork(), lengths=[2, 2, 2]).data
                 expect = whole([data.EOS, 3, 4], vis)
                 expect_blocks = [whole([data.EOS, 3, 4] + b, vis + [6, 6])[3:] for b in blocks]
         assert list(state.ids) == [data.EOS, 3, 4]  # the fork left the state as it was
@@ -448,11 +454,117 @@ class TestStreamingDecode:
 
     def test_rows_must_split_into_equal_blocks(self):
         m = model.Model(tiny_cfg(), seed=0)
-        with pytest.raises(ValueError, match="blocks"):
-            m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), np.ones((3, 2), dtype=bool),
-                            state=model.DecoderState(), hyps=2)
+        for lengths in ([2, 2], [3, 0], [4]):
+            with pytest.raises(ValueError, match="blocks"):
+                m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), np.ones((3, 2), dtype=bool),
+                                state=model.DecoderState(), lengths=lengths)
 
     def test_semantic_state_rejected_when_bidirectional(self):
         m = model.Model(tiny_cfg(unidirectional=False), seed=0)
         with pytest.raises(model.NonCausalEncoderError):
             m.semantic_encode(ad.Tensor(np.zeros((2, 16))), state=model.SemanticState())
+
+
+def one_utterance(batch, i):
+    """Row i of a batch as a batch of its own, padding sliced off."""
+    n, z, y = batch.frame_lengths[i], batch.source_lengths[i], batch.target_lengths[i]
+    return data.Batch([batch.ids[i]], batch.features[i:i + 1, :n], batch.frame_lengths[i:i + 1],
+                      batch.source[i:i + 1, :z], batch.source_lengths[i:i + 1],
+                      batch.target[i:i + 1, :y], batch.target_lengths[i:i + 1])
+
+
+class TestPackedBatch:
+    """A batch runs as one packed pass: its losses and gradients are those
+    of its utterances run one at a time."""
+
+    @pytest.mark.parametrize("kw, compute_st", [({}, True), ({}, False), (dict(n_blocks=2, wait_k=1, stride_n=1), True)]
+                             + [(kw, True) for kw in ABLATIONS])
+    def test_packed_batch_equals_utterances_one_at_a_time(self, kw, compute_st):
+        corpus = tiny_corpus(n=7, seed=4, frames_per_token=(3, 5), length_range=(2, 5))
+        with ad.using_dtype(np.float64):
+            m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
+                                     tgt_vocab_size=len(corpus.tgt_vocab), **kw), seed=5)
+            batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
+            short = batch.frame_lengths.copy()
+            short[2] = 1  # shorter than the downsampling factor: skipped
+            batch = dataclasses.replace(batch, frame_lengths=short)
+            assert len(set(batch.frame_lengths)) > 3 and len(set(batch.target_lengths)) > 2
+            params = m.parameters()
+
+            loss_st, loss_ctc, diag = m.forward_train(batch, compute_st=compute_st)
+            ad.backward(m.total_loss(loss_st, loss_ctc) if compute_st else loss_ctc)
+            packed = {k: p.grad.copy() for k, p in params.items()}
+            for p in params.values():
+                p.zero_grad()
+
+            assert batch.ids[2] in diag["skipped_ids"]
+            kept = [i for i in range(len(batch)) if batch.ids[i] not in diag["skipped_ids"]]
+            assert len(kept) > 3
+            n_tokens = sum(int(batch.target_lengths[i]) + 1 for i in kept)
+            ctc_weight = (m.cfg.ctc_loss_weight if compute_st else 1.0) / len(kept)
+            st_sum = ctc_sum = 0.0
+            for i in kept:
+                ad.reset_tape()
+                st_i, ctc_i, _ = m.forward_train(one_utterance(batch, i), compute_st=compute_st)
+                terms = []
+                if compute_st:
+                    share = (int(batch.target_lengths[i]) + 1) / n_tokens
+                    terms.append(ad.scale(st_i, share))
+                    st_sum += st_i.item() * share
+                if m.cfg.use_ctc:
+                    terms.append(ad.scale(ctc_i, ctc_weight))
+                    ctc_sum += ctc_i.item() / len(kept)
+                ad.backward(functools.reduce(ad.add, terms))
+        if compute_st:
+            assert loss_st.item() == pytest.approx(st_sum, rel=0, abs=1e-10)
+        if m.cfg.use_ctc:
+            assert loss_ctc.item() == pytest.approx(ctc_sum, rel=0, abs=1e-10)
+        for name, p in params.items():
+            np.testing.assert_allclose(packed[name], p.grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_batch_tape_is_at_most_twice_one_utterance(self):
+        corpus = tiny_corpus(n=8, seed=6, frames_per_token=(3, 5))
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
+                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
+        tapes = []
+        for b in (batch, one_utterance(batch, 0)):
+            ad.reset_tape()
+            loss_st, loss_ctc, diag = m.forward_train(b)
+            m.total_loss(loss_st, loss_ctc)
+            assert diag["skipped"] == 0
+            tapes.append(ad.tape_length())
+        assert len(batch) == 8 and tapes[0] <= 2 * tapes[1], tapes
+
+    def test_skips_are_decided_before_encoding_and_listed(self, caplog):
+        corpus = tiny_corpus(n=6, seed=1, frames_per_token=(2, 2), length_range=(3, 3))
+        m = model.Model(tiny_cfg(n_blocks=2, src_vocab_size=len(corpus.src_vocab),
+                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
+        short = batch.frame_lengths.copy()
+        short[0] = 3
+        batch = dataclasses.replace(batch, frame_lengths=short)
+        # 3 tokens at 2 frames each give 2 encoder frames at 4x downsampling: too few
+        encoded = []
+        encode = m.encode_source
+        m.encode_source = lambda feats, *a, **kw: encoded.append(len(feats)) or encode(feats, *a, **kw)
+        with caplog.at_level(logging.WARNING, logger="simulst.model"):
+            loss_st, loss_ctc, diag = m.forward_train(batch)
+        assert loss_st is None and loss_ctc is None and encoded == []
+        assert diag["skipped"] == len(batch) == len(diag["skipped_ids"])
+        assert diag["skipped_ids"][batch.ids[0]] == "3 frames < downsampling factor"
+        assert diag["skipped_ids"][batch.ids[1]] == "transcript too long for 2 encoder frames"
+        assert [r.args[0] for r in caplog.records if r.msg.startswith("skipping")] == batch.ids
+        for i in range(len(batch)):
+            transcript = batch.source[i, : batch.source_lengths[i]]
+            assert model.skip_reason(m.cfg, int(batch.frame_lengths[i]), transcript) is not None
+            if i > 0:
+                with pytest.raises(ctc.InfeasibleAlignmentError):
+                    ctc.ctc_nll(ad.Tensor(np.zeros((2, m.cfg.src_vocab_size + 1))), transcript)
+
+    def test_cross_attention_mask_of_a_batch_is_block_diagonal(self):
+        mask = model.build_cross_attention_mask(2, 2, [3, 5], [4, 2])
+        assert mask.shape == (8, 6)
+        np.testing.assert_array_equal(mask[:3, :4], model.build_cross_attention_mask(2, 2, 3, 4))
+        np.testing.assert_array_equal(mask[3:, 4:], model.build_cross_attention_mask(2, 2, 5, 2))
+        assert not mask[:3, 4:].any() and not mask[3:, :4].any()

@@ -158,3 +158,51 @@ def test_gradients_match_finite_differences(seed):
         ad.backward(ad.reduce_sum(ad.mul(out, out)))
     assert relative_error(s.grad, expected[0]) < 1e-4
     assert relative_error(b.grad, expected[1]) < 1e-4
+
+
+def per_segment_reference(states, blank_probs, path, segments, cfg):
+    """Shrinking as a chain of primitive ops per segment: the arithmetic
+    the one-op shrink keeps."""
+    dtype = states.data.dtype
+    out_rows = []
+    for start, stop in segments:
+        seg = ad.rows(states, start, stop)
+        if cfg.mode in ("argmax_frame", "drop_blank"):
+            if cfg.mode == "argmax_frame":
+                w = np.zeros((1, stop - start), dtype=dtype)
+                w[0, int(np.argmin(blank_probs.data[start:stop]))] = 1.0
+            else:
+                keep = np.asarray(path[start:stop]) != ctc.BLANK
+                if not keep.any():
+                    keep = np.ones(stop - start, dtype=bool)
+                w = (keep / keep.sum()).astype(dtype).reshape(1, -1)
+            out_rows.append(ad.matmul(ad.Tensor(w, dtype=dtype), seg))
+            continue
+        mu = 0.0 if cfg.mode == "average" else cfg.temperature
+        conf = ad.scale(ad.sub(ad.Tensor(1.0, dtype=dtype), ad.rows(blank_probs, start, stop)), mu)
+        w = ad.reshape(ad.softmax(conf, axis=-1), (1, stop - start))
+        out_rows.append(ad.matmul(w, seg))
+    return ad.concat_rows(out_rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg", [shrink.ShrinkConfig(1.0), shrink.ShrinkConfig(2.5), shrink.ShrinkConfig(mode="average"),
+                                 shrink.ShrinkConfig(mode="argmax_frame"), shrink.ShrinkConfig(mode="drop_blank")])
+def test_one_op_equals_the_per_segment_chain_bit_for_bit(cfg, dtype):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        states, blanks, segments = random_case(rng, t_frames=int(rng.integers(1, 30)), d=5)
+        path = np.where(rng.random(states.shape[0]) < 0.4, ctc.BLANK, 0)
+        probe = rng.normal(size=(len(segments), 5)).astype(dtype)
+        runs = []
+        for fn in (shrink.shrink_states, per_segment_reference):
+            ad.reset_tape()
+            s = ad.Tensor(states, requires_grad=True, dtype=dtype)
+            b = ad.Tensor(blanks, requires_grad=True, dtype=dtype)
+            out = fn(s, b, path, segments, cfg)
+            ops = ad.tape_length()
+            ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=dtype))))
+            runs.append((ops, out.data, s.grad, b.grad))
+        assert runs[0][0] == 1
+        for mine, ref in zip(runs[0][1:], runs[1][1:]):
+            np.testing.assert_array_equal(mine, ref)

@@ -37,12 +37,13 @@ class ScriptedModel:
     def semantic_encode(self, shrunk, rng=None, state=None):
         return shrunk
 
-    def decode_logits(self, prefix_ids, source, cross_mask, rng=None, state=None, hyps=1):
+    def decode_logits(self, prefix_ids, source, cross_mask, rng=None, state=None, lengths=None):
         v = self.cfg.tgt_vocab_size
         cached = [] if state is None else list(state.ids)
-        blocks = np.asarray(prefix_ids).reshape(hyps, -1)
+        ends = np.cumsum([len(prefix_ids)] if lengths is None else lengths)
+        blocks = np.split(np.asarray(prefix_ids), ends[:-1])
         logits = np.full((len(prefix_ids), v), -20.0, dtype=np.float32)
-        for b, block in enumerate(blocks):
+        for block, end in zip(blocks, ends):
             decoded = tuple(int(t) for t in cached + list(block))[1:]
             probs = self.script.get(decoded)
             if probs is None:
@@ -51,7 +52,7 @@ class ScriptedModel:
                 else:
                     probs = {3 + (len(decoded) % 3): 0.99}
             for tok, p in probs.items():
-                logits[(b + 1) * blocks.shape[1] - 1, tok] = np.log(p)
+                logits[end - 1, tok] = np.log(p)
         if state is not None:
             state.ids = np.concatenate([state.ids, prefix_ids])
         return ad.Tensor(logits)

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,31 @@ class TestCheckpointIO:
         fresh = model.Model(cfg, seed=1)
         for name, p in fresh.parameters().items():
             np.testing.assert_array_equal(ckpt.params[name], p.data)
+
+
+    def test_model_from_checkpoint_draws_no_random_init(self, monkeypatch):
+        corpus = small_corpus(4)
+        ckpt = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings())
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpoint's model drew random weights")
+
+        monkeypatch.setattr(ad, "uniform_init", no_draw)
+        m = train.model_from_checkpoint(ckpt)
+        assert set(m.parameters()) == set(ckpt.params)
+        for name, p in m.parameters().items():
+            np.testing.assert_array_equal(p.data, ckpt.params[name])
+            assert p.data is not ckpt.params[name] and not p.grad.any()
+
+    def test_mismatched_parameters_rejected(self):
+        corpus = small_corpus(4)
+        ckpt = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings())
+        missing = dict(ckpt.params)
+        del missing["ctc.out.b"]
+        reshaped = {**ckpt.params, "ctc.out.b": np.zeros(3)}
+        for params in (missing, reshaped):
+            with pytest.raises(train.FingerprintMismatch):
+                train.model_from_checkpoint(dataclasses.replace(ckpt, params=params))
 
 
 class TestAveraging:
@@ -270,3 +298,38 @@ def test_evaluate_summary_is_the_trace_summary(tmp_path):
     assert scored["mean_ap"] == pytest.approx(report["mean_ap"])
     assert scored["mean_al"] == pytest.approx(report["mean_al"])
     assert [r["hypothesis"] for r in scored["rows"]] == [r["hypothesis"] for r in report["rows"]]
+
+
+def test_log_line_ends_with_the_batch_skip_count(tmp_path):
+    # 2x downsampling leaves 1-2 encoder frames per token: some transcripts cannot align
+    corpus = small_corpus(30, seed=3, frames_per_token=(2, 4), length_range=(2, 6))
+    cfg = small_cfg(vocab_sizes(corpus))
+    st = settings(max_frames=120, log_path=str(tmp_path / "train.log"))
+    expected = []
+    for batch in data.make_batches(corpus, st.max_frames):
+        reasons = [model.skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
+                   for i in range(len(batch))]
+        if None in reasons:
+            expected.append(sum(r is not None for r in reasons))
+    assert sum(expected) > 0
+    train.pretrain_ctc(corpus, cfg, 1, st)
+    rows = [line.split("\t") for line in (tmp_path / "train.log").read_text().splitlines()]
+    assert sorted(int(r[-1]) for r in rows) == sorted(expected)
+    assert all(len(r) == 6 for r in rows)
+
+
+def test_underflowing_ctc_posteriors_give_a_finite_loss():
+    # syn00154 of the benchmark's training pool under the benchmark weights:
+    # its 7 encoder frames are exactly the 7 its transcript needs, and some
+    # float32 softmax posteriors on that one alignment are exactly 0
+    ckpt = train.load_checkpoint(Path(__file__).resolve().parents[1] / "perfbench" / "weights.ckpt")
+    m = train.model_from_checkpoint(ckpt)
+    task = data.SyntheticTaskConfig(frames_per_token=(8, 16), length_range=(3, 8), seed=0)
+    utt = data.generate_synthetic_corpus(task, 155).utterances[154]
+    assert (utt.id, utt.n_frames, len(utt.source)) == ("syn00154", 56, 5)
+    with ad.no_grad():
+        _, posteriors = m.acoustic_encode(utt.features)
+        loss_st, loss_ctc, diag = m.forward_train(data.make_batches([utt], utt.n_frames)[0])
+    assert (posteriors.data == 0).sum() > 0
+    assert diag["skipped"] == 0
+    assert np.isfinite(loss_ctc.item()) and np.isfinite(m.total_loss(loss_st, loss_ctc).item())
