@@ -85,14 +85,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -102,77 +94,14 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars are wrapped as constants
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise TypeError("tensor/tensor division not supported; use scale or mul")
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
 
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    out: Tensor
-    inputs: tuple
-    vjp: Callable
-
-
-class Tape:
-    """Ordered record of executed differentiable operations (topological)."""
-
-    def __init__(self):
-        self.entries: list[_Entry] = []
-
-    def __len__(self):
-        return len(self.entries)
-
-    def clear(self):
-        self.entries.clear()
-
-
-_tape = Tape()
+# (out, inputs, vjp) per recorded op, in execution (topological) order
+_tape: list[tuple[Tensor, tuple, Callable]] = []
 
 
 def reset_tape() -> None:
@@ -197,7 +126,7 @@ def record_op(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> 
     out.requires_grad = rg
     out._leaf = not rg
     if rg:
-        _tape.entries.append(_Entry(out, tuple(inputs), vjp))
+        _tape.append((out, tuple(inputs), vjp))
     return out
 
 
@@ -209,11 +138,11 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss._uid: np.ones_like(loss.data)}
-    for entry in reversed(_tape.entries):
-        g_out = grads.pop(entry.out._uid, None)
+    for out, inputs, vjp in reversed(_tape):
+        g_out = grads.pop(out._uid, None)
         if g_out is None:
             continue
-        for t, g in zip(entry.inputs, entry.vjp(g_out)):
+        for t, g in zip(inputs, vjp(g_out)):
             if g is None or not t.requires_grad:
                 continue
             if t._leaf:
@@ -256,10 +185,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-
-
-def neg(a: Tensor) -> Tensor:
-    return record_op(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -134,18 +134,6 @@ def ctc_nll(log_posteriors: Tensor, labels) -> Tensor:
     return ad.record_op(value, (log_posteriors,), vjp)
 
 
-def collapse_path(path) -> list[int]:
-    """Apply the many-to-one path mapping: merge consecutive repeats, drop blanks."""
-    out: list[int] = []
-    prev = None
-    for label in path:
-        if label != prev:
-            if label != BLANK:
-                out.append(int(label))
-            prev = label
-    return out
-
-
 def greedy_path(posteriors) -> np.ndarray:
     """Per-frame argmax labels; blank mapped to the BLANK sentinel.
 

@@ -1,36 +1,16 @@
-"""Corpus handling: vocab, feature file I/O, manifests, batching, and the
-synthetic speech-translation task generator used for end-to-end checks.
-
-On-disk formats:
-    features   binary "RTFX": magic, u32 frame count, u32 feature dim,
-               then frame*dim little-endian float32
-    manifest   UTF-8 TSV: id, feature path, transcript, translation
-    vocab      one token per line; id = line number + number of reserved ids
+"""Corpus handling: vocab, batching, and the synthetic speech-translation
+task generator the pipeline trains and evaluates on. Corpora live in
+memory; there is no on-disk corpus format.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
-import struct
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
-PAD, EOS, UNK = 0, 1, 2
+PAD, EOS = 0, 1
 RESERVED = ("<pad>", "</s>", "<unk>")
-MAGIC = b"RTFX"
-
-
-class FormatError(ValueError):
-    """A feature file violates the RTFX layout."""
-
-
-class ManifestError(ValueError):
-    """A manifest line cannot be parsed."""
 
 
 class Vocab:
@@ -42,22 +22,8 @@ class Vocab:
             raise ValueError("duplicate tokens in vocabulary")
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
 
-    def __len__(self):
-        return len(self.tokens)
-
-    def encode(self, words) -> np.ndarray:
-        return np.array([self.index.get(w, UNK) for w in words], dtype=np.int64)
-
     def decode(self, ids) -> list[str]:
         return [self.tokens[int(i)] for i in ids]
-
-    def save(self, path):
-        Path(path).write_text("\n".join(self.tokens[len(RESERVED):]) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln])
 
 
 @dataclass
@@ -66,7 +32,6 @@ class Utterance:
     features: np.ndarray  # [T, d_feat] float32
     source: np.ndarray  # transcript token ids
     target: np.ndarray  # translation token ids
-    frames_per_token: list[int] | None = None  # synthetic alignment, when known
 
     @property
     def n_frames(self) -> int:
@@ -78,120 +43,12 @@ class Corpus:
     utterances: list[Utterance]
     src_vocab: Vocab
     tgt_vocab: Vocab
-    unk_count: int = 0
 
     def __len__(self):
         return len(self.utterances)
 
     def __iter__(self):
         return iter(self.utterances)
-
-    def __getitem__(self, i):
-        return self.utterances[i]
-
-
-def split_validation(corpus: Corpus) -> tuple[Corpus, Corpus]:
-    """Deterministic ~5% validation split keyed on the utterance id hash."""
-    train, val = [], []
-    for utt in corpus:
-        digest = hashlib.sha1(utt.id.encode("utf-8")).digest()
-        (val if digest[0] % 20 == 0 else train).append(utt)
-    return (
-        replace(corpus, utterances=train),
-        replace(corpus, utterances=val),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Feature files
-# ---------------------------------------------------------------------------
-
-
-def write_features(path, features: np.ndarray) -> None:
-    features = np.ascontiguousarray(features, dtype="<f4")
-    if features.ndim != 2:
-        raise ValueError(f"features must be [frames, dim], got shape {features.shape}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
-        fh.write(features.tobytes())
-
-
-def read_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0 (got {raw[:4]!r})")
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    t_frames, d_feat = struct.unpack("<II", raw[4:12])
-    expected = 12 + 4 * t_frames * d_feat
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload ends at byte {len(raw)}, header promises {expected}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=12)
-    return data.reshape(t_frames, d_feat).astype(np.float32)
-
-
-def cmvn(features: np.ndarray) -> np.ndarray:
-    """Per-utterance mean/variance normalization."""
-    mu = features.mean(axis=0, keepdims=True)
-    sd = features.std(axis=0, keepdims=True)
-    return ((features - mu) / np.maximum(sd, 1e-8)).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# Manifests
-# ---------------------------------------------------------------------------
-
-
-def load_manifest(path, src_vocab: Vocab, tgt_vocab: Vocab, normalize: bool = False) -> Corpus:
-    """Read a TSV manifest; unknown tokens map to unk and are tallied."""
-    path = Path(path)
-    utterances = []
-    unk_count = 0
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise ManifestError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cells)}")
-        utt_id, feat_path, transcript, translation = cells
-        feat_file = Path(feat_path)
-        if not feat_file.is_absolute():
-            feat_file = path.parent / feat_file
-        features = read_features(feat_file)
-        if normalize:
-            features = cmvn(features)
-        src_words = transcript.split()
-        tgt_words = translation.split()
-        source = src_vocab.encode(src_words)
-        target = tgt_vocab.encode(tgt_words)
-        unk_count += int((source == UNK).sum() + (target == UNK).sum())
-        utterances.append(Utterance(utt_id, features, source, target))
-    corpus = Corpus(utterances, src_vocab, tgt_vocab, unk_count=unk_count)
-    if unk_count:
-        log.warning("%s: %d tokens fell back to <unk>", path, unk_count)
-    return corpus
-
-
-def save_manifest(corpus: Corpus, out_dir) -> Path:
-    """Materialize a corpus as manifest + RTFX feature files under out_dir."""
-    out_dir = Path(out_dir)
-    feat_dir = out_dir / "feats"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for utt in corpus:
-        feat_path = feat_dir / f"{utt.id}.rtfx"
-        write_features(feat_path, utt.features)
-        transcript = " ".join(corpus.src_vocab.decode(utt.source))
-        translation = " ".join(corpus.tgt_vocab.decode(utt.target))
-        lines.append(f"{utt.id}\tfeats/{utt.id}.rtfx\t{transcript}\t{translation}")
-    manifest = out_dir / "manifest.tsv"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    corpus.src_vocab.save(out_dir / "vocab.src")
-    corpus.tgt_vocab.save(out_dir / "vocab.tgt")
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +63,9 @@ class SyntheticTaskConfig:
     may locally reorder them inside aligned blocks."""
 
     vocab_size: int = 20
-    frames_per_token: tuple[int, int] = (2, 5)
+    # 80-160 ms a token at 10 ms frames, which the default ModelConfig's 8x
+    # downsampling leaves 1-2 encoder frames: enough for CTC to align
+    frames_per_token: tuple[int, int] = (8, 16)
     feature_dim: int = 16
     noise_std: float = 0.1
     reorder_window: int = 0  # 0/1: monotone; w>=2: content-keyed reorder per block
@@ -260,7 +119,6 @@ def generate_synthetic_corpus(cfg: SyntheticTaskConfig, size: int) -> Corpus:
                 features=frames.astype(np.float32),
                 source=source.astype(np.int64),
                 target=target.astype(np.int64),
-                frames_per_token=[int(c) for c in counts],
             )
         )
     return Corpus(utterances, src_vocab, tgt_vocab)
@@ -280,13 +138,6 @@ class Batch:
     source_lengths: np.ndarray
     target: np.ndarray  # [B, Ly_max] PAD-padded
     target_lengths: np.ndarray
-
-    def __len__(self):
-        return len(self.ids)
-
-    @property
-    def padded_frames(self) -> int:
-        return self.features.shape[0] * self.features.shape[1]
 
 
 def _pad_ids(seqs) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Latency metrics (average proportion, average lagging) and corpus BLEU,
-plus the tab-separated action-trace format the streaming engine emits.
+plus writers for the per-utterance report and the streaming engine's
+action traces.
 
 Trace line: ``utt_id <TAB> wall_ms <TAB> ACTION <TAB> payload`` where ACTION
 is META (frames/frame_ms/total_ms/offset_ms key=value pairs), READ, WRITE
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -115,63 +115,12 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class UtteranceTrace:
-    utt_id: str
-    meta: dict[str, float]
-    writes: list[tuple[float, list[str]]]  # (wall ms, tokens)
-
-    @property
-    def hypothesis(self) -> list[str]:
-        return [tok for _, toks in self.writes for tok in toks]
-
-    def listen_ms(self) -> list[float]:
-        return [ms for ms, toks in self.writes for _ in toks]
-
-
 def write_trace_file(path, entries) -> None:
     """entries: iterable of (utt_id, trace) with trace = [(ms, action, payload)]."""
     with open(path, "w", encoding="utf-8") as fh:
         for utt_id, trace in entries:
             for ms, action, payload in trace:
                 fh.write(f"{utt_id}\t{ms:g}\t{action}\t{payload}\n")
-
-
-def read_trace_file(path) -> list[UtteranceTrace]:
-    traces: dict[str, UtteranceTrace] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise ValueError(f"{path}:{lineno}: malformed trace line (need 4 columns)")
-        utt_id, ms, action, payload = cells
-        tr = traces.setdefault(utt_id, UtteranceTrace(utt_id, {}, []))
-        if action == "META":
-            for pair in payload.split():
-                key, val = pair.split("=", 1)
-                tr.meta[key] = float(val)
-        elif action == "WRITE":
-            tr.writes.append((float(ms), payload.split()))
-        elif action in ("READ", "FINISH"):
-            continue
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown action {action!r}")
-    return list(traces.values())
-
-
-def record_from_trace(tr: UtteranceTrace, reference_length: int) -> LatencyRecord:
-    for key in ("frames", "frame_ms", "total_ms", "offset_ms"):
-        if key not in tr.meta:
-            raise ValueError(f"trace for {tr.utt_id} lacks META {key}")
-    return LatencyRecord(
-        token_listen_ms=tuple(tr.listen_ms()),
-        total_ms=tr.meta["total_ms"],
-        source_frames=int(tr.meta["frames"]),
-        frame_ms=tr.meta["frame_ms"],
-        reference_length=reference_length,
-        lookahead_offset_ms=tr.meta["offset_ms"],
-    )
 
 
 def summarize(utterances) -> dict:
@@ -205,19 +154,9 @@ def summarize(utterances) -> dict:
     }
 
 
-def score_traces(traces: list[UtteranceTrace], references: dict[str, list[str]]) -> dict:
-    """``summarize`` utterance traces against their references."""
-    utterances = []
-    for tr in traces:
-        if tr.utt_id not in references:
-            raise ValueError(f"no reference for utterance {tr.utt_id}")
-        ref = list(references[tr.utt_id])
-        utterances.append((tr.utt_id, tr.hypothesis, ref, record_from_trace(tr, len(ref))))
-    return summarize(utterances)
-
-
-def write_report(path, summary: dict, extra: dict | None = None) -> None:
-    """TSV report: one row per utterance plus a SUMMARY row."""
+def write_report(path, summary: dict, extra: dict | None = None) -> str:
+    """TSV report: one row per utterance plus a SUMMARY row, which is
+    returned."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id\thypothesis\treference\tAP\tAL\n")
         for row in summary["rows"]:
@@ -228,5 +167,6 @@ def write_report(path, summary: dict, extra: dict | None = None) -> None:
                   "mean_AL": f"{summary['mean_al']:.1f}"}
         for key, val in (extra or {}).items():
             fields[key] = str(val)
-        blob = " ".join(f"{k}={v}" for k, v in fields.items())
-        fh.write(f"SUMMARY\t{blob}\t\t\t\n")
+        line = "SUMMARY\t" + " ".join(f"{k}={v}" for k, v in fields.items())
+        fh.write(f"{line}\t\t\t\n")
+    return line

@@ -607,18 +607,16 @@ class Model:
 
     # -- training objective -------------------------------------------------
 
-    def forward_train(self, batch: Batch, rng=None, compute_st: bool = True,
-                      wait_k=None) -> tuple[Optional[Tensor], Optional[Tensor], dict]:
+    def forward_train(self, batch: Batch, rng=None,
+                      compute_st: bool = True) -> tuple[Optional[Tensor], Optional[Tensor], dict]:
         """Mean token NLL under the wait-k-stride-n mask plus the CTC term,
         over the batch's utterances packed into one pass.
 
         Utterances ``skip_reason`` rejects are skipped before encoding, with
         a warning, and listed in the diagnostics. ``compute_st=False``
-        restricts the pass to the CTC objective (pre-training). ``wait_k``
-        overrides the configured schedule for this pass only.
+        restricts the pass to the CTC objective (pre-training).
         """
         cfg = self.cfg
-        k = cfg.wait_k if wait_k is None else wait_k
         keep, skipped_ids = [], {}
         for i, utt_id in enumerate(batch.ids):
             reason = skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
@@ -627,7 +625,7 @@ class Model:
             else:
                 log.warning("skipping %s: %s", utt_id, reason)
                 skipped_ids[utt_id] = reason
-        diagnostics = {"tokens": 0, "token_correct": 0, "token_accuracy": 0.0, "blank_fraction": 0.0,
+        diagnostics = {"tokens": 0, "blank_fraction": 0.0,
                        "skipped": len(skipped_ids), "skipped_ids": skipped_ids, "segment_counts": []}
         if not keep:
             return None, None, diagnostics
@@ -649,12 +647,10 @@ class Model:
         prefix = np.concatenate([np.concatenate([[EOS], y]) for y in translations])
         target_out = np.concatenate([np.concatenate([y, [EOS]]) for y in translations])
         rows = batch.target_lengths[keep] + 1
-        mask = build_cross_attention_mask(k, cfg.stride_n, rows, enc.unit_lengths)
+        mask = build_cross_attention_mask(cfg.wait_k, cfg.stride_n, rows, enc.unit_lengths)
         logits = self.decode_logits(prefix, enc, mask, rng, lengths=rows)
         loss_st = ad.cross_entropy(logits, target_out, PAD)
-        correct = int((logits.data.argmax(axis=1) == target_out).sum())
-        diagnostics.update(tokens=len(target_out), token_correct=correct,
-                           token_accuracy=correct / len(target_out))
+        diagnostics["tokens"] = len(target_out)
         return loss_st, loss_ctc, diagnostics
 
     def total_loss(self, loss_st: Optional[Tensor], loss_ctc: Optional[Tensor]) -> Tensor:

@@ -141,28 +141,12 @@ class StreamSession:
     # -- bookkeeping ---------------------------------------------------------
 
     @property
-    def committed(self) -> list[int]:
-        return list(self._committed)
-
-    @property
-    def listen_ms(self) -> list[float]:
-        return list(self._listen_ms)
-
-    @property
     def units_completed(self) -> int:
         return len(self._unit_ready_ms)
 
     @property
     def ended(self) -> bool:
         return self._ended
-
-    @property
-    def phase(self) -> str:
-        if self._finished:
-            return "finished"
-        if self._ended or self.units_completed >= self._next_budget():
-            return "writing"
-        return "reading"
 
     def _next_budget(self):
         n = self.stride_n

@@ -1,6 +1,6 @@
 """Two-stage training (CTC pre-training, then joint fine-tuning),
-checkpointing with bit-exact resume, checkpoint averaging, and the
-evaluation loop driving the streaming engine.
+checkpointing with bit-exact resume, and the evaluation loop driving the
+streaming engine.
 
 Checkpoint file: magic "RTCK0001", u64 little-endian JSON header length,
 a JSON header (config, fingerprint, optimizer scalars, RNG state, tensor
@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import streaming
 from .autodiff import OptimizerState
 from .data import Corpus, make_batches
-from .model import Model, ModelConfig, WAIT_INF
+from .model import Model, ModelConfig
 
 log = logging.getLogger(__name__)
 
@@ -147,53 +147,24 @@ def load_params(model: Model, params: dict[str, np.ndarray]) -> None:
         own[name].zero_grad()
 
 
+def _copy_opt(opt: OptimizerState) -> OptimizerState:
+    """An optimizer state with its own moment arrays: updating one leaves
+    the other as it was."""
+    return dataclasses.replace(opt, m={k: v.copy() for k, v in opt.m.items()},
+                               v={k: v.copy() for k, v in opt.v.items()})
+
+
 def snapshot(model: Model, opt: OptimizerState, epoch: int, rng: np.random.Generator,
              stage: str) -> Checkpoint:
     return Checkpoint(
         params={k: v.data.copy() for k, v in model.parameters().items()},
-        opt=OptimizerState(
-            beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps, base_lr=opt.base_lr,
-            warmup=opt.warmup, step=opt.step,
-            m={k: v.copy() for k, v in opt.m.items()},
-            v={k: v.copy() for k, v in opt.v.items()},
-        ),
+        opt=_copy_opt(opt),
         epoch=epoch,
         fingerprint=model.cfg.fingerprint(),
         cfg=model.cfg,
         rng_state=rng.bit_generator.state,
         stage=stage,
     )
-
-
-def average_checkpoints(paths, m: Optional[int] = None) -> Checkpoint:
-    """Arithmetic mean of the last ``m`` checkpoints' parameters; optimizer
-    state and bookkeeping come from the last one."""
-    paths = list(paths)
-    if m is not None:
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        paths = paths[-m:]
-    if not paths:
-        raise ValueError("no checkpoints to average")
-    ckpts = [load_checkpoint(p) for p in paths]
-    first = ckpts[0]
-    for other in ckpts[1:]:
-        if other.fingerprint != first.fingerprint:
-            raise FingerprintMismatch(
-                f"cannot average checkpoints with fingerprints "
-                f"{first.fingerprint} and {other.fingerprint}"
-            )
-        for name, arr in other.params.items():
-            if arr.shape != first.params[name].shape:
-                raise FingerprintMismatch(f"shape mismatch for {name}")
-    last = ckpts[-1]
-    averaged = {
-        name: np.mean([c.params[name].astype(np.float64) for c in ckpts], axis=0).astype(
-            first.params[name].dtype
-        )
-        for name in first.params
-    }
-    return dataclasses.replace(last, params=averaged)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +191,9 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
     if start is not None:
         load_params(model, start.params)
     if start is not None and start.stage == stage:
-        # resuming the same stage: restore optimizer and data-order RNG
-        opt = start.opt
+        # resuming the same stage: restore optimizer and data-order RNG,
+        # training a copy so the caller's checkpoint stays as it was
+        opt = _copy_opt(start.opt)
         rng = np.random.default_rng()
         rng.bit_generator.state = start.rng_state
         epoch0 = start.epoch
@@ -289,10 +261,6 @@ def pretrain_ctc(corpus: Corpus, cfg: ModelConfig, epochs: int,
                  start: Optional[Checkpoint] = None) -> Checkpoint:
     """Optimize the blank-limited CTC loss only; semantic encoder and
     decoder stay at their random initialization."""
-    if epochs == 0 and start is None:
-        model = Model(cfg, seed=settings.seed)
-        opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup)
-        return snapshot(model, opt, 0, np.random.default_rng(settings.seed), "pretrain")
     return _train(corpus, cfg, epochs, "pretrain", settings, start)
 
 
@@ -305,19 +273,6 @@ def finetune(corpus: Corpus, start: Checkpoint, cfg: ModelConfig, epochs: int,
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-
-def token_accuracy(model: Model, corpus: Corpus, wait_k=WAIT_INF, max_frames: int = 4000) -> float:
-    """Teacher-forced next-token accuracy under the given wait-k mask."""
-    correct = 0
-    total = 0
-    for batch in make_batches(corpus, max_frames):
-        ad.reset_tape()
-        with ad.no_grad():
-            _, _, diag = model.forward_train(batch, rng=None, wait_k=wait_k)
-        correct += diag["token_correct"]
-        total += diag["tokens"]
-    return correct / max(total, 1)
 
 
 def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_size: int = 5,

@@ -123,47 +123,21 @@ class TestTraces:
             (800.0, "FINISH", ""),
         ]
 
-    def test_roundtrip_and_record(self, tmp_path):
+    def test_trace_file_lines(self, tmp_path):
         path = tmp_path / "trace.tsv"
-        metrics.write_trace_file(path, [("u1", self._trace_lines())])
-        traces = metrics.read_trace_file(path)
-        assert len(traces) == 1
-        tr = traces[0]
-        assert tr.hypothesis == ["hello", "world", "again"]
-        rec = metrics.record_from_trace(tr, reference_length=3)
-        assert rec.token_listen_ms == (160.0, 320.0, 320.0)
-        assert rec.total_ms == 800.0
-
-    def test_hand_trace_reproduces_al_300(self, tmp_path):
-        lines = [(0.0, "META", "frames=10 frame_ms=80 total_ms=800 offset_ms=140")]
-        for i, tok in enumerate(["t1", "t2", "t3", "t4", "t5"]):
-            lines.append((160.0 * (i + 1), "WRITE", tok))
-        path = tmp_path / "trace.tsv"
-        metrics.write_trace_file(path, [("u1", lines)])
-        summary = metrics.score_traces(
-            metrics.read_trace_file(path), {"u1": ["r1", "r2", "r3", "r4", "r5"]}
-        )
-        assert summary["mean_al"] == pytest.approx(300.0)
-        assert summary["rows"][0]["al"] == pytest.approx(300.0)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("u1\t0.0\tMETA\n")
-        with pytest.raises(ValueError, match=":1"):
-            metrics.read_trace_file(path)
-
-    def test_missing_reference_rejected(self, tmp_path):
-        path = tmp_path / "trace.tsv"
-        metrics.write_trace_file(path, [("u1", self._trace_lines())])
-        with pytest.raises(ValueError, match="u1"):
-            metrics.score_traces(metrics.read_trace_file(path), {})
+        metrics.write_trace_file(path, [("u1", self._trace_lines()), ("u2", self._trace_lines()[:1])])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "u1\t0\tMETA\tframes=10 frame_ms=80 total_ms=800 offset_ms=140"
+        assert lines[3] == "u1\t320\tWRITE\tworld again"
+        assert lines[-1].startswith("u2\t0\tMETA\t")
+        assert all(len(line.split("\t")) == 4 for line in lines)
 
     def test_report_file(self, tmp_path):
-        path = tmp_path / "trace.tsv"
-        metrics.write_trace_file(path, [("u1", self._trace_lines())])
-        summary = metrics.score_traces(metrics.read_trace_file(path), {"u1": ["hello", "world", "again"]})
+        hyp = ["hello", "world", "again"]
+        summary = metrics.summarize([("u1", hyp, hyp, record([160.0, 320.0, 320.0], ref=3))])
         report = tmp_path / "report.tsv"
-        metrics.write_report(report, summary, extra={"diff_le_2": "100.0"})
+        line = metrics.write_report(report, summary, extra={"diff_le_2": "100.0"})
         text = report.read_text()
         assert text.startswith("id\t")
         assert "SUMMARY" in text and "BLEU=100.00" in text and "diff_le_2=100.0" in text
+        assert text.splitlines()[-1].startswith(line)

@@ -189,8 +189,8 @@ class TestCrossAttentionMask:
 class TestForwardTrain:
     def test_losses_finite_and_diagnostics(self):
         corpus = tiny_corpus()
-        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         batch = data.make_batches(corpus, max_frames=200)[0]
         loss_st, loss_ctc, diag = m.forward_train(batch)
         assert np.isfinite(loss_st.item())
@@ -201,16 +201,16 @@ class TestForwardTrain:
     def test_alpha_zero_total_is_st_only(self):
         corpus = tiny_corpus()
         m = model.Model(tiny_cfg(ctc_loss_weight=0.0,
-                                 src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+                                 src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         batch = data.make_batches(corpus, max_frames=200)[0]
         loss_st, loss_ctc, _ = m.forward_train(batch)
         assert m.total_loss(loss_st, loss_ctc).item() == loss_st.item()
 
     def test_padding_does_not_change_loss(self):
         corpus = tiny_corpus()
-        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         batch = data.make_batches(corpus, max_frames=200)[0]
         ad.reset_tape()
         a = m.forward_train(batch)[0].item()
@@ -230,8 +230,8 @@ class TestForwardTrain:
     def test_infeasible_transcripts_skipped(self):
         # 3-block model downsamples 8x; 2-4 frames/token makes transcripts too long
         corpus = tiny_corpus(n=10, length_range=(4, 4))
-        m = model.Model(tiny_cfg(n_blocks=3, src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        m = model.Model(tiny_cfg(n_blocks=3, src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         keep = [u for u in corpus if u.n_frames >= 8]
         assert keep
         batch = data.make_batches(keep, max_frames=400)[0]
@@ -240,7 +240,7 @@ class TestForwardTrain:
 
     def test_saturated_mask_equals_full_sentence(self):
         corpus = tiny_corpus()
-        kw = dict(src_vocab_size=len(corpus.src_vocab), tgt_vocab_size=len(corpus.tgt_vocab))
+        kw = dict(src_vocab_size=len(corpus.src_vocab.tokens), tgt_vocab_size=len(corpus.tgt_vocab.tokens))
         m_inf = model.Model(tiny_cfg(wait_k=model.WAIT_INF, **kw), seed=0)
         m_big = model.Model(tiny_cfg(wait_k=99, **kw), seed=0)
         batch = data.make_batches(corpus, max_frames=200)[0]
@@ -267,8 +267,8 @@ class TestAblationVariants:
     @pytest.mark.parametrize("kw", ABLATIONS)
     def test_variant_trains_one_step(self, kw):
         corpus = tiny_corpus()
-        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab), **kw), seed=0)
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens), **kw), seed=0)
         batch = data.make_batches(corpus, max_frames=200)[0]
         ad.reset_tape()
         loss_st, loss_ctc, _ = m.forward_train(batch)
@@ -289,7 +289,7 @@ class TestAblationVariants:
 def test_loss_decreases_under_training():
     """200 optimizer steps on a fixed tiny batch cut the loss by >= 50%."""
     corpus = tiny_corpus(n=4, seed=9)
-    cfg = tiny_cfg(src_vocab_size=len(corpus.src_vocab), tgt_vocab_size=len(corpus.tgt_vocab))
+    cfg = tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens), tgt_vocab_size=len(corpus.tgt_vocab.tokens))
     m = model.Model(cfg, seed=9)
     batch = data.make_batches(corpus, max_frames=200)[0]
     state = ad.OptimizerState(base_lr=2e-3, warmup=50)
@@ -315,7 +315,7 @@ def test_attention_records_one_op_for_any_head_count():
         m = model.Model(tiny_cfg(n_heads=n_heads), seed=0)
         ad.reset_tape()
         m._tf_forward("semantic.tf0", x, m._self_mask(5), None)
-        tapes.append([(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries])
+        tapes.append([(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape])
     assert tapes[0] == tapes[1]
     assert sum(name.startswith("masked_attention") for name, _ in tapes[1]) == 1
 
@@ -328,7 +328,7 @@ class TestStreamingEncode:
         for state in (None, model.AcousticState()):
             ad.reset_tape()
             states, post = m.acoustic_encode(x, state=state)
-            ops = [(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries]
+            ops = [(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape]
             runs.append((ops, states.data, post.data))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -402,7 +402,7 @@ class TestStreamingDecode:
             ad.reset_tape()
             units = m.semantic_encode(shrunk, state=sem_state)
             logits = m.decode_logits(ids, source, mask, state=dec_state)
-            ops = [(e.vjp.__qualname__, e.out.shape) for e in ad._tape.entries]
+            ops = [(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape]
             runs.append((ops, units.data, logits.data))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -482,8 +482,8 @@ class TestPackedBatch:
     def test_packed_batch_equals_utterances_one_at_a_time(self, kw, compute_st):
         corpus = tiny_corpus(n=7, seed=4, frames_per_token=(3, 5), length_range=(2, 5))
         with ad.using_dtype(np.float64):
-            m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
-                                     tgt_vocab_size=len(corpus.tgt_vocab), **kw), seed=5)
+            m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                     tgt_vocab_size=len(corpus.tgt_vocab.tokens), **kw), seed=5)
             batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
             short = batch.frame_lengths.copy()
             short[2] = 1  # shorter than the downsampling factor: skipped
@@ -498,7 +498,7 @@ class TestPackedBatch:
                 p.zero_grad()
 
             assert batch.ids[2] in diag["skipped_ids"]
-            kept = [i for i in range(len(batch)) if batch.ids[i] not in diag["skipped_ids"]]
+            kept = [i for i in range(len(batch.ids)) if batch.ids[i] not in diag["skipped_ids"]]
             assert len(kept) > 3
             n_tokens = sum(int(batch.target_lengths[i]) + 1 for i in kept)
             ctc_weight = (m.cfg.ctc_loss_weight if compute_st else 1.0) / len(kept)
@@ -524,8 +524,8 @@ class TestPackedBatch:
 
     def test_batch_tape_is_at_most_twice_one_utterance(self):
         corpus = tiny_corpus(n=8, seed=6, frames_per_token=(3, 5))
-        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
         tapes = []
         for b in (batch, one_utterance(batch, 0)):
@@ -534,12 +534,12 @@ class TestPackedBatch:
             m.total_loss(loss_st, loss_ctc)
             assert diag["skipped"] == 0
             tapes.append(ad.tape_length())
-        assert len(batch) == 8 and tapes[0] <= 2 * tapes[1], tapes
+        assert len(batch.ids) == 8 and tapes[0] <= 2 * tapes[1], tapes
 
     def test_skips_are_decided_before_encoding_and_listed(self, caplog):
         corpus = tiny_corpus(n=6, seed=1, frames_per_token=(2, 2), length_range=(3, 3))
-        m = model.Model(tiny_cfg(n_blocks=2, src_vocab_size=len(corpus.src_vocab),
-                                 tgt_vocab_size=len(corpus.tgt_vocab)), seed=0)
+        m = model.Model(tiny_cfg(n_blocks=2, src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
         batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
         short = batch.frame_lengths.copy()
         short[0] = 3
@@ -551,11 +551,11 @@ class TestPackedBatch:
         with caplog.at_level(logging.WARNING, logger="simulst.model"):
             loss_st, loss_ctc, diag = m.forward_train(batch)
         assert loss_st is None and loss_ctc is None and encoded == []
-        assert diag["skipped"] == len(batch) == len(diag["skipped_ids"])
+        assert diag["skipped"] == len(batch.ids) == len(diag["skipped_ids"])
         assert diag["skipped_ids"][batch.ids[0]] == "3 frames < downsampling factor"
         assert diag["skipped_ids"][batch.ids[1]] == "transcript too long for 2 encoder frames"
         assert [r.args[0] for r in caplog.records if r.msg.startswith("skipping")] == batch.ids
-        for i in range(len(batch)):
+        for i in range(len(batch.ids)):
             transcript = batch.source[i, : batch.source_lengths[i]]
             assert model.skip_reason(m.cfg, int(batch.frame_lengths[i]), transcript) is not None
             if i > 0:

@@ -140,23 +140,22 @@ class TestPolicySchedule:
         m = ScriptedModel(cfg, eos_after=7)
         session = streaming.StreamSession(m)
         feats = np.zeros((14, 4), dtype=np.float32)
-        pos, snapshots = 0, []
+        pos, written = 0, []
         while True:
-            action, _ = session.step()
+            action, tokens = session.step()
             if action == streaming.READ:
                 if pos < len(feats):
                     session.push_frames(feats[pos:pos + 1])
                     pos += 1
                 else:
                     session.end_stream()
+            elif action == streaming.WRITE:
+                written += tokens
             else:
-                snapshots.append(session.committed)
-                if action == streaming.FINISH:
-                    break
-        final = snapshots[-1]
-        for snap in snapshots:
-            assert final[: len(snap)] == snap
-        d = session.listen_ms
+                break
+        res = session.finalize()
+        assert res.tokens == written and written
+        d = res.record.token_listen_ms
         assert all(b >= a for a, b in zip(d, d[1:]))
 
     def test_step_after_finish_rejected(self):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -27,7 +28,7 @@ def small_corpus(n=20, seed=0, **kw):
 
 
 def vocab_sizes(corpus):
-    return (len(corpus.src_vocab), len(corpus.tgt_vocab))
+    return (len(corpus.src_vocab.tokens), len(corpus.tgt_vocab.tokens))
 
 
 def settings(**kw):
@@ -93,57 +94,6 @@ class TestCheckpointIO:
                 train.model_from_checkpoint(dataclasses.replace(ckpt, params=params))
 
 
-class TestAveraging:
-    def _ckpts(self, tmp_path, n, vary=True):
-        corpus = small_corpus(6)
-        cfg = small_cfg(vocab_sizes(corpus))
-        paths = []
-        ckpt = train.pretrain_ctc(corpus, cfg, 0, settings())
-        for i in range(n):
-            if vary:
-                ckpt = train.pretrain_ctc(corpus, cfg, 1, settings(), start=ckpt)
-            p = tmp_path / f"ck{i}.ckpt"
-            train.save_checkpoint(ckpt, p)
-            paths.append(p)
-        return paths
-
-    def test_identity_on_identical_checkpoints(self, tmp_path):
-        paths = self._ckpts(tmp_path, 3, vary=False)
-        avg = train.average_checkpoints(paths)
-        ref = train.load_checkpoint(paths[0])
-        for name in ref.params:
-            np.testing.assert_array_equal(avg.params[name], ref.params[name])
-
-    def test_arithmetic_mean(self, tmp_path):
-        paths = self._ckpts(tmp_path, 2, vary=False)
-        a = train.load_checkpoint(paths[0])
-        b = train.load_checkpoint(paths[1])
-        a.params = {k: np.zeros_like(v) for k, v in a.params.items()}
-        b.params = {k: np.full_like(v, 2.0) for k, v in b.params.items()}
-        train.save_checkpoint(a, paths[0])
-        train.save_checkpoint(b, paths[1])
-        avg = train.average_checkpoints(paths)
-        for arr in avg.params.values():
-            np.testing.assert_allclose(arr, 1.0)
-
-    def test_last_m_selected(self, tmp_path):
-        paths = self._ckpts(tmp_path, 3, vary=True)
-        avg_last2 = train.average_checkpoints(paths, m=2)
-        avg_alias = train.average_checkpoints(paths[-2:])
-        for name in avg_last2.params:
-            np.testing.assert_array_equal(avg_last2.params[name], avg_alias.params[name])
-
-    def test_fingerprint_mismatch_rejected(self, tmp_path):
-        corpus = small_corpus(6)
-        ck1 = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings())
-        ck2 = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus), d_model=32), 0, settings())
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        train.save_checkpoint(ck1, p1)
-        train.save_checkpoint(ck2, p2)
-        with pytest.raises(train.FingerprintMismatch):
-            train.average_checkpoints([p1, p2])
-
-
 class TestResumeDeterminism:
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_split_training_is_bit_identical(self, tmp_path, stage):
@@ -167,6 +117,22 @@ class TestResumeDeterminism:
         assert full.opt.step == resumed.opt.step
         for name in full.params:
             np.testing.assert_array_equal(full.params[name], resumed.params[name])
+
+    def test_resume_leaves_the_checkpoint_as_it_was(self):
+        corpus = small_corpus(8)
+        cfg = small_cfg(vocab_sizes(corpus))
+        ck = train.pretrain_ctc(corpus, cfg, 1, settings())
+        before = copy.deepcopy(ck)
+        a = train.pretrain_ctc(corpus, cfg, 1, settings(), start=ck)
+        b = train.pretrain_ctc(corpus, cfg, 1, settings(), start=ck)
+        assert a.opt.step == b.opt.step == 2 * before.opt.step
+        for name in a.params:
+            np.testing.assert_array_equal(a.params[name], b.params[name])
+        assert ck.opt.step == before.opt.step and ck.rng_state == before.rng_state
+        for table, old in ((ck.params, before.params), (ck.opt.m, before.opt.m), (ck.opt.v, before.opt.v)):
+            assert set(table) == set(old)
+            for name in old:
+                np.testing.assert_array_equal(table[name], old[name])
 
     def test_wrong_fingerprint_rejected(self):
         corpus = small_corpus(6)
@@ -263,20 +229,24 @@ class TestEvaluate:
         assert a["bleu"] == b["bleu"]
         assert [r["hypothesis"] for r in a["rows"]] == [r["hypothesis"] for r in b["rows"]]
 
-    def test_token_accuracy_bounds(self):
-        corpus = small_corpus(5)
-        m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=0)
-        acc = train.token_accuracy(m, corpus)
-        assert 0.0 <= acc <= 1.0
-
 
 class TestNoUpdates:
-    def test_default_configs_fail_loudly(self):
+    def test_default_configs_train(self):
+        # every batch of the default task updates the default model in both stages
+        corpus = data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 3)
+        cfg = model.ModelConfig()
+        batches = data.make_batches(corpus, settings().max_frames)
+        pre = train.pretrain_ctc(corpus, cfg, 1, settings())
+        tuned = train.finetune(corpus, pre, cfg, 1, settings())
+        assert pre.opt.step == tuned.opt.step == len(batches)
+
+    def test_too_few_frames_per_token_fail_loudly(self):
         # 8x downsampling leaves too few encoder frames for 2-5 frames per
         # token, so every utterance is CTC-infeasible and no batch trains
-        corpus = data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 3)
-        cfg = model.ModelConfig(src_vocab_size=len(corpus.src_vocab),
-                                tgt_vocab_size=len(corpus.tgt_vocab))
+        task = data.SyntheticTaskConfig(frames_per_token=(2, 5))
+        corpus = data.generate_synthetic_corpus(task, 3)
+        cfg = model.ModelConfig(src_vocab_size=len(corpus.src_vocab.tokens),
+                                tgt_vocab_size=len(corpus.tgt_vocab.tokens))
         with pytest.raises(train.NoUpdatesError):
             train.pretrain_ctc(corpus, cfg, 1, settings())
         start = train.pretrain_ctc(corpus, cfg, 0, settings())
@@ -284,20 +254,20 @@ class TestNoUpdates:
             train.finetune(corpus, start, cfg, 1, settings())
 
 
-def test_evaluate_summary_is_the_trace_summary(tmp_path):
-    # one aggregation rule: scoring the traces evaluate wrote gives its summary
+def test_trace_writes_are_the_reported_hypotheses(tmp_path):
+    # the trace file and the report describe the same run
     corpus = small_corpus(5)
     m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=0)
     traces = []
     report = train.evaluate(corpus, m, beam_size=2, trace_sink=traces)
     path = tmp_path / "trace.tsv"
     metrics.write_trace_file(path, traces)
-    refs = {u.id: corpus.tgt_vocab.decode(u.target) for u in corpus}
-    scored = metrics.score_traces(metrics.read_trace_file(path), refs)
-    assert scored["bleu"] == report["bleu"]
-    assert scored["mean_ap"] == pytest.approx(report["mean_ap"])
-    assert scored["mean_al"] == pytest.approx(report["mean_al"])
-    assert [r["hypothesis"] for r in scored["rows"]] == [r["hypothesis"] for r in report["rows"]]
+    written = {u.id: [] for u in corpus}
+    for line in path.read_text().splitlines():
+        utt_id, _, action, payload = line.split("\t")
+        if action == "WRITE":
+            written[utt_id] += payload.split()
+    assert [" ".join(written[r["id"]]) for r in report["rows"]] == [r["hypothesis"] for r in report["rows"]]
 
 
 def test_log_line_ends_with_the_batch_skip_count(tmp_path):
@@ -308,7 +278,7 @@ def test_log_line_ends_with_the_batch_skip_count(tmp_path):
     expected = []
     for batch in data.make_batches(corpus, st.max_frames):
         reasons = [model.skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
-                   for i in range(len(batch))]
+                   for i in range(len(batch.ids))]
         if None in reasons:
             expected.append(sum(r is not None for r in reasons))
     assert sum(expected) > 0
