@@ -5,9 +5,9 @@
 Blank-limited CTC pre-training of the acoustic encoder, joint fine-tuning
 of the whole model, then simultaneous decoding of held-out utterances,
 scored by BLEU, AP and AL. Writes ``train.log`` (one row per optimizer
-step), ``model.ckpt``, ``report.tsv`` (one row per held-out utterance plus
-SUMMARY) and ``trace.tsv`` (the sessions' read/write actions) to OUT_DIR
-and prints the SUMMARY line.
+step, its last column the stage), ``model.ckpt``, ``report.tsv`` (one row
+per held-out utterance plus SUMMARY) and ``trace.tsv`` (the sessions'
+read/write actions) to OUT_DIR and prints the SUMMARY line.
 """
 
 from __future__ import annotations

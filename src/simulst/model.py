@@ -10,6 +10,12 @@ block-diagonal (causal blocks for self-attention, the wait-k-stride-n rule
 for cross-attention) and positions restart with each utterance; only the
 CTC forward algorithm runs per utterance, on its rows. One utterance is the
 packed case with one sequence.
+
+The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
+and the CTC grid, ``semantic_encode`` turns shrunk segment states into
+source units, and ``decode_logits`` takes those units. A stream calls the
+same three methods with a ``StreamState`` each, which carries the stage's
+caches from one call to the next.
 """
 
 from __future__ import annotations
@@ -86,6 +92,9 @@ class ModelConfig:
             raise ValueError("need at least 2 convs per block (the second carries stride 2)")
         if len(self.conv_lookahead) != self.convs_per_block:
             raise ValueError("conv_lookahead needs one entry per conv in a block")
+        if not all(0 <= a < self.conv_kernel for a in self.conv_lookahead):
+            raise ValueError(f"conv_lookahead entries must lie in [0, {self.conv_kernel - 1}], "
+                             f"got {self.conv_lookahead}")
         if self.n_heads < 1 or self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         check_schedule(self.wait_k, self.stride_n)
@@ -224,73 +233,36 @@ def packed_positions(lengths, d: int, dtype, start: int = 0) -> np.ndarray:
 
 
 @dataclass
-class AcousticState:
-    """What one stream's acoustic encoder keeps between calls.
+class StreamState:
+    """What one stream keeps of one stage (the acoustic encoder, the
+    semantic encoder or the decoder) between calls.
 
-    ``conv`` holds, per conv, the input rows its next outputs still read:
-    the left context of the next output's window and any rows after it.
-    ``kv`` holds, per self-attention layer, the keys and values of every
-    row computed so far. A fresh state is the start of a stream: zero left
-    context and empty caches. Rows carried between calls are constants to
-    the tape, so a live state serves inference only.
+    ``rows`` counts the rows the semantic encoder or the decoder has
+    computed so far, source units or decoder rows; the next rows take the
+    positions after them. (The acoustic encoder's blocks, each of its own
+    length, read their counts off ``kv``.) ``kv`` holds, per attention
+    layer, the keys and values of those rows, and for the decoder's
+    cross-attention those of the source units seen so far. ``conv`` holds,
+    per conv of the acoustic encoder, the input rows its next outputs still
+    read: the left context of the next output's window and any rows after
+    it. A fresh state is the start of a stream: zero left context and empty
+    caches. Every call extends the state; ``fork`` gives a copy whose
+    extension leaves this one as it is. Rows carried between calls are
+    constants to the tape, so a live state serves inference only.
     """
 
+    rows: int = 0
+    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
     conv: dict[str, np.ndarray] = field(default_factory=dict)
-    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
 
-
-@dataclass
-class SemanticState:
-    """What one stream's semantic encoder keeps between calls: the count of
-    units encoded so far and, per self-attention layer, their keys and
-    values. Like ``AcousticState``, a live state serves inference only."""
-
-    units: int = 0
-    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
-
-
-@dataclass
-class DecoderState:
-    """What one stream's decoder keeps between calls.
-
-    ``ids`` are the input tokens of the rows computed so far; ``kv`` holds,
-    per decoder layer, the self-attention keys and values of those rows and
-    the cross-attention keys and values of the source units seen so far.
-    Every call extends both; ``fork`` gives a copy whose extension leaves
-    this state as it is. A live state serves inference only.
-    """
-
-    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def fork(self) -> "DecoderState":
-        return DecoderState(dict(self.kv), self.ids)
+    def fork(self) -> "StreamState":
+        return StreamState(self.rows, dict(self.kv), dict(self.conv))
 
 
 def _cached_rows(kv: dict, prefix: str) -> int:
     """Rows (or source units) whose keys and values ``kv`` holds under ``prefix``."""
     past = kv.get(prefix)
     return 0 if past is None else past[0].shape[0]
-
-
-@dataclass
-class EncoderOutput:
-    """Everything the decoder and the policy need about one source prefix,
-    or about the packed utterances of a batch."""
-
-    states: Tensor  # [T', d_model] acoustic states
-    posteriors: Optional[Tensor]  # [T', |V|+1] CTC grid, blank last
-    path: Optional[np.ndarray]  # greedy labels, BLANK sentinel for blank
-    segments: Optional[ctc_mod.SegmentSet]
-    units: Tensor  # [S, d_model] decoder-facing source states
-    ctc_logits: Optional[Tensor] = None  # [T', |V|+1], the grid before its softmax
-    frame_lengths: Optional[np.ndarray] = None  # encoder frames per utterance
-    segment_counts: Optional[np.ndarray] = None  # CTC segments per utterance
-    unit_lengths: Optional[np.ndarray] = None  # units per utterance
-
-    @property
-    def n_units(self) -> int:
-        return self.units.shape[0]
 
 
 class Model:
@@ -426,7 +398,7 @@ class Model:
             mask[:, past:] &= same_sequence(lengths, lengths)
         return mask
 
-    def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[AcousticState],
+    def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[StreamState],
               end: bool) -> tuple[Tensor, np.ndarray]:
         """One conv plus ReLU over packed sequences of ``lengths`` rows, or
         over a stream's new rows when ``state`` is given; returns the
@@ -450,7 +422,7 @@ class Model:
         state.conv[name] = rows[y.shape[0] * stride:]
         return ad.relu(ad.add(y, self.params[f"{name}.b"])), np.array([y.shape[0]])
 
-    def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[AcousticState], end: bool,
+    def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[StreamState], end: bool,
                         lengths) -> Tensor:
         cfg = self.cfg
         if state is None:
@@ -502,7 +474,7 @@ class Model:
         logits = self._affine("ctc.out", ad.relu(self._affine("ctc.hidden", states)))
         return logits, ad.softmax(logits, axis=-1)
 
-    def acoustic_encode(self, features: np.ndarray, rng=None, state: AcousticState | None = None,
+    def acoustic_encode(self, features: np.ndarray, rng=None, state: StreamState | None = None,
                         end: bool = True, lengths=None) -> tuple[Tensor, Optional[Tensor]]:
         """Conv-Transformer stack plus the CTC grid (None when CTC is off).
 
@@ -517,7 +489,7 @@ class Model:
         states = self._acoustic_stack(features, rng, state, end, lengths)
         return states, self._ctc_head(states)[1]
 
-    def semantic_encode(self, shrunk: Tensor, rng=None, state: SemanticState | None = None,
+    def semantic_encode(self, shrunk: Tensor, rng=None, state: StreamState | None = None,
                         lengths=None) -> Tensor:
         """Self-attention stack over shrunk segment states, one row per unit.
 
@@ -529,51 +501,23 @@ class Model:
         the caches are extended by them.
         """
         if state is None:
-            state = SemanticState()
+            state = StreamState()
         elif not self.cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         elif lengths is not None:
             raise ValueError("a stream is one sequence; it takes no sequence lengths")
-        past = state.units
+        past = state.rows
         lengths = [shrunk.shape[0]] if lengths is None else lengths
         pos = packed_positions(lengths, self.cfg.d_model, shrunk.data.dtype, past)
         x = ad.add(shrunk, Tensor(pos, dtype=shrunk.data.dtype))
         mask = self._self_mask(lengths, past)
         for l in range(self.cfg.semantic_layers):
             x = self._tf_forward(f"semantic.tf{l}", x, mask, rng, kv_cache=state.kv)
-        state.units += x.shape[0]
+        state.rows += x.shape[0]
         return x
 
-    def _encode_frames(self, features: np.ndarray, rng, lengths) -> EncoderOutput:
-        """Acoustic encoding, CTC grid, greedy path and segments of packed
-        utterances; the units are the encoder frames."""
-        states = self._acoustic_stack(features, rng, None, True, lengths)
-        logits, posteriors = self._ctc_head(states)
-        frames = output_length(self.cfg, np.array([features.shape[0]] if lengths is None else lengths))
-        enc = EncoderOutput(states, posteriors, None, None, states, logits, frames, unit_lengths=frames)
-        if posteriors is not None:
-            enc.path = ctc_mod.greedy_path(posteriors)
-            enc.segments = ctc_mod.detect_boundaries(enc.path, frames)
-            starts = np.array([start for start, _ in enc.segments])
-            enc.segment_counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
-        return enc
-
-    def encode_source(self, features: np.ndarray, rng=None, lengths=None) -> EncoderOutput:
-        """Acoustic encoding, boundary detection, shrinking, semantic
-        encoding; of one utterance, or of the consecutive utterances of
-        ``lengths`` input frames, all in one pass."""
-        cfg = self.cfg
-        enc = self._encode_frames(features, rng, lengths)
-        if cfg.use_ctc and cfg.use_shrink:
-            blank_probs = ad.col(enc.posteriors, cfg.blank_index)
-            shrunk = shrink_mod.shrink_states(enc.states, blank_probs, enc.path, enc.segments,
-                                              cfg.shrink_config)
-            enc.unit_lengths = enc.segment_counts
-            enc.units = self.semantic_encode(shrunk, rng, lengths=enc.unit_lengths)
-        return enc
-
-    def decode_logits(self, prefix_ids: np.ndarray, source: EncoderOutput, cross_mask: np.ndarray,
-                      rng=None, state: DecoderState | None = None, lengths=None) -> Tensor:
+    def decode_logits(self, prefix_ids: np.ndarray, units: Tensor, cross_mask: np.ndarray,
+                      rng=None, state: StreamState | None = None, lengths=None) -> Tensor:
         """Decoder logits, one row per input row; ``cross_mask[i, j]`` lets
         row i see source unit j.
 
@@ -588,8 +532,8 @@ class Model:
         """
         cfg = self.cfg
         if state is None:
-            state = DecoderState()
-        n_rows, past = len(prefix_ids), len(state.ids)
+            state = StreamState()
+        n_rows, past = len(prefix_ids), state.rows
         lengths = np.array([n_rows] if lengths is None else lengths, dtype=np.int64)
         if lengths.sum() != n_rows or (lengths < 1).any():
             raise ValueError(f"{n_rows} rows do not split into blocks of {lengths.tolist()}")
@@ -598,11 +542,11 @@ class Model:
         x = ad.dropout(ad.add(emb, Tensor(pos, dtype=emb.data.dtype)), cfg.dropout, rng)
         self_mask = self._self_mask(lengths, past, causal=True)
         seen = _cached_rows(state.kv, "decoder.tf0.xattn")
-        units = source.units if seen == 0 else Tensor(source.units.data[seen:])
+        units = units if seen == 0 else Tensor(units.data[seen:])
         for l in range(cfg.decoder_layers):
             x = self._tf_forward(f"decoder.tf{l}", x, self_mask, rng,
                                  cross_kv=units, cross_mask=cross_mask, kv_cache=state.kv)
-        state.ids = np.concatenate([state.ids, prefix_ids])
+        state.rows += n_rows
         return self._affine("decoder.out", self._norm_of("decoder.ln_out", x))
 
     # -- training objective -------------------------------------------------
@@ -631,24 +575,35 @@ class Model:
             return None, None, diagnostics
         lengths = batch.frame_lengths[keep]
         feats = np.concatenate([batch.features[i, :n] for i, n in zip(keep, lengths)])
-        enc = self.encode_source(feats, rng, lengths) if compute_st else self._encode_frames(feats, rng, lengths)
+        states = self._acoustic_stack(feats, rng, None, True, lengths)
+        ctc_logits, posteriors = self._ctc_head(states)
+        frames = output_length(cfg, lengths)
+        units, unit_lengths = states, frames  # without shrinking the units are the encoder frames
         loss_ctc = None
         if cfg.use_ctc:
+            path = ctc_mod.greedy_path(posteriors)
+            segments = ctc_mod.detect_boundaries(path, frames)
+            starts = np.array([start for start, _ in segments])
+            counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
+            if compute_st and cfg.use_shrink:
+                shrunk = shrink_mod.shrink_states(states, ad.col(posteriors, cfg.blank_index), path, segments,
+                                                  cfg.shrink_config)
+                units, unit_lengths = self.semantic_encode(shrunk, rng, lengths=counts), counts
             transcripts = [batch.source[i, : batch.source_lengths[i]] for i in keep]
             loss_ctc = ctc_mod.blank_limited_ctc_loss(
-                ad.log_softmax(enc.ctc_logits, axis=-1), enc.posteriors, transcripts, enc.frame_lengths,
+                ad.log_softmax(ctc_logits, axis=-1), posteriors, transcripts, frames,
                 lam=cfg.blank_penalty_weight, mode=cfg.blank_penalty_mode,
             )
-            diagnostics["blank_fraction"] = float((enc.path == ctc_mod.BLANK).mean())
-            diagnostics["segment_counts"] = enc.segment_counts.tolist()
+            diagnostics["blank_fraction"] = float((path == ctc_mod.BLANK).mean())
+            diagnostics["segment_counts"] = counts.tolist()
         if not compute_st:
             return None, loss_ctc, diagnostics
         translations = [batch.target[i, : batch.target_lengths[i]] for i in keep]
         prefix = np.concatenate([np.concatenate([[EOS], y]) for y in translations])
         target_out = np.concatenate([np.concatenate([y, [EOS]]) for y in translations])
         rows = batch.target_lengths[keep] + 1
-        mask = build_cross_attention_mask(cfg.wait_k, cfg.stride_n, rows, enc.unit_lengths)
-        logits = self.decode_logits(prefix, enc, mask, rng, lengths=rows)
+        mask = build_cross_attention_mask(cfg.wait_k, cfg.stride_n, rows, unit_lengths)
+        logits = self.decode_logits(prefix, units, mask, rng, lengths=rows)
         loss_st = ad.cross_entropy(logits, target_out, PAD)
         diagnostics["tokens"] = len(target_out)
         return loss_st, loss_ctc, diagnostics

@@ -80,52 +80,28 @@ def _shrink(states: Tensor, blank_probs: Tensor | None, segments: SegmentSet, mu
     return ad.record_op(out, inputs, vjp)
 
 
-def weighted_shrink(
-    states: Tensor,
-    blank_probs: Tensor,
-    segments: SegmentSet,
-    cfg: ShrinkConfig = ShrinkConfig(),
-) -> Tensor:
-    """One output row per segment, one recorded op; gradients flow into
-    states and, except in ``argmax_frame`` mode, blank_probs."""
+def shrink_states(states: Tensor, blank_probs: Tensor, path, segments: SegmentSet,
+                  cfg: ShrinkConfig) -> Tensor:
+    """One output row per segment, one recorded op. The mode picks each
+    segment's frame weights: ``weighted`` the softmax of temperature *
+    (1 - p_blank), ``average`` equal ones, ``argmax_frame`` the earliest
+    frame of least blank probability, and ``drop_blank`` (the prior-work
+    baseline) an average of the frames the greedy ``path`` labels
+    non-blank, of all of them when every one is blank. Gradients flow into
+    states and, in the first two modes, blank_probs."""
     _check_inputs(states, blank_probs, segments)
-    if cfg.mode == "drop_blank":
-        raise ValueError("drop_blank mode needs the greedy path; call drop_blank_shrink")
-    weights = None
-    if cfg.mode == "argmax_frame":
-        # hard selection: earliest frame with minimal blank probability
-        weights = []
-        for start, stop in segments:
-            w = np.zeros((1, stop - start), dtype=states.data.dtype)
-            w[0, int(np.argmin(blank_probs.data[start:stop]))] = 1.0
-            weights.append(w)
-    return _shrink(states, blank_probs, segments, 0.0 if cfg.mode == "average" else cfg.temperature,
-                   weights)
-
-
-def drop_blank_shrink(states: Tensor, path, segments: SegmentSet) -> Tensor:
-    """Prior-work baseline: average only non-blank frames per segment,
-    falling back to a plain average when a segment is entirely blank."""
-    path = np.asarray(path)
-    if segments.total_frames != states.shape[0] or path.size != states.shape[0]:
-        raise ValueError("states, path, and segments must agree on frame count")
+    if cfg.mode in ("weighted", "average"):
+        return _shrink(states, blank_probs, segments, cfg.temperature if cfg.mode == "weighted" else 0.0,
+                       None)
+    if cfg.mode == "drop_blank" and len(path) != states.shape[0]:
+        raise ValueError(f"path has {len(path)} labels, states have {states.shape[0]} frames")
     weights = []
     for start, stop in segments:
-        keep = path[start:stop] != ctc.BLANK
-        if not keep.any():
-            keep = np.ones(stop - start, dtype=bool)
+        if cfg.mode == "argmax_frame":
+            keep = np.arange(stop - start) == np.argmin(blank_probs.data[start:stop])
+        else:
+            keep = np.asarray(path[start:stop]) != ctc.BLANK
+            if not keep.any():
+                keep = np.ones(stop - start, dtype=bool)
         weights.append((keep / keep.sum()).astype(states.data.dtype).reshape(1, -1))
     return _shrink(states, None, segments, 0.0, weights)
-
-
-def shrink_states(
-    states: Tensor,
-    blank_probs: Tensor,
-    path,
-    segments: SegmentSet,
-    cfg: ShrinkConfig,
-) -> Tensor:
-    """Dispatch on the configured mode (drop_blank needs the greedy path)."""
-    if cfg.mode == "drop_blank":
-        return drop_blank_shrink(states, path, segments)
-    return weighted_shrink(states, blank_probs, segments, cfg)

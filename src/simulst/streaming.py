@@ -1,28 +1,32 @@
 """Incremental wait-k-stride-n inference.
 
 A session consumes audio frames and finalizes encoder outputs once their
-look-ahead window is satisfied. The acoustic encoder keeps a per-stream
-state and computes each output frame once, at the input length where it
-becomes final; those lengths do not depend on how the caller chunks the
-audio, so any chunking yields the same run. Finalized values match an
-offline pass up to float rounding (the two compute the same sums over
-row blocks of different sizes). The session detects segment boundaries
-online and alternates reading n new source units with beam-reranked
-writes of n tokens. The encoder must be unidirectional: a bidirectional
-one is rejected with ``NonCausalEncoderError``.
+look-ahead window is satisfied. Each of the model's three stages, the
+acoustic encoder, the semantic encoder and the decoder, keeps one
+``model.StreamState`` per session: its conv context (acoustic encoder
+only), its per-layer keys and values, and the count of rows it has
+computed. The acoustic encoder computes each output frame once, at the
+input length where it becomes final; those lengths do not depend on how
+the caller chunks the audio, so any chunking yields the same run.
+Finalized values match an offline pass up to float rounding (the two
+compute the same sums over row blocks of different sizes). The session
+detects segment boundaries online and alternates reading n new source
+units with beam-reranked writes of n tokens. The encoder must be
+unidirectional: a bidirectional one is rejected with
+``NonCausalEncoderError``.
 
-The semantic encoder and the decoder keep per-stream state too, and both
-are extended only at writes. A write that may see ``visible`` units first
-shrinks and semantic-encodes the units in [encoded, visible), over the
-cached ones, and gives their cross-attention keys and values to every
-decoder layer. Beam step 0 then extends the decoder's self-attention cache
-by the rows of [EOS] + committed it lacks: a row's cross-attention is fixed
-once the token it predicts is committed, so from that write on it is final.
-Later beam steps score all live hypotheses in one decoder call on a fork of
-that cache and leave it as it was. Both ends of every extension come from
+The semantic encoder's and the decoder's states are extended only at
+writes. A write that may see ``visible`` units first shrinks and
+semantic-encodes the units in [encoded, visible), over the cached ones,
+and gives their cross-attention keys and values to every decoder layer.
+Beam step 0 then extends the decoder's self-attention cache by the rows
+of [EOS] + committed it lacks: a row's cross-attention is fixed once the
+token it predicts is committed, so from that write on it is final. Later
+beam steps score all live hypotheses in one decoder call on a fork of
+that state and leave it as it was. Both ends of every extension come from
 the schedule (units visible, tokens committed), never from when audio
-arrived, so row blocks, and with them float rounding, do not depend on the
-chunking either.
+arrived, so row blocks, and with them float rounding, do not depend on
+the chunking either.
 
 Listening times d(y_i) are stamped with the minimal audio prefix that
 completed the stride's required unit, which makes them invariant to how
@@ -45,7 +49,7 @@ from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
 from .data import EOS
-from .model import EncoderOutput, Model, NonCausalEncoderError
+from .model import Model, NonCausalEncoderError
 
 READ, WRITE, FINISH = "read", "write", "finish"
 
@@ -117,14 +121,14 @@ class StreamSession:
         self.tgt_vocab = tgt_vocab
         self.unit_kind = "segment" if (cfg.use_ctc and cfg.use_shrink) else "frame"
         self.stats = SessionStats()
-        self._enc_state = model_mod.AcousticState()
+        self._enc_state = model_mod.StreamState()
         self._n_fed = 0  # input frames pushed
         self._unencoded = np.zeros((0, cfg.d_feat), dtype=np.float32)  # pushed, not yet encoded
         self._states: list[np.ndarray] = []  # finalized acoustic states, in chunks
         self._posteriors: list[np.ndarray] = []  # their CTC rows, when CTC is on
         self._n_final = 0
-        self._semantic = model_mod.SemanticState()
-        self._decoder = model_mod.DecoderState()
+        self._semantic = model_mod.StreamState()
+        self._decoder = model_mod.StreamState()
         self._units: list[np.ndarray] = []  # source units encoded for the decoder, in chunks
         self._labels = np.zeros(0, dtype=np.int64)
         self._segments: list[tuple[int, int]] = []
@@ -204,7 +208,9 @@ class StreamSession:
         if self._ended:
             raise RuntimeError("push_frames after end-of-stream")
         cfg = self.model.cfg
-        frames = np.asarray(frames, dtype=np.float32).reshape(-1, cfg.d_feat)
+        frames = np.asarray(frames, dtype=np.float32)
+        if frames.ndim != 2 or frames.shape[1] != cfg.d_feat:
+            raise ValueError(f"push_frames takes [n, {cfg.d_feat}] frames, got shape {frames.shape}")
         rows = np.concatenate([self._unencoded, frames])
         first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
         horizon = model_mod.effective_lookahead_frames(cfg)
@@ -239,7 +245,7 @@ class StreamSession:
 
     # -- decoding --------------------------------------------------------------
 
-    def _visible_source(self, visible: int) -> EncoderOutput:
+    def _visible_source(self, visible: int) -> Tensor:
         """Source units [0, visible); those not yet encoded are shrunk and
         semantic-encoded now, over the cached ones, so each unit is encoded once."""
         encoded = sum(u.shape[0] for u in self._units)
@@ -260,24 +266,23 @@ class StreamSession:
                     self._units.append(self.model.semantic_encode(shrunk, state=self._semantic).data)
                 self.stats.semantic_encode_calls += 1
                 self.stats.semantic_units += len(segs)
-        units = Tensor(_joined(self._units))
-        return EncoderOutput(units, None, None, None, units)
+        return Tensor(_joined(self._units))
 
-    def _score(self, source: EncoderOutput, rows: list[int], vis_rows: list[int],
-               state: model_mod.DecoderState, hyps: int = 1) -> list[np.ndarray]:
+    def _score(self, units: Tensor, rows: list[int], vis_rows: list[int],
+               state: model_mod.StreamState, hyps: int = 1) -> list[np.ndarray]:
         """Log-probabilities of the next token after each of ``hyps`` equal
         blocks of ``rows``, which continue the rows ``state`` holds; row j
         sees the first ``vis_rows[j]`` source units."""
-        mask = np.arange(source.n_units)[None, :] < np.array(vis_rows)[:, None]
+        mask = np.arange(units.shape[0])[None, :] < np.array(vis_rows)[:, None]
         with ad.no_grad():
-            logits = self.model.decode_logits(np.array(rows, dtype=np.int64), source, mask,
+            logits = self.model.decode_logits(np.array(rows, dtype=np.int64), units, mask,
                                               state=state, lengths=[len(rows) // hyps] * hyps)
         self.stats.decode_logits_calls += 1
         self.stats.hypotheses_scored += hyps
         ends = logits.data[len(rows) // hyps - 1::len(rows) // hyps]
         return [_log_softmax_row(row.astype(np.float64)) for row in ends]
 
-    def _beam_stride(self, source: EncoderOutput, visible: int, stride_len: int) -> list[BeamHypothesis]:
+    def _beam_stride(self, units: Tensor, visible: int, stride_len: int) -> list[BeamHypothesis]:
         """Beam search over the next ``stride_len`` tokens, one decoder call
         per step. Step 0 extends the decoder state by the rows not yet in it,
         [EOS] + committed, whose cross-attention is final from this write on,
@@ -287,14 +292,14 @@ class StreamSession:
         beams = [BeamHypothesis((), 0.0)]
         for step in range(stride_len):
             if step == 0:
-                cached = len(self._decoder.ids)
+                cached = self._decoder.rows
                 rows = ([EOS] + self._committed)[cached:]
                 vis_rows = (self._visibility + [visible])[cached:]
-                scores = iter(self._score(source, rows, vis_rows, self._decoder))
+                scores = iter(self._score(units, rows, vis_rows, self._decoder))
             else:
                 live = [h for h in beams if not h.ended]
                 rows = [tok for h in live for tok in h.tokens]
-                scores = iter(self._score(source, rows, [visible] * len(rows),
+                scores = iter(self._score(units, rows, [visible] * len(rows),
                                           self._decoder.fork(), len(live)))
             candidates = []
             for hyp in beams:
@@ -331,8 +336,8 @@ class StreamSession:
             visible = int(self._next_budget())
             stamp = self._unit_ready_ms[visible - 1]
         self._last_stamp = stamp
-        source = self._visible_source(visible)
-        best = self._beam_stride(source, visible, self._stride_len())[0]
+        units = self._visible_source(visible)
+        best = self._beam_stride(units, visible, self._stride_len())[0]
         committed = []
         for tok in best.tokens:
             if tok == EOS:

@@ -178,7 +178,7 @@ class TrainSettings:
     warmup: int = 400
     max_frames: int = 2000
     seed: int = 1
-    log_path: Optional[str] = None
+    log_path: Optional[str] = None  # appends a "step lr st ctc blank skipped stage" row per update
 
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
@@ -241,7 +241,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                 if log_fh:
                     ctc_val = loss_ctc.item() if loss_ctc is not None else float("nan")
                     log_fh.write(f"{opt.step}\t{lr:.6g}\t{st_val:.6g}\t{ctc_val:.6g}\t"
-                                 f"{diag['blank_fraction']:.4f}\t{diag['skipped']}\n")
+                                 f"{diag['blank_fraction']:.4f}\t{diag['skipped']}\t{stage}\n")
             if updates == 0:
                 raise NoUpdatesError(
                     f"{stage} epoch {epoch + 1} made no update: no batch had an utterance "

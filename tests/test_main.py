@@ -30,4 +30,7 @@ def test_tiny_recipe_end_to_end(tmp_path, monkeypatch, capsys):
     m = train.model_from_checkpoint(train.load_checkpoint(out / "model.ckpt"))
     assert m.cfg == driver.MODEL
     log = [row.split("\t") for row in (out / "train.log").read_text().splitlines()]
-    assert log and all(len(row) == 6 for row in log)
+    assert log and all(len(row) == 7 for row in log)
+    stages = [row[-1] for row in log]
+    n_pretrain, n_finetune = stages.count("pretrain"), stages.count("finetune")
+    assert n_pretrain and n_finetune and stages == ["pretrain"] * n_pretrain + ["finetune"] * n_finetune

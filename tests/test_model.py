@@ -325,7 +325,7 @@ class TestStreamingEncode:
         m = model.Model(tiny_cfg(n_blocks=2), seed=0)
         x = np.random.default_rng(0).normal(size=(23, 6)).astype(np.float32)
         runs = []
-        for state in (None, model.AcousticState()):
+        for state in (None, model.StreamState()):
             ad.reset_tape()
             states, post = m.acoustic_encode(x, state=state)
             ops = [(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape]
@@ -343,7 +343,7 @@ class TestStreamingEncode:
             m = model.Model(cfg, seed=2)
             with ad.no_grad():
                 whole, whole_post = m.acoustic_encode(x)
-                state = model.AcousticState()
+                state = model.StreamState()
                 outs, pos = [], 0
                 for n in sizes:
                     outs.append(m.acoustic_encode(x[pos:pos + n], state=state, end=False))
@@ -371,6 +371,8 @@ class TestStreamingEncode:
     dict(n_heads=0),
     dict(wait_k=1.5),
     dict(stride_n=1.5),
+    dict(conv_lookahead=(0, 0, 5)),  # a conv of kernel 3 reads at most 2 future frames
+    dict(conv_lookahead=(0, -1, 1)),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError):
@@ -388,8 +390,7 @@ class TestStreamingDecode:
     and a state carried over calls gives the rows of one whole call."""
 
     def _source(self, m, n_units, seed=0):
-        units = ad.Tensor(np.random.default_rng(seed).normal(size=(n_units, m.cfg.d_model)))
-        return model.EncoderOutput(units, None, None, None, units)
+        return ad.Tensor(np.random.default_rng(seed).normal(size=(n_units, m.cfg.d_model)))
 
     def test_fresh_state_records_the_plain_tape(self):
         m = model.Model(tiny_cfg(semantic_layers=2, decoder_layers=2), seed=0)
@@ -398,7 +399,7 @@ class TestStreamingDecode:
         ids = np.array([data.EOS, 3, 4, 5])
         mask = model.build_cross_attention_mask(2, 2, 4, 5)
         runs = []
-        for sem_state, dec_state in ((None, None), (model.SemanticState(), model.DecoderState())):
+        for sem_state, dec_state in ((None, None), (model.StreamState(), model.StreamState())):
             ad.reset_tape()
             units = m.semantic_encode(shrunk, state=sem_state)
             logits = m.decode_logits(ids, source, mask, state=dec_state)
@@ -415,7 +416,7 @@ class TestStreamingDecode:
             m = model.Model(tiny_cfg(semantic_layers=2), seed=1)
             with ad.no_grad():
                 whole = m.semantic_encode(ad.Tensor(shrunk))
-                state, parts, pos = model.SemanticState(), [], 0
+                state, parts, pos = model.StreamState(), [], 0
                 for n in sizes:
                     parts.append(m.semantic_encode(ad.Tensor(shrunk[pos:pos + n]), state=state).data)
                     pos += n
@@ -431,15 +432,14 @@ class TestStreamingDecode:
             source = self._source(m, 6, seed=2)
 
             def visible(n_units):
-                units = ad.Tensor(source.units.data[:n_units])
-                return model.EncoderOutput(units, None, None, None, units)
+                return ad.Tensor(source.data[:n_units])
 
             def whole(ids, rows_vis):
                 mask = np.arange(6)[None, :] < np.array(rows_vis)[:, None]
                 return m.decode_logits(np.array(ids), source, mask).data
 
             with ad.no_grad():
-                state = model.DecoderState()
+                state = model.StreamState()
                 first = m.decode_logits(np.array([data.EOS, 3]), visible(2), np.ones((2, 2), dtype=bool),
                                         state=state).data
                 second = m.decode_logits(np.array([4]), source, np.arange(6)[None, :] < 4, state=state).data
@@ -447,7 +447,7 @@ class TestStreamingDecode:
                                           state=state.fork(), lengths=[2, 2, 2]).data
                 expect = whole([data.EOS, 3, 4], vis)
                 expect_blocks = [whole([data.EOS, 3, 4] + b, vis + [6, 6])[3:] for b in blocks]
-        assert list(state.ids) == [data.EOS, 3, 4]  # the fork left the state as it was
+        assert state.rows == 3  # the fork left the state as it was
         np.testing.assert_allclose(first, expect[:2], rtol=0, atol=1e-12)
         np.testing.assert_allclose(second, expect[2:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked, np.concatenate(expect_blocks), rtol=0, atol=1e-12)
@@ -457,12 +457,12 @@ class TestStreamingDecode:
         for lengths in ([2, 2], [3, 0], [4]):
             with pytest.raises(ValueError, match="blocks"):
                 m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), np.ones((3, 2), dtype=bool),
-                                state=model.DecoderState(), lengths=lengths)
+                                state=model.StreamState(), lengths=lengths)
 
     def test_semantic_state_rejected_when_bidirectional(self):
         m = model.Model(tiny_cfg(unidirectional=False), seed=0)
         with pytest.raises(model.NonCausalEncoderError):
-            m.semantic_encode(ad.Tensor(np.zeros((2, 16))), state=model.SemanticState())
+            m.semantic_encode(ad.Tensor(np.zeros((2, 16))), state=model.StreamState())
 
 
 def one_utterance(batch, i):
@@ -546,8 +546,8 @@ class TestPackedBatch:
         batch = dataclasses.replace(batch, frame_lengths=short)
         # 3 tokens at 2 frames each give 2 encoder frames at 4x downsampling: too few
         encoded = []
-        encode = m.encode_source
-        m.encode_source = lambda feats, *a, **kw: encoded.append(len(feats)) or encode(feats, *a, **kw)
+        encode = m._acoustic_stack
+        m._acoustic_stack = lambda feats, *a, **kw: encoded.append(len(feats)) or encode(feats, *a, **kw)
         with caplog.at_level(logging.WARNING, logger="simulst.model"):
             loss_st, loss_ctc, diag = m.forward_train(batch)
         assert loss_st is None and loss_ctc is None and encoded == []

@@ -26,20 +26,20 @@ class TestWeightedShrink:
     def test_mu_zero_is_mean(self):
         states = ad.Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
         blanks = ad.Tensor([0.3, 0.9], dtype=np.float64)
-        out = shrink.weighted_shrink(states, blanks, seg(0, 2), shrink.ShrinkConfig(temperature=0.0))
+        out = shrink.shrink_states(states, blanks, None, seg(0, 2), shrink.ShrinkConfig(temperature=0.0))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-7)
 
     def test_argmax_mode_selects_min_blank_frame(self):
         states = ad.Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
         blanks = ad.Tensor([0.0, 1.0], dtype=np.float64)
-        out = shrink.weighted_shrink(states, blanks, seg(0, 2), shrink.ShrinkConfig(mode="argmax_frame"))
+        out = shrink.shrink_states(states, blanks, None, seg(0, 2), shrink.ShrinkConfig(mode="argmax_frame"))
         np.testing.assert_allclose(out.data, [[1.0, 0.0]])
 
     def test_mu_one_closed_form(self):
         # weights e^1/(e^1+e^0) ~ 0.7311 for blanks (0, 1)
         states = ad.Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
         blanks = ad.Tensor([0.0, 1.0], dtype=np.float64)
-        out = shrink.weighted_shrink(states, blanks, seg(0, 2), shrink.ShrinkConfig(temperature=1.0))
+        out = shrink.shrink_states(states, blanks, None, seg(0, 2), shrink.ShrinkConfig(temperature=1.0))
         w = math.e / (math.e + 1.0)
         np.testing.assert_allclose(out.data, [[w, 1.0 - w]], atol=1e-9)
 
@@ -47,15 +47,16 @@ class TestWeightedShrink:
         rng = np.random.default_rng(0)
         for _ in range(20):
             states, blanks, segments = random_case(rng)
-            out = shrink.weighted_shrink(
-                ad.Tensor(states, dtype=np.float64), ad.Tensor(blanks, dtype=np.float64), segments
+            out = shrink.shrink_states(
+                ad.Tensor(states, dtype=np.float64), ad.Tensor(blanks, dtype=np.float64), None, segments,
+                shrink.ShrinkConfig(),
             )
             assert out.shape == (len(segments), states.shape[1])
 
     def test_blank_probs_out_of_range_rejected(self):
         states = ad.Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            shrink.weighted_shrink(states, ad.Tensor([0.5, 1.5]), seg(0, 2))
+            shrink.shrink_states(states, ad.Tensor([0.5, 1.5]), None, seg(0, 2), shrink.ShrinkConfig())
 
 
 class TestShrinkLimits:
@@ -67,14 +68,14 @@ class TestShrinkLimits:
         s64 = ad.Tensor(states, dtype=np.float64)
         b64 = ad.Tensor(blanks, dtype=np.float64)
 
-        mean_out = shrink.weighted_shrink(s64, b64, segments, shrink.ShrinkConfig(temperature=0.0))
+        mean_out = shrink.shrink_states(s64, b64, None, segments, shrink.ShrinkConfig(temperature=0.0))
         for i, (a, b) in enumerate(segments):
             np.testing.assert_allclose(mean_out.data[i], states[a:b].mean(axis=0), atol=1e-7)
 
         # sharp temperature picks the min-blank frame when the margin is clear;
         # at temperature 1e3 the loser weight is e^(-1000*margin), so unit-scale
         # states need margin >= ~0.02 for 1e-6 closeness
-        sharp = shrink.weighted_shrink(s64, b64, segments, shrink.ShrinkConfig(temperature=1e3))
+        sharp = shrink.shrink_states(s64, b64, None, segments, shrink.ShrinkConfig(temperature=1e3))
         for i, (a, b) in enumerate(segments):
             sub = blanks[a:b]
             order = np.sort(sub)
@@ -112,25 +113,36 @@ class TestShrinkLimits:
             prev = w
 
 
+DROP_BLANK = shrink.ShrinkConfig(mode="drop_blank")
+
+
 class TestDropBlank:
     def test_blank_frame_dropped(self):
         states = ad.Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
-        out = shrink.drop_blank_shrink(states, [0, ctc.BLANK], seg(0, 2))
+        out = shrink.shrink_states(states, ad.Tensor([0.5, 0.5], dtype=np.float64), [0, ctc.BLANK], seg(0, 2),
+                                   DROP_BLANK)
         np.testing.assert_allclose(out.data, [[1.0, 0.0]])
 
     def test_all_blank_falls_back_to_mean(self):
         states = ad.Tensor([[2.0, 0.0], [0.0, 2.0]], dtype=np.float64)
-        out = shrink.drop_blank_shrink(states, [ctc.BLANK, ctc.BLANK], seg(0, 2))
+        out = shrink.shrink_states(states, ad.Tensor([0.5, 0.5], dtype=np.float64), [ctc.BLANK, ctc.BLANK],
+                                   seg(0, 2), DROP_BLANK)
         np.testing.assert_allclose(out.data, [[1.0, 1.0]])
+
+    def test_inputs_are_checked(self):
+        states = ad.Tensor(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="blank probabilities"):
+            shrink.shrink_states(states, ad.Tensor([0.5, 1.5]), [0, 0], seg(0, 2), DROP_BLANK)
+        with pytest.raises(ValueError, match="path"):
+            shrink.shrink_states(states, ad.Tensor([0.5, 0.5]), [0], seg(0, 2), DROP_BLANK)
 
     def test_no_blanks_matches_mean_shrink(self):
         rng = np.random.default_rng(1)
         states, blanks, segments = random_case(rng, t_frames=6)
         s64 = ad.Tensor(states, dtype=np.float64)
-        via_drop = shrink.drop_blank_shrink(s64, [0] * 6, segments)
-        via_mean = shrink.weighted_shrink(
-            s64, ad.Tensor(blanks, dtype=np.float64), segments, shrink.ShrinkConfig(mode="average")
-        )
+        b64 = ad.Tensor(blanks, dtype=np.float64)
+        via_drop = shrink.shrink_states(s64, b64, [0] * 6, segments, DROP_BLANK)
+        via_mean = shrink.shrink_states(s64, b64, None, segments, shrink.ShrinkConfig(mode="average"))
         np.testing.assert_allclose(via_drop.data, via_mean.data, atol=1e-7)
 
 
@@ -144,8 +156,8 @@ def test_gradients_match_finite_differences(seed):
     def f(sv, bv):
         ad.reset_tape()
         with ad.using_dtype(np.float64):
-            out = shrink.weighted_shrink(
-                ad.Tensor(sv), ad.Tensor(bv), segments, shrink.ShrinkConfig(temperature=1.0)
+            out = shrink.shrink_states(
+                ad.Tensor(sv), ad.Tensor(bv), None, segments, shrink.ShrinkConfig(temperature=1.0)
             )
             return ad.reduce_sum(ad.mul(out, out)).item()
 
@@ -154,7 +166,7 @@ def test_gradients_match_finite_differences(seed):
     with ad.using_dtype(np.float64):
         s = ad.Tensor(states, requires_grad=True)
         b = ad.Tensor(blanks, requires_grad=True)
-        out = shrink.weighted_shrink(s, b, segments, shrink.ShrinkConfig(temperature=1.0))
+        out = shrink.shrink_states(s, b, None, segments, shrink.ShrinkConfig(temperature=1.0))
         ad.backward(ad.reduce_sum(ad.mul(out, out)))
     assert relative_error(s.grad, expected[0]) < 1e-4
     assert relative_error(b.grad, expected[1]) < 1e-4

@@ -37,9 +37,9 @@ class ScriptedModel:
     def semantic_encode(self, shrunk, rng=None, state=None):
         return shrunk
 
-    def decode_logits(self, prefix_ids, source, cross_mask, rng=None, state=None, lengths=None):
+    def decode_logits(self, prefix_ids, units, cross_mask, rng=None, state=None, lengths=None):
         v = self.cfg.tgt_vocab_size
-        cached = [] if state is None else list(state.ids)
+        cached = [] if state is None else state.kv.get("ids", [])  # the stub's own token prefix
         ends = np.cumsum([len(prefix_ids)] if lengths is None else lengths)
         blocks = np.split(np.asarray(prefix_ids), ends[:-1])
         logits = np.full((len(prefix_ids), v), -20.0, dtype=np.float32)
@@ -54,7 +54,8 @@ class ScriptedModel:
             for tok, p in probs.items():
                 logits[end - 1, tok] = np.log(p)
         if state is not None:
-            state.ids = np.concatenate([state.ids, prefix_ids])
+            state.kv["ids"] = cached + list(prefix_ids)
+            state.rows += len(prefix_ids)
         return ad.Tensor(logits)
 
 
@@ -168,6 +169,14 @@ class TestPolicySchedule:
             pass
         with pytest.raises(RuntimeError):
             session.step()
+
+    @pytest.mark.parametrize("shape", [(4, 8), (2,), (1, 2, 4), (4,)])
+    def test_push_of_wrong_width_rejected(self, shape):
+        # a [4, 8] array is not taken as 8 frames of 4 features
+        session = streaming.StreamSession(ScriptedModel(frame_cfg()))
+        with pytest.raises(ValueError, match=r"\[n, 4\] frames, got shape"):
+            session.push_frames(np.zeros(shape, dtype=np.float32))
+        assert session.push_frames(np.zeros((0, 4), dtype=np.float32)) == []
 
     def test_push_after_end_rejected(self):
         cfg = frame_cfg()
@@ -309,7 +318,7 @@ class TestCausalityGuard:
     def test_model_rejects_a_stream_state_when_bidirectional(self):
         m = real_model(unidirectional=False)
         with pytest.raises(model.NonCausalEncoderError):
-            m.acoustic_encode(np.zeros((4, 6), dtype=np.float32), state=model.AcousticState(), end=False)
+            m.acoustic_encode(np.zeros((4, 6), dtype=np.float32), state=model.StreamState(), end=False)
 
 
 def encoder_cfg(**kw):
@@ -448,7 +457,6 @@ def reference_translate(m, feats, wait_k, stride_n, beam):
             shrunk = shrink.shrink_states(ad.Tensor(states[:end]), ad.Tensor(post[:end, cfg.blank_index]),
                                           session._labels[:end], segs, cfg.shrink_config)
             units = m.semantic_encode(shrunk)
-        source = model.EncoderOutput(units, None, None, segs, units)
         beams = [((), 0.0, False)]
         for _ in range(stride_len):
             candidates = []
@@ -459,7 +467,7 @@ def reference_translate(m, feats, wait_k, stride_n, beam):
                 ids = np.array([EOS] + committed + list(tokens))
                 vis_rows = np.array(visibility + [visible] * (len(tokens) + 1))
                 with ad.no_grad():
-                    logits = m.decode_logits(ids, source, np.arange(visible)[None, :] < vis_rows[:, None])
+                    logits = m.decode_logits(ids, units, np.arange(visible)[None, :] < vis_rows[:, None])
                 row = logits.data[-1] - logits.data[-1].max()
                 logp = row - np.log(np.exp(row).sum())
                 for tok in np.argsort(-logp, kind="stable")[:beam]:
@@ -522,9 +530,13 @@ def test_positional_only_semantic_encoder_streams_like_offline():
     session.push_frames(feats)
     session.end_stream()
     with ad.no_grad():
-        offline = m.encode_source(feats).units.data
-        first = session._visible_source(2).units.data
-        units = session._visible_source(session.units_completed).units.data
+        states, post = m.acoustic_encode(feats)
+        path = ctc.greedy_path(post)
+        shrunk = shrink.shrink_states(states, ad.col(post, m.cfg.blank_index), path,
+                                      ctc.detect_boundaries(path), m.cfg.shrink_config)
+        offline = m.semantic_encode(shrunk).data
+        first = session._visible_source(2).data
+        units = session._visible_source(session.units_completed).data
     assert session.units_completed >= 3
     np.testing.assert_allclose(first, offline[:2], rtol=0, atol=1e-6)
     np.testing.assert_allclose(units, offline, rtol=0, atol=1e-6)

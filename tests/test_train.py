@@ -270,7 +270,7 @@ def test_trace_writes_are_the_reported_hypotheses(tmp_path):
     assert [" ".join(written[r["id"]]) for r in report["rows"]] == [r["hypothesis"] for r in report["rows"]]
 
 
-def test_log_line_ends_with_the_batch_skip_count(tmp_path):
+def test_log_line_carries_the_batch_skip_count_and_stage(tmp_path):
     # 2x downsampling leaves 1-2 encoder frames per token: some transcripts cannot align
     corpus = small_corpus(30, seed=3, frames_per_token=(2, 4), length_range=(2, 6))
     cfg = small_cfg(vocab_sizes(corpus))
@@ -284,8 +284,8 @@ def test_log_line_ends_with_the_batch_skip_count(tmp_path):
     assert sum(expected) > 0
     train.pretrain_ctc(corpus, cfg, 1, st)
     rows = [line.split("\t") for line in (tmp_path / "train.log").read_text().splitlines()]
-    assert sorted(int(r[-1]) for r in rows) == sorted(expected)
-    assert all(len(r) == 6 for r in rows)
+    assert sorted(int(r[5]) for r in rows) == sorted(expected)
+    assert all(len(r) == 7 and r[6] == "pretrain" for r in rows)
 
 
 def test_underflowing_ctc_posteriors_give_a_finite_loss():
