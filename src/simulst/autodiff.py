@@ -395,20 +395,17 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, pad_index: int) -> Tensor:
-    """Mean negative log-likelihood over non-pad positions."""
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of one target per logit row."""
     targets = np.asarray(targets, dtype=np.int64)
-    n_classes = logits.shape[-1]
-    live = targets != pad_index
-    if not live.any():
-        raise ValueError("cross_entropy: every target position is padding")
-    bad = live & ((targets < 0) | (targets >= n_classes))
+    if logits.ndim != 2 or targets.shape != logits.shape[:1] or not len(targets):
+        raise ShapeError(f"cross_entropy needs one target per logit row and at least one row, "
+                         f"got targets {targets.shape} for logits {logits.shape}")
+    n, n_classes = logits.shape
+    bad = (targets < 0) | (targets >= n_classes)
     if bad.any():
         raise ValueError(f"cross_entropy: target {int(targets[bad][0])} outside [0, {n_classes})")
-    lsm = log_softmax(logits, axis=-1)
-    picked = pick(lsm, np.where(live, targets, 0))
-    masked = mul(picked, Tensor(live.astype(logits.data.dtype)))
-    return scale(reduce_sum(masked), -1.0 / int(live.sum()))
+    return scale(reduce_sum(pick(log_softmax(logits, axis=-1), targets)), -1.0 / n)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAD, EOS = 0, 1
+EOS = 1
 RESERVED = ("<pad>", "</s>", "<unk>")
 
 
@@ -129,60 +129,22 @@ def generate_synthetic_corpus(cfg: SyntheticTaskConfig, size: int) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Batch:
-    ids: list[str]
-    features: np.ndarray  # [B, T_max, d] zero-padded
-    frame_lengths: np.ndarray
-    source: np.ndarray  # [B, Lz_max] PAD-padded
-    source_lengths: np.ndarray
-    target: np.ndarray  # [B, Ly_max] PAD-padded
-    target_lengths: np.ndarray
-
-
-def _pad_ids(seqs) -> np.ndarray:
-    width = max(len(s) for s in seqs)
-    out = np.full((len(seqs), width), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
-
-
-def _to_batch(group: list[Utterance]) -> Batch:
-    t_max = max(u.n_frames for u in group)
-    d = group[0].features.shape[1]
-    feats = np.zeros((len(group), t_max, d), dtype=np.float32)
-    for i, u in enumerate(group):
-        feats[i, : u.n_frames] = u.features
-    return Batch(
-        ids=[u.id for u in group],
-        features=feats,
-        frame_lengths=np.array([u.n_frames for u in group], dtype=np.int64),
-        source=_pad_ids([u.source for u in group]),
-        source_lengths=np.array([len(u.source) for u in group], dtype=np.int64),
-        target=_pad_ids([u.target for u in group]),
-        target_lengths=np.array([len(u.target) for u in group], dtype=np.int64),
-    )
-
-
-def make_batches(corpus_or_utts, max_frames: int) -> list[Batch]:
-    """Length-bucketed batches; padded frame total per batch <= max_frames."""
+def make_batches(corpus_or_utts, max_frames: int) -> list[list[Utterance]]:
+    """Length-bucketed batches of the utterances themselves. Sorted by
+    (frames, id), utterances fill a batch while its longest utterance's
+    frames times its size stay <= max_frames."""
     utts = list(corpus_or_utts)
     longest = max((u.n_frames for u in utts), default=0)
     if longest > max_frames:
         raise ValueError(f"utterance of {longest} frames exceeds max_frames={max_frames}")
-    by_len = sorted(utts, key=lambda u: (u.n_frames, u.id))
-    batches = []
+    batches: list[list[Utterance]] = []
     group: list[Utterance] = []
-    group_max = 0
-    for utt in by_len:
-        new_max = max(group_max, utt.n_frames)
-        if group and new_max * (len(group) + 1) > max_frames:
-            batches.append(_to_batch(group))
-            group, group_max = [], 0
-            new_max = utt.n_frames
+    for utt in sorted(utts, key=lambda u: (u.n_frames, u.id)):
+        # sorted, so utt is the longest of the group it joins
+        if group and utt.n_frames * (len(group) + 1) > max_frames:
+            batches.append(group)
+            group = []
         group.append(utt)
-        group_max = new_max
     if group:
-        batches.append(_to_batch(group))
+        batches.append(group)
     return batches

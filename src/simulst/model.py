@@ -3,8 +3,8 @@ head, weighted shrinking into segment states, a semantic encoder, and a
 prefix-to-prefix decoder whose cross-attention follows the
 wait-k-stride-n schedule.
 
-A training batch is packed: its utterances, padding sliced off, are laid
-end to end as one sequence of rows per stage, so each layer runs once per
+A training batch is a list of utterances, packed: they are laid end to
+end as one sequence of rows per stage, so each layer runs once per
 batch. Convolutions pad each utterance on its own, attention masks are
 block-diagonal (causal blocks for self-attention, the wait-k-stride-n rule
 for cross-attention) and positions restart with each utterance; only the
@@ -25,7 +25,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import autodiff as ad
 from . import ctc as ctc_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
-from .data import EOS, PAD, Batch
+from .data import EOS, Utterance
 from .shrink import ShrinkConfig
 
 log = logging.getLogger(__name__)
@@ -88,6 +88,14 @@ class ModelConfig:
     frame_ms: int = 10
 
     def __post_init__(self):
+        for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.d_model >= 2:  # layer norm needs two features
+            raise ValueError(f"d_model must be >= 2, got {self.d_model}")
+        for name in ("transformer_layers_per_block", "semantic_layers", "decoder_layers"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.convs_per_block < 2:
             raise ValueError("need at least 2 convs per block (the second carries stride 2)")
         if len(self.conv_lookahead) != self.convs_per_block:
@@ -197,9 +205,16 @@ def same_sequence(row_lengths, col_lengths) -> np.ndarray:
     return row_seq[:, None] == col_seq[None, :]
 
 
+def visible_units(wait_k, stride_n: int, written):
+    """Source units the wait-k-stride-n schedule shows the decoder once
+    ``written`` target tokens are out (an int or an array of them):
+    stride_n*floor(written/stride_n) + wait_k, inf for wait_k=inf."""
+    return stride_n * (written // stride_n) + wait_k
+
+
 def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
     """Boolean [n_targets, n_source]: target position t (1-indexed) may
-    attend the first stride_n*floor((t-1)/stride_n) + wait_k source units.
+    attend the first ``visible_units(wait_k, stride_n, t - 1)`` source units.
 
     With sequences of lengths for ``n_targets`` and ``n_source`` (one pair
     per utterance) the mask is block-diagonal: each utterance's targets
@@ -208,8 +223,7 @@ def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np
     if (n_source < 1).any():
         raise ValueError("mask needs at least one source unit")
     check_schedule(wait_k, stride_n)
-    t = packed_offsets(n_targets) + 1
-    budget = stride_n * ((t - 1) // stride_n) + wait_k
+    budget = visible_units(wait_k, stride_n, packed_offsets(n_targets))
     counts = np.minimum(budget, np.repeat(n_source, n_targets)).astype(np.int64)
     return same_sequence(n_targets, n_source) & (packed_offsets(n_source)[None, :] < counts[:, None])
 
@@ -551,30 +565,32 @@ class Model:
 
     # -- training objective -------------------------------------------------
 
-    def forward_train(self, batch: Batch, rng=None,
+    def forward_train(self, batch: Sequence[Utterance], rng=None,
                       compute_st: bool = True) -> tuple[Optional[Tensor], Optional[Tensor], dict]:
         """Mean token NLL under the wait-k-stride-n mask plus the CTC term,
         over the batch's utterances packed into one pass.
 
         Utterances ``skip_reason`` rejects are skipped before encoding, with
-        a warning, and listed in the diagnostics. ``compute_st=False``
-        restricts the pass to the CTC objective (pre-training).
+        a warning. The diagnostics hold ``blank_fraction``, the share of
+        blank frames on the greedy CTC path (0.0 without CTC), and
+        ``skipped_ids``, each skipped utterance's id with its reason.
+        ``compute_st=False`` restricts the pass to the CTC objective
+        (pre-training).
         """
         cfg = self.cfg
         keep, skipped_ids = [], {}
-        for i, utt_id in enumerate(batch.ids):
-            reason = skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
+        for utt in batch:
+            reason = skip_reason(cfg, utt.n_frames, utt.source)
             if reason is None:
-                keep.append(i)
+                keep.append(utt)
             else:
-                log.warning("skipping %s: %s", utt_id, reason)
-                skipped_ids[utt_id] = reason
-        diagnostics = {"tokens": 0, "blank_fraction": 0.0,
-                       "skipped": len(skipped_ids), "skipped_ids": skipped_ids, "segment_counts": []}
+                log.warning("skipping %s: %s", utt.id, reason)
+                skipped_ids[utt.id] = reason
+        diagnostics = {"blank_fraction": 0.0, "skipped_ids": skipped_ids}
         if not keep:
             return None, None, diagnostics
-        lengths = batch.frame_lengths[keep]
-        feats = np.concatenate([batch.features[i, :n] for i, n in zip(keep, lengths)])
+        lengths = np.array([utt.n_frames for utt in keep], dtype=np.int64)
+        feats = np.concatenate([utt.features for utt in keep])
         states = self._acoustic_stack(feats, rng, None, True, lengths)
         ctc_logits, posteriors = self._ctc_head(states)
         frames = output_length(cfg, lengths)
@@ -583,30 +599,25 @@ class Model:
         if cfg.use_ctc:
             path = ctc_mod.greedy_path(posteriors)
             segments = ctc_mod.detect_boundaries(path, frames)
-            starts = np.array([start for start, _ in segments])
-            counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
             if compute_st and cfg.use_shrink:
+                starts = np.array([start for start, _ in segments])
+                counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
                 shrunk = shrink_mod.shrink_states(states, ad.col(posteriors, cfg.blank_index), path, segments,
                                                   cfg.shrink_config)
                 units, unit_lengths = self.semantic_encode(shrunk, rng, lengths=counts), counts
-            transcripts = [batch.source[i, : batch.source_lengths[i]] for i in keep]
             loss_ctc = ctc_mod.blank_limited_ctc_loss(
-                ad.log_softmax(ctc_logits, axis=-1), posteriors, transcripts, frames,
+                ad.log_softmax(ctc_logits, axis=-1), posteriors, [utt.source for utt in keep], frames,
                 lam=cfg.blank_penalty_weight, mode=cfg.blank_penalty_mode,
             )
             diagnostics["blank_fraction"] = float((path == ctc_mod.BLANK).mean())
-            diagnostics["segment_counts"] = counts.tolist()
         if not compute_st:
             return None, loss_ctc, diagnostics
-        translations = [batch.target[i, : batch.target_lengths[i]] for i in keep]
-        prefix = np.concatenate([np.concatenate([[EOS], y]) for y in translations])
-        target_out = np.concatenate([np.concatenate([y, [EOS]]) for y in translations])
-        rows = batch.target_lengths[keep] + 1
+        prefix = np.concatenate([np.concatenate([[EOS], utt.target]) for utt in keep])
+        target_out = np.concatenate([np.concatenate([utt.target, [EOS]]) for utt in keep])
+        rows = np.array([len(utt.target) + 1 for utt in keep])
         mask = build_cross_attention_mask(cfg.wait_k, cfg.stride_n, rows, unit_lengths)
         logits = self.decode_logits(prefix, units, mask, rng, lengths=rows)
-        loss_st = ad.cross_entropy(logits, target_out, PAD)
-        diagnostics["tokens"] = len(target_out)
-        return loss_st, loss_ctc, diagnostics
+        return ad.cross_entropy(logits, target_out), loss_ctc, diagnostics
 
     def total_loss(self, loss_st: Optional[Tensor], loss_ctc: Optional[Tensor]) -> Tensor:
         if loss_st is None:

@@ -49,7 +49,7 @@ from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
 from .data import EOS
-from .model import Model, NonCausalEncoderError
+from .model import Model, NonCausalEncoderError, visible_units
 
 READ, WRITE, FINISH = "read", "write", "finish"
 
@@ -151,10 +151,6 @@ class StreamSession:
     @property
     def ended(self) -> bool:
         return self._ended
-
-    def _next_budget(self):
-        n = self.stride_n
-        return n * (len(self._committed) // n) + self.wait_k
 
     def _fed_ms(self) -> float:
         return self._n_fed * self.model.cfg.frame_ms
@@ -333,7 +329,7 @@ class StreamSession:
             visible = self.units_completed
             stamp = self._total_ms()
         else:
-            visible = int(self._next_budget())
+            visible = int(visible_units(self.wait_k, self.stride_n, len(self._committed)))
             stamp = self._unit_ready_ms[visible - 1]
         self._last_stamp = stamp
         units = self._visible_source(visible)
@@ -372,7 +368,8 @@ class StreamSession:
             raise RuntimeError("step on a finished session")
         if self._eos or self._stride_len() < 1:
             return self._finish()
-        if not self._ended and self.units_completed < self._next_budget():
+        budget = visible_units(self.wait_k, self.stride_n, len(self._committed))
+        if not self._ended and self.units_completed < budget:
             return READ, None
         tokens = self._write_stride()
         if tokens:

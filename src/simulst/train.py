@@ -180,9 +180,18 @@ class TrainSettings:
     seed: int = 1
     log_path: Optional[str] = None  # appends a "step lr st ctc blank skipped stage" row per update
 
+    def __post_init__(self):
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        for name in ("warmup", "max_frames"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
            settings: TrainSettings, start: Optional[Checkpoint]) -> Checkpoint:
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     if start is not None and start.fingerprint != cfg.fingerprint():
         raise FingerprintMismatch(
             f"checkpoint fingerprint {start.fingerprint} != config {cfg.fingerprint()}"
@@ -241,7 +250,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                 if log_fh:
                     ctc_val = loss_ctc.item() if loss_ctc is not None else float("nan")
                     log_fh.write(f"{opt.step}\t{lr:.6g}\t{st_val:.6g}\t{ctc_val:.6g}\t"
-                                 f"{diag['blank_fraction']:.4f}\t{diag['skipped']}\t{stage}\n")
+                                 f"{diag['blank_fraction']:.4f}\t{len(diag['skipped_ids'])}\t{stage}\n")
             if updates == 0:
                 raise NoUpdatesError(
                     f"{stage} epoch {epoch + 1} made no update: no batch had an utterance "

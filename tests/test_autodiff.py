@@ -249,29 +249,22 @@ class TestLayerNorm:
 class TestCrossEntropy:
     def test_confident_correct_is_zero(self):
         logits = ad.Tensor([[50.0, 0.0, 0.0]])
-        loss = ad.cross_entropy(logits, np.array([0]), pad_index=-1)
+        loss = ad.cross_entropy(logits, np.array([0]))
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_uniform_logits(self):
         logits = t64(np.zeros((2, 4)))
-        loss = ad.cross_entropy(logits, np.array([1, 3]), pad_index=-1)
+        loss = ad.cross_entropy(logits, np.array([1, 3]))
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-9)
-
-    def test_pad_positions_excluded(self):
-        logits = t64(np.array([[9.0, 0.0], [0.0, 9.0], [4.0, 4.0]]))
-        full = ad.cross_entropy(logits, np.array([0, 1, 0]), pad_index=7)
-        padded = ad.cross_entropy(logits, np.array([0, 1, 7]), pad_index=7)
-        two = ad.cross_entropy(ad.rows(logits, 0, 2), np.array([0, 1]), pad_index=7)
-        assert padded.item() == pytest.approx(two.item(), abs=1e-12)
-        assert padded.item() != pytest.approx(full.item(), abs=1e-6)
-
-    def test_all_pad_errors(self):
-        with pytest.raises(ValueError):
-            ad.cross_entropy(ad.Tensor(np.zeros((2, 3))), np.array([5, 5]), pad_index=5)
 
     def test_out_of_range_target_errors(self):
         with pytest.raises(ValueError):
-            ad.cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array([3]), pad_index=-1)
+            ad.cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array([3]))
+
+    @pytest.mark.parametrize("rows, targets", [(2, [0]), (2, [0, 1, 2]), (2, [[0], [1]]), (0, [])])
+    def test_one_target_per_logit_row(self, rows, targets):
+        with pytest.raises(ad.ShapeError):
+            ad.cross_entropy(ad.Tensor(np.zeros((rows, 3))), np.array(targets, dtype=np.int64))
 
 
 class TestBackward:

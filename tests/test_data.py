@@ -7,7 +7,7 @@ from simulst import data
 class TestVocab:
     def test_reserved_then_tokens(self):
         v = data.Vocab(["alpha", "beta"])
-        assert v.index["<pad>"] == data.PAD
+        assert v.index["<pad>"] == 0
         assert v.index["alpha"] == 3
         assert v.decode([3, 4]) == ["alpha", "beta"]
 
@@ -77,14 +77,14 @@ class TestBatching:
     def test_packing_arithmetic(self):
         utts = [self._utt(f"u{i}", 100) for i in range(10)]
         batches = data.make_batches(utts, max_frames=400)
-        assert [len(b.ids) for b in batches] == [4, 4, 2]
+        assert [len(b) for b in batches] == [4, 4, 2]
         for b in batches:
-            assert b.features.shape[0] * b.features.shape[1] <= 400
+            assert max(u.n_frames for u in b) * len(b) <= 400
 
     def test_single_long_utterance_gets_own_batch(self):
         utts = [self._utt("long", 300), self._utt("short", 10)]
         batches = data.make_batches(utts, max_frames=300)
-        sizes = sorted(len(b.ids) for b in batches)
+        sizes = sorted(len(b) for b in batches)
         assert sizes == [1, 1]
 
     def test_oversized_utterance_rejected(self):
@@ -95,5 +95,5 @@ class TestBatching:
         rng = np.random.default_rng(2)
         utts = [self._utt(f"u{i}", int(rng.integers(5, 50))) for i in range(37)]
         batches = data.make_batches(utts, max_frames=200)
-        seen = [uid for b in batches for uid in b.ids]
+        seen = [u.id for b in batches for u in b]
         assert sorted(seen) == sorted(u.id for u in utts)

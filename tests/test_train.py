@@ -68,6 +68,10 @@ class TestCheckpointIO:
         for name, p in fresh.parameters().items():
             np.testing.assert_array_equal(ckpt.params[name], p.data)
 
+    def test_negative_epochs_rejected(self):
+        corpus = small_corpus(4)
+        with pytest.raises(ValueError, match="epochs"):
+            train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), -3, settings())
 
     def test_model_from_checkpoint_draws_no_random_init(self, monkeypatch):
         corpus = small_corpus(4)
@@ -220,6 +224,15 @@ class TestEvaluate:
         assert report["mean_ap"] == pytest.approx(1.0)
         assert report["mean_al"] >= model.effective_lookahead_ms(cfg)
 
+    def test_too_short_utterance_skipped(self):
+        corpus = small_corpus(3)
+        cfg = small_cfg(vocab_sizes(corpus), n_blocks=2, dropout=0.0)
+        first = corpus.utterances[0]
+        corpus.utterances[0] = dataclasses.replace(first, features=first.features[:3])
+        report = train.evaluate(corpus, model.Model(cfg, seed=0), beam_size=1)
+        assert report["skipped"] == 1
+        assert [r["id"] for r in report["rows"]] == ["syn00001", "syn00002"]
+
     def test_deterministic_across_runs(self):
         corpus = small_corpus(5)
         cfg = small_cfg(vocab_sizes(corpus), dropout=0.0)
@@ -228,6 +241,19 @@ class TestEvaluate:
         b = train.evaluate(corpus, m, beam_size=2)
         assert a["bleu"] == b["bleu"]
         assert [r["hypothesis"] for r in a["rows"]] == [r["hypothesis"] for r in b["rows"]]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(base_lr=-1.0),
+    dict(base_lr=0.0),
+    dict(base_lr=float("nan")),
+    dict(base_lr=float("inf")),
+    dict(warmup=0),
+    dict(max_frames=0),
+])
+def test_bad_settings_rejected_at_construction(kw):
+    with pytest.raises(ValueError):
+        train.TrainSettings(**kw)
 
 
 class TestNoUpdates:
@@ -277,8 +303,7 @@ def test_log_line_carries_the_batch_skip_count_and_stage(tmp_path):
     st = settings(max_frames=120, log_path=str(tmp_path / "train.log"))
     expected = []
     for batch in data.make_batches(corpus, st.max_frames):
-        reasons = [model.skip_reason(cfg, int(batch.frame_lengths[i]), batch.source[i, : batch.source_lengths[i]])
-                   for i in range(len(batch.ids))]
+        reasons = [model.skip_reason(cfg, u.n_frames, u.source) for u in batch]
         if None in reasons:
             expected.append(sum(r is not None for r in reasons))
     assert sum(expected) > 0
@@ -301,5 +326,5 @@ def test_underflowing_ctc_posteriors_give_a_finite_loss():
         _, posteriors = m.acoustic_encode(utt.features)
         loss_st, loss_ctc, diag = m.forward_train(data.make_batches([utt], utt.n_frames)[0])
     assert (posteriors.data == 0).sum() > 0
-    assert diag["skipped"] == 0
+    assert len(diag["skipped_ids"]) == 0
     assert np.isfinite(loss_ctc.item()) and np.isfinite(m.total_loss(loss_st, loss_ctc).item())
