@@ -5,6 +5,13 @@ operation appends one entry to a global tape; ``backward`` replays the
 tape in reverse and accumulates gradients into leaf tensors. float32 is
 the working precision; float64 can be selected (globally or via the
 ``using_dtype`` context) for high-precision gradient checks.
+
+Training and streaming run the same ops, so an op's fixed Python cost is
+paid once per layer and call. The model's dense layers are one ``affine``
+op each (``x @ w + b``, the same bits as ``matmul`` then ``add``), and
+multi-head attention is one ``masked_attention`` op, which skips the
+mask's bias when the mask allows every key, as a streamed causal row over
+its cache does.
 """
 
 from __future__ import annotations
@@ -191,16 +198,34 @@ def scale(a: Tensor, s: float) -> Tensor:
     return record_op(a.data * s, (a,), lambda g: (g * s,))
 
 
+def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
+    a, b = a.data, b.data
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} @ {b.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
+    _check_matmul("matmul", a, b)
     out = a.data @ b.data
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
     return record_op(out, (a, b), vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for 2-D ``x`` and ``w`` as one op: the arithmetic of
+    ``add(matmul(x, w), b)``, so the same bits, in one tape entry."""
+    _check_matmul("affine", x, w)
+    out = x.data @ w.data
+    out += b.data
+
+    def vjp(g):
+        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.shape)
+
+    return record_op(out, (x, w, b), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -246,15 +271,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if d < 2:
         raise ShapeError("layer_norm needs at least 2 features per row")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    # np.mean's and np.var's own reductions without their Python wrappers: the same bits, less overhead
+    dev = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / d + eps)
+    y = dev * inv
     out = y * gain.data + bias.data
 
     def vjp(g):
         gy = g * gain.data
-        gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+        gx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+                    - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / d))
         axes = tuple(range(x.ndim - 1))
         return gx, (g * y).sum(axis=axes), g.sum(axis=axes)
 
@@ -342,11 +368,15 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads:
     ``n_heads`` column blocks; head h attends with block h and writes
     output columns h*dv:(h+1)*dv. Disallowed scores get an additive -1e9
     before the softmax. Every query row must have at least one allowed key.
+    A full mask (every key allowed, and at least one key), as a streamed
+    causal row over its cache has, meets that without a row check and
+    adds no bias: adding zeros would change no score.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (q.shape[0], k.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != (queries {q.shape[0]}, keys {k.shape[0]})")
-    if not mask.any(axis=1).all():
+    full = mask.shape[1] > 0 and mask.all()
+    if not full and not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise ValueError(f"attention mask row {bad} allows no keys")
     if q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
@@ -363,7 +393,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads:
     kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
     s = 1.0 / math.sqrt(q.shape[1] // n_heads)
     scores = (qh @ kt) * s
-    scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
+    if not full:
+        scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)  # [H, Tq, Tk]
     out = (w @ vh).transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
@@ -447,10 +478,9 @@ def col(x: Tensor, j: int) -> Tensor:
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
     out = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
+        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return record_op(out, tuple(parts), vjp)

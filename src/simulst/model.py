@@ -91,6 +91,10 @@ class ModelConfig:
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.src_vocab_size >= 1:
+            raise ValueError(f"src_vocab_size must be >= 1, got {self.src_vocab_size}")
+        if not self.tgt_vocab_size >= EOS + 1:  # the decoder starts from and ends with EOS
+            raise ValueError(f"tgt_vocab_size must be >= {EOS + 1}, got {self.tgt_vocab_size}")
         if not self.d_model >= 2:  # layer norm needs two features
             raise ValueError(f"d_model must be >= 2, got {self.d_model}")
         for name in ("transformer_layers_per_block", "semantic_layers", "decoder_layers"):
@@ -356,7 +360,7 @@ class Model:
     # -- forward pieces ----------------------------------------------------
 
     def _affine(self, name: str, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
+        return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                    kv_cache: dict | None = None) -> Tensor:
@@ -424,8 +428,9 @@ class Model:
             y = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
             return ad.relu(ad.add(y, self.params[f"{name}.b"])), -(-lengths // stride)
         left = kernel.shape[0] - 1 - lookahead
-        # a stream starts with a zero left context
-        held = state.conv.get(name, np.zeros((left, x.shape[1]), dtype=x.data.dtype))
+        held = state.conv.get(name)
+        if held is None:  # a stream starts with a zero left context
+            held = np.zeros((left, x.shape[1]), dtype=x.data.dtype)
         rows = np.concatenate([held, x.data])
         if rows.shape[0] <= left:  # nothing of the next output's window has arrived
             state.conv[name] = rows

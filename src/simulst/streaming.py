@@ -409,8 +409,8 @@ def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_
                      allow_schedule_override: bool = False) -> SessionResult:
     """Drive one utterance through a session, pushing fixed-size chunks."""
     chunk = model.cfg.downsample if chunk_frames is None else chunk_frames
-    if chunk < 1:
-        raise ValueError(f"chunk_frames must be >= 1, got {chunk_frames}")
+    if not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk_frames must be a positive integer, got {chunk_frames!r}")
     session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
                             allow_schedule_override=allow_schedule_override, tgt_vocab=tgt_vocab)
     feats = np.asarray(features, dtype=np.float32)

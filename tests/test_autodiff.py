@@ -31,6 +31,49 @@ class TestMatmul:
             ad.matmul(a, b)
 
 
+class TestAffine:
+    def test_equals_matmul_plus_bias_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in ((7, 5), (5, 3), (3,))]
+        probe = ad.Tensor(rng.normal(size=(7, 3)).astype(np.float32))
+        runs = []
+        for op in (ad.affine, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+            ad.reset_tape()
+            leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
+            out = op(*leaves)
+            ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+            runs.append([out.data] + [leaf.grad for leaf in leaves])
+        assert runs[0][0].dtype == np.float32
+        for mine, ref in zip(*runs):
+            np.testing.assert_array_equal(mine, ref)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2,))]
+        weights = rng.normal(size=(4, 2))
+
+        def loss(x, w, b):
+            return ad.reduce_sum(ad.mul(ad.affine(x, w, b), t64(weights)))
+
+        def f(*arrs):
+            with ad.using_dtype(np.float64):
+                ad.reset_tape()
+                return loss(*(t64(a) for a in arrs)).item()
+
+        expected = central_difference(f, arrays)
+        with ad.using_dtype(np.float64):
+            ad.reset_tape()
+            leaves = [t64(a, requires_grad=True) for a in arrays]
+            ad.backward(loss(*leaves))
+        for leaf, exp in zip(leaves, expected):
+            assert relative_error(leaf.grad, exp) < 1e-7
+
+    def test_shape_mismatch_names_both_shapes(self):
+        x, w, b = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))), ad.Tensor(np.zeros(5))
+        with pytest.raises(ad.ShapeError, match=r"affine.*\(2, 3\).*\(4, 5\)"):
+            ad.affine(x, w, b)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         y = ad.softmax(ad.Tensor([0.0, 0.0]))
@@ -167,6 +210,27 @@ class TestMaskedAttention:
         with pytest.raises(ValueError, match="row 1"):
             ad.masked_attention(q, k, v, mask)
 
+    def test_no_keys_rejected(self):
+        # an empty mask row is all True, yet it allows no key
+        q, kv = ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="row 0"):
+            ad.masked_attention(q, kv, kv, np.ones((2, 0), dtype=bool))
+
+
+def biased_attention(q, k, v, mask, n_heads):
+    """The op's forward arithmetic with the -1e9 bias of disallowed keys
+    always added: the path a full mask skips."""
+    def heads(x):
+        return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    scores = (qh @ kt) * (1.0 / math.sqrt(q.shape[1] // n_heads))
+    scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    return (w @ vh).transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
+
 
 def per_head_attention(q, k, v, mask, n_heads):
     """numpy reference: each head attends with its own column block, and
@@ -217,6 +281,15 @@ class TestMultiHeadAttention:
         for leaf, exp in zip(leaves, expected):
             assert relative_error(leaf.grad, exp) < 1e-7
 
+    @pytest.mark.parametrize("n_queries, n_keys", [(1, 40), (5, 5), (3, 7)])
+    def test_full_mask_equals_the_bias_path_bit_for_bit(self, n_queries, n_keys):
+        rng = np.random.default_rng(n_keys)
+        q, k, v = (rng.normal(size=(n, 16)).astype(np.float32) for n in (n_queries, n_keys, n_keys))
+        mask = np.ones((n_queries, n_keys), dtype=bool)
+        out = ad.masked_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), mask, n_heads=4)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, biased_attention(q, k, v, mask, 4))
+
     @pytest.mark.parametrize("widths", [(6, 8), (8, 6)])
     def test_head_count_must_divide_widths(self, widths):
         qk_width, v_width = widths
@@ -244,6 +317,23 @@ class TestLayerNorm:
     def test_single_feature_errors(self):
         with pytest.raises(ad.ShapeError):
             ad.layer_norm(ad.Tensor([[1.0]]), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("shape", [(1, 64), (9, 16), (2, 3, 8)])
+    def test_float32_equals_the_mean_var_formula_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x, probe = (rng.normal(loc=1.0, scale=3.0, size=shape).astype(np.float32) for _ in range(2))
+        g, b = (rng.normal(size=shape[-1]).astype(np.float32) for _ in range(2))
+        leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float32) for a in (x, g, b)]
+        out = ad.layer_norm(*leaves)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=np.float32))))
+        # the textbook formula through numpy's mean and var
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        y = (x - x.mean(axis=-1, keepdims=True)) * inv
+        gy = probe * g
+        gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, y * g + b)
+        np.testing.assert_array_equal(leaves[0].grad, gx)
 
 
 class TestCrossEntropy:

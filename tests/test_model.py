@@ -368,6 +368,9 @@ class TestStreamingEncode:
     dict(transformer_layers_per_block=-1),
     dict(semantic_layers=-2),
     dict(decoder_layers=-1),
+    dict(tgt_vocab_size=1),  # EOS is id 1
+    dict(tgt_vocab_size=0),
+    dict(src_vocab_size=0),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError):

@@ -199,9 +199,9 @@ class TestPolicySchedule:
         res = streaming.translate_stream(ScriptedModel(cfg), feats)  # never writes EOS
         assert len(res.tokens) == 2 * res.n_units + 10
 
-    @pytest.mark.parametrize("chunk", [0, -1])
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, 8.0, "8"])
     def test_chunk_below_one_rejected_before_streaming(self, monkeypatch, chunk):
-        # -1 would otherwise push empty chunks forever
+        # -1 would otherwise push empty chunks forever; a non-integer fails late in slicing
         def no_session(*args, **kwargs):
             raise AssertionError("a session was started")
 
@@ -421,6 +421,15 @@ class TestSessionStats:
 def stream_feats(n, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(int(rng.integers(10, 40)), 6)).astype(np.float32) for _ in range(n)]
+
+
+def test_a_stream_leaves_the_tape_empty():
+    # the parameters require grad, so an op run outside no_grad would be recorded
+    m = real_model(emitting=True)
+    assert all(p.requires_grad for p in m.parameters().values())
+    res = streaming.translate_stream(m, stream_feats(1, seed=3)[0], chunk_frames=3)
+    assert res.segment_count >= 2
+    assert ad.tape_length() == 0
 
 
 def test_emitting_model_makes_several_segments_per_stream():
