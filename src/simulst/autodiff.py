@@ -17,7 +17,6 @@ its cache does.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,7 +30,6 @@ class ShapeError(ValueError):
 
 _default_dtype = np.float32
 _grad_enabled = True
-_uid_counter = itertools.count()
 
 
 def default_dtype():
@@ -73,7 +71,7 @@ def no_grad():
 class Tensor:
     """A dense array plus an optional same-shape gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_leaf", "_uid")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -81,8 +79,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype or _default_dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._leaf = True
-        self._uid = next(_uid_counter)
 
     @property
     def shape(self):
@@ -128,10 +124,8 @@ def record_op(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> 
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out._uid = next(_uid_counter)
     rg = _grad_enabled and any(t.requires_grad for t in inputs)
     out.requires_grad = rg
-    out._leaf = not rg
     if rg:
         _tape.append((out, tuple(inputs), vjp))
     return out
@@ -141,23 +135,25 @@ def backward(loss: Tensor) -> None:
     """Fill ``grad`` of every requires-grad leaf reachable from ``loss``.
 
     Gradients accumulate: calling backward twice without zeroing doubles them.
+    A leaf is a tensor that owns a ``grad`` array. Pending gradients are keyed
+    by ``id``: the tape holds each tensor it names until this returns.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {loss._uid: np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for out, inputs, vjp in reversed(_tape):
-        g_out = grads.pop(out._uid, None)
+        g_out = grads.pop(id(out), None)
         if g_out is None:
             continue
         for t, g in zip(inputs, vjp(g_out)):
             if g is None or not t.requires_grad:
                 continue
-            if t._leaf:
+            if t.grad is not None:
                 t.grad += g
-            elif t._uid in grads:
-                grads[t._uid] = grads[t._uid] + g
+            elif id(t) in grads:
+                grads[id(t)] = grads[id(t)] + g
             else:
-                grads[t._uid] = g
+                grads[id(t)] = g
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +288,20 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
                      lengths=None) -> Tensor:
     """Causal 1-D convolution with a bounded right-context window.
 
-    ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. The input is padded
-    with K-1-lookahead rows on the left and ``lookahead`` zeros on the
-    right, so output frame t depends only on inputs <= t*stride + lookahead.
-    Output length is ceil(T / stride).
+    ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. Each sequence is
+    padded with K-1-lookahead rows on the left and ``lookahead`` zeros on
+    the right, so output frame t depends only on inputs <= t*stride + lookahead.
+    There is one output per full K-row window, windows starting every
+    ``stride`` rows of the padded sequence: ceil(T / stride) for a whole one.
 
     ``lengths`` splits the rows of ``x`` into consecutive sequences (one
-    sequence by default). Each is padded on its own and gives
-    ceil(T_i / stride) consecutive output rows, all in one op.
+    sequence by default). Each is padded on its own and gives its outputs
+    as consecutive rows, all in one op.
 
-    The left rows are zeros, or ``context`` when given: the K-1-lookahead
-    input rows that preceded ``x`` in a stream (a constant to the tape).
-    ``end=False`` means more input follows, so there is no right padding
-    and only the outputs whose window lies inside the input are computed.
-    A stream is one sequence.
+    The left rows are zeros, or ``context`` when given: a stream's held
+    rows (constants to the tape), any number of them, from the first row
+    of the next output's window. ``end=False`` means more input follows,
+    so there is no right padding. A stream is one sequence.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -324,23 +320,23 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
         raise ShapeError(f"conv1d_lookahead: sequence lengths {lengths} do not split {T} rows")
     if len(lengths) > 1 and (context is not None or not end):
         raise ValueError("conv1d_lookahead: a stream's context and end apply to one sequence")
-    left = K - 1 - lookahead
+    zeros_left = np.zeros((K - 1 - lookahead, c_in), dtype=x.data.dtype)
     if context is None:
-        context = np.zeros((left, c_in), dtype=x.data.dtype)
-    elif context.shape != (left, c_in):
-        raise ShapeError(f"conv1d_lookahead: context shape {context.shape} != {(left, c_in)}")
+        context = zeros_left
+    elif context.ndim != 2 or context.shape[1] != c_in:
+        raise ShapeError(f"conv1d_lookahead: context shape {context.shape} does not have {c_in} columns")
     right = lookahead if end else 0
     # padded sequences laid end to end; x_at[i] is where sequence i's rows start in xp
     pieces, firsts, x_at = [], [], []
-    zeros_left = np.zeros((left, c_in), dtype=x.data.dtype)
     zeros_right = np.zeros((right, c_in), dtype=x.data.dtype)
     at = row = 0
     for i, n in enumerate(lengths):
-        pieces += [context if i == 0 else zeros_left, x.data[row:row + n], zeros_right]
-        t_out = -(-n // stride) if end else max((n - 1 - lookahead) // stride + 1, 0)
-        firsts.append(np.arange(at, at + t_out * stride, stride))
-        x_at.append(at + left)
-        at += left + n + right
+        left = context if i == 0 else zeros_left
+        pieces += [left, x.data[row:row + n], zeros_right]
+        span = left.shape[0] + n + right
+        firsts.append(np.arange(at, at + span - K + 1, stride))  # every start of a full window
+        x_at.append(at + left.shape[0])
+        at += span
         row += n
     xp = np.concatenate(pieces)
     first = np.concatenate(firsts)

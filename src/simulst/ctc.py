@@ -2,8 +2,9 @@
 
 A posterior grid is a Tensor of shape [T', |V|+1]: one distribution per
 downsampled frame, blank fixed as the LAST column. The negative
-log-likelihood runs the forward algorithm in log space (float64
-internally) and exposes a hand-written gradient w.r.t. the grid, so it
+log-likelihood runs the forward algorithm in log space (float64), its
+backward variable being the same recursion over the reversed lattice
+(Graves et al., 2006), with a hand-written gradient w.r.t. the grid that
 composes with the autodiff tape through the upstream log-softmax.
 """
 
@@ -69,6 +70,24 @@ def _extended_labels(labels: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
+def _forward(lab: np.ndarray, ext: np.ndarray, blank: int) -> np.ndarray:
+    """Log mass of the paths that reach each (frame, state) before that
+    frame's emission, for emission log-probs ``lab`` [T, S] over the
+    extended labels ``ext``. Beta is this recursion over the reversed
+    lattice: its skip rule holds there too, since ``ext[s]`` and
+    ``ext[s+2]`` are both blank or both labels."""
+    before = np.full(lab.shape, -np.inf)
+    before[0, :2] = 0.0
+    skip_ok = np.zeros(ext.size, dtype=bool)
+    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    for t in range(1, lab.shape[0]):
+        alpha = before[t - 1] + lab[t - 1]
+        acc = np.logaddexp(alpha, np.concatenate([[-np.inf], alpha[:-1]]))
+        skip = np.concatenate([[-np.inf, -np.inf], alpha[:-2]])
+        before[t] = np.where(skip_ok, np.logaddexp(acc, skip), acc)
+    return before
+
+
 def ctc_nll(log_posteriors: Tensor, labels) -> Tensor:
     """-ln of the total probability of all paths collapsing to ``labels``,
     from a grid of log posteriors (a log-softmax stays finite where a
@@ -87,38 +106,11 @@ def ctc_nll(log_posteriors: Tensor, labels) -> Tensor:
         )
 
     ext = _extended_labels(labels, blank)
-    n_states = ext.size
     lab = log_posteriors.data.astype(np.float64)[:, ext]  # [T, S] emission log-probs per extended state
-
-    # forward pass
-    alpha = np.full((t_frames, n_states), -np.inf)
-    alpha[0, 0] = lab[0, 0]
-    alpha[0, 1] = lab[0, 1]
-    skip_ok = np.zeros(n_states, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    for t in range(1, t_frames):
-        stay = alpha[t - 1]
-        prev = np.concatenate([[-np.inf], alpha[t - 1, :-1]])
-        acc = np.logaddexp(stay, prev)
-        skip = np.concatenate([[-np.inf, -np.inf], alpha[t - 1, :-2]])
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + lab[t]
+    alpha = _forward(lab, ext, blank) + lab
     log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-
-    # backward pass; beta excludes the emission at its own frame
-    beta = np.full((t_frames, n_states), -np.inf)
-    beta[-1, -1] = 0.0
-    beta[-1, -2] = 0.0
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1] + lab[t + 1]
-        stay = nxt
-        succ = np.concatenate([nxt[1:], [-np.inf]])
-        acc = np.logaddexp(stay, succ)
-        skip_to = np.concatenate([skip_ok[2:], [False, False]])
-        skip = np.concatenate([nxt[2:], [-np.inf, -np.inf]])
-        acc = np.where(skip_to, np.logaddexp(acc, skip), acc)
-        beta[t] = acc
-
+    # beta excludes the emission at its own frame: the forward pass over the reversed lattice
+    beta = _forward(lab[::-1, ::-1], ext[::-1], blank)[::-1, ::-1]
     occupancy = alpha + beta  # log path mass through each (frame, state)
 
     def vjp(g):

@@ -5,6 +5,7 @@ memory; there is no on-disk corpus format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,21 @@ class SyntheticTaskConfig:
     swap_probability: float = 1.0
     length_range: tuple[int, int] = (3, 8)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("vocab_size", "feature_dim"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("frames_per_token", "length_range"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {(lo, hi)}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not 0 <= self.swap_probability <= 1:
+            raise ValueError(f"swap_probability must lie in [0, 1], got {self.swap_probability}")
+        if not self.reorder_window >= 0:
+            raise ValueError(f"reorder_window must be >= 0, got {self.reorder_window}")
 
 
 def synthetic_assets(cfg: SyntheticTaskConfig) -> tuple[np.ndarray, np.ndarray]:

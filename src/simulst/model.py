@@ -185,7 +185,8 @@ def skip_reason(cfg: ModelConfig, frames: int, transcript) -> Optional[str]:
     """Why an utterance cannot train, or None: it is shorter than the
     downsampling factor, or (with CTC) its transcript needs more encoder
     frames than it has, the case ``ctc_nll`` raises
-    ``InfeasibleAlignmentError`` for."""
+    ``InfeasibleAlignmentError`` for. With an empty transcript only the
+    length floor is left, which encoding and streaming also apply."""
     if frames < cfg.downsample:
         return f"{frames} frames < downsampling factor"
     if cfg.use_ctc and ctc_mod.min_path_length(transcript) > output_length(cfg, frames):
@@ -427,18 +428,11 @@ class Model:
         if state is None:
             y = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
             return ad.relu(ad.add(y, self.params[f"{name}.b"])), -(-lengths // stride)
-        left = kernel.shape[0] - 1 - lookahead
         held = state.conv.get(name)
         if held is None:  # a stream starts with a zero left context
-            held = np.zeros((left, x.shape[1]), dtype=x.data.dtype)
-        rows = np.concatenate([held, x.data])
-        if rows.shape[0] <= left:  # nothing of the next output's window has arrived
-            state.conv[name] = rows
-            return Tensor(np.zeros((0, kernel.shape[2]), dtype=x.data.dtype)), np.array([0])
-        if held.shape[0] != left:  # the context ends inside x, or held rows follow it
-            x = Tensor(rows[left:], dtype=x.data.dtype)
-        y = ad.conv1d_lookahead(x, kernel, stride, lookahead, rows[:left], end)
-        state.conv[name] = rows[y.shape[0] * stride:]
+            held = np.zeros((kernel.shape[0] - 1 - lookahead, x.shape[1]), dtype=x.data.dtype)
+        y = ad.conv1d_lookahead(x, kernel, stride, lookahead, held, end)
+        state.conv[name] = np.concatenate([held, x.data])[y.shape[0] * stride:]
         return ad.relu(ad.add(y, self.params[f"{name}.b"])), np.array([y.shape[0]])
 
     def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[StreamState], end: bool,
@@ -449,11 +443,9 @@ class Model:
             if lengths.sum() != features.shape[0]:
                 raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
                                  f"{features.shape[0]} input frames")
-            if lengths.min() < cfg.downsample:
-                raise ValueError(
-                    f"input of {lengths.min()} frames is shorter than the "
-                    f"downsampling factor {cfg.downsample}"
-                )
+            reason = skip_reason(cfg, int(lengths.min()), ())
+            if reason is not None:
+                raise ValueError(f"cannot encode: {reason}")
         elif not cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         elif lengths is not None:

@@ -226,11 +226,9 @@ class StreamSession:
             raise RuntimeError("end_stream called twice")
         self._ended = True
         cfg = self.model.cfg
-        if self._n_fed < cfg.downsample:
-            raise ValueError(
-                f"stream ended with {self._n_fed} frames; the encoder needs "
-                f"at least {cfg.downsample}"
-            )
+        reason = model_mod.skip_reason(cfg, self._n_fed, ())
+        if reason is not None:
+            raise ValueError(f"stream ended too short to encode: {reason}")
         t_out = self._total_frames_out()
         total = self._total_ms()
         self._advance(self._unencoded, t_out, total, end=True)

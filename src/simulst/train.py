@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import streaming
 from .autodiff import OptimizerState
 from .data import Corpus, make_batches
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, skip_reason
 
 log = logging.getLogger(__name__)
 
@@ -105,16 +105,22 @@ def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:8] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated, {len(raw)} bytes hold no header length")
     (hlen,) = struct.unpack("<Q", raw[8:16])
+    if 16 + hlen > len(raw):
+        raise ValueError(f"{path}: truncated, {len(raw)} bytes hold no {hlen}-byte header")
     header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     body = raw[16 + hlen:]
     tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
     for entry in header["tensors"]:
-        arr = np.frombuffer(
-            body, dtype=np.dtype(entry["dtype"]).newbyteorder("<"),
-            count=int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1,
-            offset=entry["offset"],
-        ).reshape(entry["shape"]).astype(entry["dtype"])
+        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+        count = int(np.prod(entry["shape"], dtype=np.int64))
+        if entry["offset"] + count * dtype.itemsize > len(body):
+            raise ValueError(f"{path}: truncated, the payload ends before {entry['kind']} "
+                             f"tensor {entry['name']!r}")
+        arr = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
+                            ).reshape(entry["shape"]).astype(entry["dtype"])
         tables[entry["kind"]][entry["name"]] = arr
     opt = OptimizerState(**header["opt"], m=tables["m"], v=tables["v"])
     return Checkpoint(
@@ -286,15 +292,17 @@ def finetune(corpus: Corpus, start: Checkpoint, cfg: ModelConfig, epochs: int,
 
 def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_size: int = 5,
              chunk_frames: Optional[int] = None, trace_sink: Optional[list] = None) -> dict:
-    """Run the streaming engine per utterance; aggregate BLEU, AP, AL, and
-    the shrink-quality histogram."""
+    """Run the streaming engine per utterance; aggregate BLEU, AP, AL, the
+    shrink-quality histogram and the utterances too short to encode
+    (``skipped``, and ``skipped_ids`` with each one's reason)."""
     seg_counts, transcript_lens = [], []
     utterances = []
-    skipped = 0
+    skipped_ids = {}
     override = wait_k is not None or stride_n is not None
     for utt in corpus:
-        if utt.n_frames < model.cfg.downsample:
-            skipped += 1
+        reason = skip_reason(model.cfg, utt.n_frames, ())
+        if reason is not None:
+            skipped_ids[utt.id] = reason
             continue
         res = streaming.translate_stream(
             model, utt.features, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
@@ -310,5 +318,6 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
             trace_sink.append((utt.id, res.trace))
     report = metrics_mod.summarize(utterances)
     report["shrink_quality"] = ctc_mod.shrink_quality(seg_counts, transcript_lens) if seg_counts else None
-    report["skipped"] = skipped
+    report["skipped"] = len(skipped_ids)
+    report["skipped_ids"] = skipped_ids
     return report

@@ -170,6 +170,44 @@ class TestConv1dLookahead:
         assert relative_error(xt.grad, expected[0]) < 1e-6
         assert relative_error(kt.grad, expected[1]) < 1e-6
 
+    @staticmethod
+    def _held_split(stride, lookahead, extra, rng):
+        """A 4-wide kernel, an 11-row input, and a split of its left-padded
+        rows after the second window: ``context`` holds K-1-lookahead+extra
+        rows from the third window's first row, ``rest`` the rows after it."""
+        full, kernel = rng.normal(size=(11, 2)), rng.normal(size=(4, 2, 3))
+        padded = np.concatenate([np.zeros((3 - lookahead, 2)), full])
+        start = 2 * stride
+        cut = start + 3 - lookahead + extra
+        return full, kernel, padded[start:cut], padded[cut:]
+
+    @pytest.mark.parametrize("end", [True, False])
+    @pytest.mark.parametrize("extra", [1, 2, 5])
+    @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1), (2, 0)])
+    def test_longer_context_equals_one_call(self, stride, lookahead, extra, end):
+        full, kernel, context, rest = self._held_split(stride, lookahead, extra, np.random.default_rng(4))
+        whole = ad.conv1d_lookahead(t64(full), t64(kernel), stride, lookahead, end=end).data
+        held = ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context, end).data
+        np.testing.assert_array_equal(held, whole[2:])
+
+    @pytest.mark.parametrize("stride,lookahead", [(1, 2), (2, 1), (2, 0)])
+    def test_longer_context_gradcheck(self, stride, lookahead):
+        rng = np.random.default_rng(5)
+        _, kernel, context, rest = self._held_split(stride, lookahead, 2, rng)
+        weights = rng.normal(size=ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context).shape)
+
+        def f(xv):
+            ad.reset_tape()
+            y = ad.conv1d_lookahead(t64(xv), t64(kernel), stride, lookahead, context)
+            return float((y.data * weights).sum())
+
+        expected = central_difference(f, [rest.copy()])
+        ad.reset_tape()
+        xt = t64(rest, requires_grad=True)
+        y = ad.conv1d_lookahead(xt, t64(kernel), stride, lookahead, context)
+        ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
+        assert relative_error(xt.grad, expected[0]) < 1e-6
+
     def test_lengths_must_split_the_rows(self):
         x, k = ad.Tensor(np.zeros((5, 1))), ad.Tensor(np.zeros((2, 1, 1)))
         for lengths in ([2, 2], [5, 0]):

@@ -68,6 +68,51 @@ def log_grid(grid) -> ad.Tensor:
         return ad.Tensor(np.log(np.asarray(grid, dtype=np.float64)), dtype=np.float64)
 
 
+def two_loop_nll(log_posteriors: np.ndarray, labels):
+    """Oracle: the forward-backward algorithm with a separate backward loop
+    and its own skip rule, in the arithmetic ctc_nll had before its beta
+    became the forward recursion over the reversed lattice. Returns the
+    loss and its gradient w.r.t. the log posteriors, in their dtype."""
+    labels = np.asarray(labels, dtype=np.int64)
+    t_frames, width = log_posteriors.shape
+    blank = width - 1
+    ext = np.full(2 * labels.size + 1, blank, dtype=np.int64)
+    ext[1::2] = labels
+    n_states = ext.size
+    lab = log_posteriors.astype(np.float64)[:, ext]
+    alpha = np.full((t_frames, n_states), -np.inf)
+    alpha[0, 0] = lab[0, 0]
+    alpha[0, 1] = lab[0, 1]
+    skip_ok = np.zeros(n_states, dtype=bool)
+    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    for t in range(1, t_frames):
+        stay = alpha[t - 1]
+        prev = np.concatenate([[-np.inf], alpha[t - 1, :-1]])
+        acc = np.logaddexp(stay, prev)
+        skip = np.concatenate([[-np.inf, -np.inf], alpha[t - 1, :-2]])
+        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
+        alpha[t] = acc + lab[t]
+    log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    beta = np.full((t_frames, n_states), -np.inf)
+    beta[-1, -1] = 0.0
+    beta[-1, -2] = 0.0
+    for t in range(t_frames - 2, -1, -1):
+        nxt = beta[t + 1] + lab[t + 1]
+        stay = nxt
+        succ = np.concatenate([nxt[1:], [-np.inf]])
+        acc = np.logaddexp(stay, succ)
+        skip_to = np.concatenate([skip_ok[2:], [False, False]])
+        skip = np.concatenate([nxt[2:], [-np.inf, -np.inf]])
+        acc = np.where(skip_to, np.logaddexp(acc, skip), acc)
+        beta[t] = acc
+    grad = np.zeros_like(log_posteriors, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        contrib = np.exp(alpha + beta - log_z)
+    contrib[~np.isfinite(contrib)] = 0.0
+    np.subtract.at(grad.T, ext, contrib.T)
+    return np.asarray(-log_z, dtype=log_posteriors.dtype), 1.0 * grad.astype(log_posteriors.dtype)
+
+
 class TestCtcNll:
     def test_single_forced_path(self):
         grid = log_grid([[1.0, 0.0]])  # V={a}, p(a)=1
@@ -103,6 +148,25 @@ class TestCtcNll:
         else:
             got = ctc.ctc_nll(log_grid(grid), labels).item()
             assert got == pytest.approx(expected, abs=1e-9)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_two_loop_oracle_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(7)
+        for trial in range(150):
+            n_vocab = int(rng.integers(1, 5))  # one label makes every neighbour a repeat
+            labels = rng.integers(0, n_vocab, size=int(rng.integers(1, 7)))
+            need = ctc.min_path_length(labels)
+            t_frames = need if trial % 3 == 0 else need + int(rng.integers(1, 6))
+            logits = rng.normal(scale=3.0, size=(t_frames, n_vocab + 1))
+            log_post = (logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))).astype(dtype)
+            ad.reset_tape()
+            x = ad.Tensor(log_post, requires_grad=True, dtype=dtype)
+            loss = ctc.ctc_nll(x, labels)
+            ad.backward(loss)
+            want_loss, want_grad = two_loop_nll(log_post, labels)
+            assert loss.data.tobytes() == want_loss.tobytes()
+            assert x.grad.tobytes() == want_grad.tobytes()
 
 
 class TestCollapsePath:

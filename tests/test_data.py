@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ class TestSynthetic:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
             data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("vocab_size", 0), ("feature_dim", 0),
+        ("length_range", (0, 2)), ("length_range", (5, 3)),
+        ("frames_per_token", (0, 0)), ("frames_per_token", (4, 2)),
+        ("noise_std", -1.0), ("noise_std", math.nan), ("noise_std", math.inf),
+        ("swap_probability", 2.0), ("swap_probability", -0.5), ("reorder_window", -3),
+    ])
+    def test_bad_values_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            data.SyntheticTaskConfig(**{name: value})
 
 
 class TestBatching:

@@ -1,6 +1,10 @@
 import importlib
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there, the parser tomllib adopted
+    import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,19 @@ class TestCheckpointIO:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             train.load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["length", "header", "payload"])
+    def test_truncated_file_rejected_naming_it(self, tmp_path, cut):
+        corpus = small_corpus(2)
+        path = tmp_path / "a.ckpt"
+        train.save_checkpoint(train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings()), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        keep = {"length": 12, "header": 16 + hlen // 2, "payload": len(raw) - 1}[cut]
+        short = tmp_path / f"short-{cut}.ckpt"
+        short.write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match=f"short-{cut}.ckpt: truncated"):
+            train.load_checkpoint(short)
 
     def test_epochs_zero_returns_initialization(self):
         corpus = small_corpus(4)
@@ -231,6 +245,7 @@ class TestEvaluate:
         corpus.utterances[0] = dataclasses.replace(first, features=first.features[:3])
         report = train.evaluate(corpus, model.Model(cfg, seed=0), beam_size=1)
         assert report["skipped"] == 1
+        assert report["skipped_ids"] == {"syn00000": "3 frames < downsampling factor"}
         assert [r["id"] for r in report["rows"]] == ["syn00001", "syn00002"]
 
     def test_deterministic_across_runs(self):
