@@ -11,7 +11,6 @@ composes with the autodiff tape through the upstream log-softmax.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,35 +24,6 @@ class InfeasibleAlignmentError(ValueError):
 
 BLANK = -1  # blank marker in label-sequence form (grids keep blank as the last column)
 BLANK_PENALTY_MODES = ("argmax_blank_frames", "all_frames")
-
-
-@dataclass(frozen=True)
-class SegmentSet:
-    """Ordered half-open frame intervals partitioning [0, total_frames)."""
-
-    intervals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("SegmentSet needs at least one interval")
-        if self.intervals[0][0] != 0:
-            raise ValueError("first segment must start at frame 0")
-        for (s, e), (s2, _) in zip(self.intervals, self.intervals[1:]):
-            if e != s2:
-                raise ValueError(f"gap or overlap at frame {e}")
-        for s, e in self.intervals:
-            if e <= s:
-                raise ValueError(f"empty segment [{s}, {e})")
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    @property
-    def total_frames(self) -> int:
-        return self.intervals[-1][1]
 
 
 def min_path_length(labels) -> int:
@@ -148,20 +118,19 @@ def boundary_cuts(path, start: int = 0) -> np.ndarray:
     return np.flatnonzero((prev != BLANK) & (nxt != prev)) + start + 1
 
 
-def detect_boundaries(path, lengths=None) -> SegmentSet:
-    """Segment a label path at its ``boundary_cuts``. Leading and trailing
+def detect_boundaries(path, lengths=None) -> np.ndarray:
+    """The end frames, ascending to the path's length, of the segments a
+    label path splits into at its ``boundary_cuts``; leading and trailing
     blanks fold into the first and last segments. ``lengths`` splits the
-    path into consecutive sequences, each segmented as if alone: every
-    sequence also opens a segment."""
+    path into consecutive sequences, each segmented as if alone."""
     path = np.asarray(path)
     if path.size < 1:
         raise ValueError("detect_boundaries: empty path")
     lengths = np.array([path.size] if lengths is None else lengths, dtype=np.int64)
     if lengths.sum() != path.size or (lengths < 1).any():
         raise ValueError(f"detect_boundaries: lengths {lengths.tolist()} do not split {path.size} frames")
-    # a cut between two sequences is one of their starts, so the union leaves each one's own cuts
-    cuts = [*np.union1d(np.cumsum(lengths) - lengths, boundary_cuts(path)).tolist(), path.size]
-    return SegmentSet(tuple(zip(cuts[:-1], cuts[1:])))
+    # a cut at a sequence's start is the previous sequence's end, so the union holds each once
+    return np.union1d(np.cumsum(lengths), boundary_cuts(path))
 
 
 def blank_penalty(posteriors: Tensor, mode: str = "argmax_blank_frames") -> Tensor:

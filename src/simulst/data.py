@@ -6,6 +6,7 @@ memory; there is no on-disk corpus format.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,13 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "feature_dim", "reorder_window", "frames_per_token", "length_range",
+                     "seed"):
+            value = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) for v in np.ravel(value)):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("vocab_size", "feature_dim"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

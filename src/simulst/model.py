@@ -15,7 +15,8 @@ The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
 and the CTC grid, ``semantic_encode`` turns shrunk segment states into
 source units, and ``decode_logits`` takes those units. A stream calls the
 same three methods with a ``StreamState`` each, which carries the stage's
-caches from one call to the next.
+caches from one call to the next, and gives each call only the input its
+state lacks: the new feature rows, shrunk segments, units and tokens.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class StreamState:
 
 
 def _cached_rows(kv: dict, prefix: str) -> int:
-    """Rows (or source units) whose keys and values ``kv`` holds under ``prefix``."""
+    """Rows whose keys and values ``kv`` holds under ``prefix``."""
     past = kv.get(prefix)
     return 0 if past is None else past[0].shape[0]
 
@@ -536,10 +537,11 @@ class Model:
         default), each with its own positions and attending causally
         within itself. Without ``state`` each block is the teacher-forced
         inputs [EOS, y_1, ..] of one utterance. With one, every block
-        continues the rows the state holds and also sees them. Source units
-        past those the state has seen get their cross-attention keys and
-        values computed once, here. The state is extended by the new rows,
-        so scoring several blocks at once is meant for a ``fork``.
+        continues the rows the state holds and also sees them; ``units`` are
+        only the source units it has not seen (all for a fresh state), whose
+        cross-attention keys and values are computed here, once. The state
+        is extended by the new rows and units, so scoring several blocks at
+        once is meant for a ``fork``.
         """
         cfg = self.cfg
         if state is None:
@@ -552,8 +554,6 @@ class Model:
         pos = packed_positions(lengths, cfg.d_model, emb.data.dtype, past)
         x = ad.dropout(ad.add(emb, Tensor(pos, dtype=emb.data.dtype)), cfg.dropout, rng)
         self_mask = self._self_mask(lengths, past, causal=True)
-        seen = _cached_rows(state.kv, "decoder.tf0.xattn")
-        units = units if seen == 0 else Tensor(units.data[seen:])
         for l in range(cfg.decoder_layers):
             x = self._tf_forward(f"decoder.tf{l}", x, self_mask, rng,
                                  cross_kv=units, cross_mask=cross_mask, kv_cache=state.kv)
@@ -595,11 +595,10 @@ class Model:
         loss_ctc = None
         if cfg.use_ctc:
             path = ctc_mod.greedy_path(posteriors)
-            segments = ctc_mod.detect_boundaries(path, frames)
             if compute_st and cfg.use_shrink:
-                starts = np.array([start for start, _ in segments])
-                counts = np.diff(np.searchsorted(starts, np.concatenate([[0], np.cumsum(frames)])))
-                shrunk = shrink_mod.shrink_states(states, ad.col(posteriors, cfg.blank_index), path, segments,
+                ends = ctc_mod.detect_boundaries(path, frames)
+                counts = np.diff(np.searchsorted(ends, np.cumsum(frames), side="right"), prepend=0)
+                shrunk = shrink_mod.shrink_states(states, ad.col(posteriors, cfg.blank_index), path, ends,
                                                   cfg.shrink_config)
                 units, unit_lengths = self.semantic_encode(shrunk, rng, lengths=counts), counts
             loss_ctc = ctc_mod.blank_limited_ctc_loss(

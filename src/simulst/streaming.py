@@ -15,15 +15,17 @@ units with beam-reranked writes of n tokens. The encoder must be
 unidirectional: a bidirectional one is rejected with
 ``NonCausalEncoderError``.
 
-The semantic encoder's and the decoder's states are extended only at
-writes. A write that may see ``visible`` units first shrinks and
-semantic-encodes the units in [encoded, visible), over the cached ones,
-and gives their cross-attention keys and values to every decoder layer.
-Beam step 0 then extends the decoder's self-attention cache by the rows
-of [EOS] + committed it lacks: a row's cross-attention is fixed once the
-token it predicts is committed, so from that write on it is final. Later
-beam steps score all live hypotheses in one decoder call on a fork of
-that state and leave it as it was. Both ends of every extension come from
+Every call gives a stage only what its state lacks, so the session keeps
+no source unit, only how many it gave the decoder, and a segment is its
+end frame. The semantic encoder's and the decoder's states are extended
+only at writes. A write that may see ``visible`` units first shrinks and
+semantic-encodes the units in [given, visible) over the cached ones.
+Beam step 0 gives them to the decoder, which computes their
+cross-attention keys and values once, with the rows of [EOS] + committed
+it lacks: a row's cross-attention is fixed once the token it predicts is
+committed, so from that write on it is final. Later beam steps score all
+live hypotheses in one decoder call on a fork of that state, with no new
+units, and leave it as it was. Both ends of every extension come from
 the schedule (units visible, tokens committed), never from when audio
 arrived, so row blocks, and with them float rounding, do not depend on
 the chunking either.
@@ -96,10 +98,10 @@ def _log_softmax_row(row: np.ndarray) -> np.ndarray:
 
 
 class StreamSession:
-    """One simultaneous translation; strictly single-threaded."""
+    """One simultaneous translation; strictly single-threaded. A given
+    ``wait_k`` or ``stride_n`` replaces the one the model was trained with."""
 
-    def __init__(self, model: Model, wait_k=None, stride_n=None, beam_size: int = 5,
-                 allow_schedule_override: bool = False, tgt_vocab=None):
+    def __init__(self, model: Model, wait_k=None, stride_n=None, beam_size: int = 5, tgt_vocab=None):
         cfg = model.cfg
         if not cfg.unidirectional:
             raise NonCausalEncoderError(
@@ -109,11 +111,6 @@ class StreamSession:
         self.model = model
         self.wait_k = cfg.wait_k if wait_k is None else wait_k
         self.stride_n = cfg.stride_n if stride_n is None else stride_n
-        if (self.wait_k, self.stride_n) != (cfg.wait_k, cfg.stride_n) and not allow_schedule_override:
-            raise ValueError(
-                f"inference schedule ({self.wait_k},{self.stride_n}) differs from the "
-                f"training schedule ({cfg.wait_k},{cfg.stride_n}); pass allow_schedule_override=True"
-            )
         model_mod.check_schedule(self.wait_k, self.stride_n)
         if not isinstance(beam_size, numbers.Integral) or beam_size < 1:
             raise ValueError(f"beam_size must be a positive integer, got {beam_size!r}")
@@ -129,9 +126,9 @@ class StreamSession:
         self._n_final = 0
         self._semantic = model_mod.StreamState()
         self._decoder = model_mod.StreamState()
-        self._units: list[np.ndarray] = []  # source units encoded for the decoder, in chunks
+        self._n_given = 0  # source units given to the decoder
         self._labels = np.zeros(0, dtype=np.int64)
-        self._segments: list[tuple[int, int]] = []
+        self._ends: list[int] = []  # end frame of each closed segment
         self._unit_ready_ms: list[float] = []
         self._committed: list[int] = []
         self._visibility: list[int] = []
@@ -167,10 +164,9 @@ class StreamSession:
         """Finalized acoustic states and CTC rows, joined into one chunk each."""
         return _joined(self._states), (_joined(self._posteriors) if self._posteriors else None)
 
-    def _advance(self, rows: np.ndarray, n_final: int, stamp: float,
-                 end: bool = False) -> list[tuple[int, int]]:
+    def _advance(self, rows: np.ndarray, n_final: int, stamp: float, end: bool = False) -> None:
         """Encode ``rows``, the input since the last call, which makes frames
-        [self._n_final, n_final) final; returns the segments they complete."""
+        [self._n_final, n_final) final, and close the segments they complete."""
         with ad.no_grad():
             states, posteriors = self.model.acoustic_encode(rows, state=self._enc_state, end=end)
         self.stats.acoustic_encode_calls += 1
@@ -178,7 +174,6 @@ class StreamSession:
         self._states.append(states.data)
         if posteriors is not None:
             self._posteriors.append(posteriors.data)
-        new_segments = []
         if self.unit_kind == "frame":
             for idx in range(self._n_final, n_final):
                 self._unit_ready_ms.append(stamp)
@@ -186,21 +181,18 @@ class StreamSession:
         else:
             self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
             for cut in ctc_mod.boundary_cuts(self._labels, max(self._n_final - 1, 0)):
-                new_segments.append(self._close_segment(int(cut), stamp))
+                self._close_segment(int(cut), stamp)
         self._n_final = n_final
-        return new_segments
 
-    def _close_segment(self, end: int, stamp: float) -> tuple[int, int]:
-        segment = (self._segments[-1][1] if self._segments else 0, end)
-        self._segments.append(segment)
+    def _close_segment(self, end: int, stamp: float) -> None:
+        self._ends.append(end)
         self._unit_ready_ms.append(stamp)
-        self._trace.append((stamp, "READ", f"segment={len(self._segments) - 1}"))
-        return segment
+        self._trace.append((stamp, "READ", f"segment={len(self._ends) - 1}"))
 
-    def push_frames(self, frames: np.ndarray) -> list[tuple[int, int]]:
-        """Feed audio; returns segments that completed. The encoder advances
-        at each input length where a frame finalizes, whatever the chunking,
-        so completion stamps and encoder outputs are chunking-invariant."""
+    def push_frames(self, frames: np.ndarray) -> None:
+        """Feed audio. The encoder advances at each input length where a
+        frame finalizes, whatever the chunking, so completion stamps and
+        encoder outputs are chunking-invariant."""
         if self._ended:
             raise RuntimeError("push_frames after end-of-stream")
         cfg = self.model.cfg
@@ -210,15 +202,13 @@ class StreamSession:
         rows = np.concatenate([self._unencoded, frames])
         first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
         horizon = model_mod.effective_lookahead_frames(cfg)
-        new_segments = []
         for t in range(self._n_final, model_mod.finalized_frames(cfg, first + rows.shape[0])):
             # frame t is final once input t*downsample + horizon has arrived
             self._n_fed = t * cfg.downsample + horizon + 1
-            new_segments.extend(self._advance(rows[: self._n_fed - first], t + 1, self._fed_ms()))
+            self._advance(rows[: self._n_fed - first], t + 1, self._fed_ms())
             rows, first = rows[self._n_fed - first:], self._n_fed
         self._n_fed = first + rows.shape[0]
         self._unencoded = rows
-        return new_segments
 
     def end_stream(self) -> None:
         """No more audio: finalize every frame and close the last segment."""
@@ -240,34 +230,31 @@ class StreamSession:
     # -- decoding --------------------------------------------------------------
 
     def _visible_source(self, visible: int) -> Tensor:
-        """Source units [0, visible); those not yet encoded are shrunk and
-        semantic-encoded now, over the cached ones, so each unit is encoded once."""
-        encoded = sum(u.shape[0] for u in self._units)
-        if visible > encoded:
-            states, post = self._finalized()
-            if self.unit_kind == "frame":
-                self._units.append(states[encoded:visible])
-            else:
-                cfg = self.model.cfg
-                segs = self._segments[encoded:visible]
-                lo, hi = segs[0][0], segs[-1][1]
-                seg_set = ctc_mod.SegmentSet(tuple((a - lo, b - lo) for a, b in segs))
-                with ad.no_grad():
-                    shrunk = shrink_mod.shrink_states(
-                        Tensor(states[lo:hi]), Tensor(post[lo:hi, cfg.blank_index]),
-                        self._labels[lo:hi], seg_set, cfg.shrink_config,
-                    )
-                    self._units.append(self.model.semantic_encode(shrunk, state=self._semantic).data)
-                self.stats.semantic_encode_calls += 1
-                self.stats.semantic_units += len(segs)
-        return Tensor(_joined(self._units))
+        """Source units [given, visible), after the ``given`` ones the decoder
+        has seen; segments are shrunk and semantic-encoded here, over the
+        cached units, so each unit is encoded once."""
+        given, self._n_given = self._n_given, visible
+        states, post = self._finalized()
+        if self.unit_kind == "frame" or visible == given:
+            return Tensor(states[given:visible])
+        cfg = self.model.cfg
+        lo, hi = (self._ends[given - 1] if given else 0), self._ends[visible - 1]
+        with ad.no_grad():
+            shrunk = shrink_mod.shrink_states(
+                Tensor(states[lo:hi]), Tensor(post[lo:hi, cfg.blank_index]), self._labels[lo:hi],
+                np.array(self._ends[given:visible]) - lo, cfg.shrink_config,
+            )
+            units = self.model.semantic_encode(shrunk, state=self._semantic)
+        self.stats.semantic_encode_calls += 1
+        self.stats.semantic_units += visible - given
+        return units
 
     def _score(self, units: Tensor, rows: list[int], vis_rows: list[int],
                state: model_mod.StreamState, hyps: int = 1) -> list[np.ndarray]:
         """Log-probabilities of the next token after each of ``hyps`` equal
-        blocks of ``rows``, which continue the rows ``state`` holds; row j
-        sees the first ``vis_rows[j]`` source units."""
-        mask = np.arange(units.shape[0])[None, :] < np.array(vis_rows)[:, None]
+        blocks of ``rows``, which continue the rows ``state`` holds, given
+        the ``units`` it has not seen; row j sees the first ``vis_rows[j]``."""
+        mask = np.arange(vis_rows[-1])[None, :] < np.array(vis_rows)[:, None]
         with ad.no_grad():
             logits = self.model.decode_logits(np.array(rows, dtype=np.int64), units, mask,
                                               state=state, lengths=[len(rows) // hyps] * hyps)
@@ -278,11 +265,11 @@ class StreamSession:
 
     def _beam_stride(self, units: Tensor, visible: int, stride_len: int) -> list[BeamHypothesis]:
         """Beam search over the next ``stride_len`` tokens, one decoder call
-        per step. Step 0 extends the decoder state by the rows not yet in it,
-        [EOS] + committed, whose cross-attention is final from this write on,
-        and scores the empty hypothesis. Each later step scores every live
-        hypothesis at once on a fork of that state, so the state keeps
-        committed rows only."""
+        per step. Step 0 extends the decoder state by the ``units`` and the
+        rows not yet in it, [EOS] + committed, whose cross-attention is
+        final from this write on, and scores the empty hypothesis. Each
+        later step scores every live hypothesis at once on a fork of that
+        state, with no new units, so the state keeps committed rows only."""
         beams = [BeamHypothesis((), 0.0)]
         for step in range(stride_len):
             if step == 0:
@@ -290,6 +277,7 @@ class StreamSession:
                 rows = ([EOS] + self._committed)[cached:]
                 vis_rows = (self._visibility + [visible])[cached:]
                 scores = iter(self._score(units, rows, vis_rows, self._decoder))
+                units = Tensor(units.data[:0])  # the decoder state holds them now
             else:
                 live = [h for h in beams if not h.ended]
                 rows = [tok for h in live for tok in h.tokens]
@@ -330,8 +318,7 @@ class StreamSession:
             visible = int(visible_units(self.wait_k, self.stride_n, len(self._committed)))
             stamp = self._unit_ready_ms[visible - 1]
         self._last_stamp = stamp
-        units = self._visible_source(visible)
-        best = self._beam_stride(units, visible, self._stride_len())[0]
+        best = self._beam_stride(self._visible_source(visible), visible, self._stride_len())[0]
         committed = []
         for tok in best.tokens:
             if tok == EOS:
@@ -391,7 +378,7 @@ class StreamSession:
             reference_length=reference_length if reference_length else max(len(self._committed), 1),
             lookahead_offset_ms=model_mod.effective_lookahead_ms(cfg),
         )
-        seg_count = len(self._segments) if (cfg.use_ctc and self.unit_kind == "segment") else None
+        seg_count = len(self._ends) if (cfg.use_ctc and self.unit_kind == "segment") else None
         return SessionResult(
             tokens=list(self._committed),
             record=record,
@@ -403,14 +390,12 @@ class StreamSession:
 
 def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_n=None,
                      beam_size: int = 5, chunk_frames: Optional[int] = None,
-                     reference_length: Optional[int] = None, tgt_vocab=None,
-                     allow_schedule_override: bool = False) -> SessionResult:
+                     reference_length: Optional[int] = None, tgt_vocab=None) -> SessionResult:
     """Drive one utterance through a session, pushing fixed-size chunks."""
     chunk = model.cfg.downsample if chunk_frames is None else chunk_frames
     if not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk_frames must be a positive integer, got {chunk_frames!r}")
-    session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
-                            allow_schedule_override=allow_schedule_override, tgt_vocab=tgt_vocab)
+    session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size, tgt_vocab=tgt_vocab)
     feats = np.asarray(features, dtype=np.float32)
     pos = 0
     while True:

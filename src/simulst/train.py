@@ -113,25 +113,31 @@ def load_checkpoint(path) -> Checkpoint:
     header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     body = raw[16 + hlen:]
     tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
-    for entry in header["tensors"]:
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        if entry["offset"] + count * dtype.itemsize > len(body):
-            raise ValueError(f"{path}: truncated, the payload ends before {entry['kind']} "
-                             f"tensor {entry['name']!r}")
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
-                            ).reshape(entry["shape"]).astype(entry["dtype"])
-        tables[entry["kind"]][entry["name"]] = arr
-    opt = OptimizerState(**header["opt"], m=tables["m"], v=tables["v"])
-    return Checkpoint(
-        params=tables["param"],
-        opt=opt,
-        epoch=header["epoch"],
-        fingerprint=header["fingerprint"],
-        cfg=config_from_dict(header["cfg"]),
-        rng_state=header["rng_state"],
-        stage=header["stage"],
-    )
+    try:
+        for entry in header["tensors"]:
+            if entry["kind"] not in tables or entry["offset"] < 0:
+                raise ValueError(f"{path}: malformed header, tensor {entry['name']!r} has kind "
+                                 f"{entry['kind']!r} and offset {entry['offset']}")
+            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            if entry["offset"] + count * dtype.itemsize > len(body):
+                raise ValueError(f"{path}: truncated, the payload ends before {entry['kind']} "
+                                 f"tensor {entry['name']!r}")
+            arr = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
+                                ).reshape(entry["shape"]).astype(entry["dtype"])
+            tables[entry["kind"]][entry["name"]] = arr
+        opt = OptimizerState(**header["opt"], m=tables["m"], v=tables["v"])
+        return Checkpoint(
+            params=tables["param"],
+            opt=opt,
+            epoch=header["epoch"],
+            fingerprint=header["fingerprint"],
+            cfg=config_from_dict(header["cfg"]),
+            rng_state=header["rng_state"],
+            stage=header["stage"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed header, it has no {exc} entry") from exc
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
@@ -298,7 +304,6 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
     seg_counts, transcript_lens = [], []
     utterances = []
     skipped_ids = {}
-    override = wait_k is not None or stride_n is not None
     for utt in corpus:
         reason = skip_reason(model.cfg, utt.n_frames, ())
         if reason is not None:
@@ -306,8 +311,7 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
             continue
         res = streaming.translate_stream(
             model, utt.features, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
-            chunk_frames=chunk_frames, reference_length=len(utt.target),
-            tgt_vocab=corpus.tgt_vocab, allow_schedule_override=override,
+            chunk_frames=chunk_frames, reference_length=len(utt.target), tgt_vocab=corpus.tgt_vocab,
         )
         utterances.append((utt.id, corpus.tgt_vocab.decode(res.tokens),
                            corpus.tgt_vocab.decode(utt.target), res.record))

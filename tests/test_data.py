@@ -72,6 +72,8 @@ class TestSynthetic:
         ("frames_per_token", (0, 0)), ("frames_per_token", (4, 2)),
         ("noise_std", -1.0), ("noise_std", math.nan), ("noise_std", math.inf),
         ("swap_probability", 2.0), ("swap_probability", -0.5), ("reorder_window", -3),
+        ("seed", -1), ("seed", 1.5), ("vocab_size", 2.5), ("feature_dim", 4.0), ("reorder_window", 1.5),
+        ("length_range", (3.5, 8)), ("frames_per_token", (8, 16.0)),
     ])
     def test_bad_values_rejected_at_construction(self, name, value):
         with pytest.raises(ValueError, match=name):

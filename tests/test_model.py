@@ -429,8 +429,8 @@ class TestStreamingDecode:
             m = model.Model(tiny_cfg(decoder_layers=2), seed=2)
             source = self._source(m, 6, seed=2)
 
-            def visible(n_units):
-                return ad.Tensor(source.data[:n_units])
+            def unseen(lo, hi):  # a stream passes only the units its state has not seen
+                return ad.Tensor(source.data[lo:hi])
 
             def whole(ids, rows_vis):
                 mask = np.arange(6)[None, :] < np.array(rows_vis)[:, None]
@@ -438,10 +438,11 @@ class TestStreamingDecode:
 
             with ad.no_grad():
                 state = model.StreamState()
-                first = m.decode_logits(np.array([data.EOS, 3]), visible(2), np.ones((2, 2), dtype=bool),
+                first = m.decode_logits(np.array([data.EOS, 3]), unseen(0, 2), np.ones((2, 2), dtype=bool),
                                         state=state).data
-                second = m.decode_logits(np.array([4]), source, np.arange(6)[None, :] < 4, state=state).data
-                stacked = m.decode_logits(np.array(sum(blocks, [])), source, np.ones((6, 6), dtype=bool),
+                second = m.decode_logits(np.array([4]), unseen(2, 6), np.arange(6)[None, :] < 4,
+                                         state=state).data
+                stacked = m.decode_logits(np.array(sum(blocks, [])), unseen(6, 6), np.ones((6, 6), dtype=bool),
                                           state=state.fork(), lengths=[2, 2, 2]).data
                 expect = whole([data.EOS, 3, 4], vis)
                 expect_blocks = [whole([data.EOS, 3, 4] + b, vis + [6, 6])[3:] for b in blocks]

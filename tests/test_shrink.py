@@ -11,7 +11,12 @@ from conftest import central_difference, relative_error
 
 
 def seg(*edges):
-    return ctc.SegmentSet(tuple(zip(edges[:-1], edges[1:])))
+    """The segment ends of consecutive frame intervals split at ``edges``."""
+    return np.array(edges[1:])
+
+
+def spans(ends):
+    return list(zip([0, *ends[:-1]], ends))
 
 
 def random_case(rng, t_frames=None, d=3):
@@ -69,14 +74,14 @@ class TestShrinkLimits:
         b64 = ad.Tensor(blanks, dtype=np.float64)
 
         mean_out = shrink.shrink_states(s64, b64, None, segments, shrink.ShrinkConfig(temperature=0.0))
-        for i, (a, b) in enumerate(segments):
+        for i, (a, b) in enumerate(spans(segments)):
             np.testing.assert_allclose(mean_out.data[i], states[a:b].mean(axis=0), atol=1e-7)
 
         # sharp temperature picks the min-blank frame when the margin is clear;
         # at temperature 1e3 the loser weight is e^(-1000*margin), so unit-scale
         # states need margin >= ~0.02 for 1e-6 closeness
         sharp = shrink.shrink_states(s64, b64, None, segments, shrink.ShrinkConfig(temperature=1e3))
-        for i, (a, b) in enumerate(segments):
+        for i, (a, b) in enumerate(spans(segments)):
             sub = blanks[a:b]
             order = np.sort(sub)
             if order.size > 1 and order[1] - order[0] < 0.02:
@@ -146,6 +151,14 @@ class TestDropBlank:
         np.testing.assert_allclose(via_drop.data, via_mean.data, atol=1e-7)
 
 
+@pytest.mark.parametrize("ends", [[], [0, 3], [2, 1, 3], [2, 2, 3], [1, 2], [1, 4], [[1, 3]], [1.0, 3.0]])
+def test_bad_segment_ends_rejected(ends):
+    # empty, starting at 0, not increasing, not ending at T = 3, 2-D, not integers
+    states = ad.Tensor(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="segment ends"):
+        shrink.shrink_states(states, ad.Tensor([0.5, 0.5, 0.5]), None, ends, shrink.ShrinkConfig())
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_gradients_match_finite_differences(seed):
@@ -177,7 +190,7 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
     the one-op shrink keeps."""
     dtype = states.data.dtype
     out_rows = []
-    for start, stop in segments:
+    for start, stop in spans(segments):
         seg = ad.rows(states, start, stop)
         if cfg.mode in ("argmax_frame", "drop_blank"):
             if cfg.mode == "argmax_frame":

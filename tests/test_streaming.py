@@ -98,7 +98,7 @@ class TestPolicySchedule:
         m = ScriptedModel(cfg)
         session = streaming.StreamSession(m)
         # lookahead horizon is 2 input frames; frame 0 finalizes at 3 buffered
-        assert session.push_frames(np.zeros((2, 4), dtype=np.float32)) == []
+        session.push_frames(np.zeros((2, 4), dtype=np.float32))
         assert session.units_completed == 0
         session.push_frames(np.zeros((1, 4), dtype=np.float32))
         assert session.units_completed == 1
@@ -176,7 +176,7 @@ class TestPolicySchedule:
         session = streaming.StreamSession(ScriptedModel(frame_cfg()))
         with pytest.raises(ValueError, match=r"\[n, 4\] frames, got shape"):
             session.push_frames(np.zeros(shape, dtype=np.float32))
-        assert session.push_frames(np.zeros((0, 4), dtype=np.float32)) == []
+        session.push_frames(np.zeros((0, 4), dtype=np.float32))
 
     def test_push_after_end_rejected(self):
         cfg = frame_cfg()
@@ -186,12 +186,15 @@ class TestPolicySchedule:
         with pytest.raises(RuntimeError):
             session.push_frames(np.zeros((1, 4), dtype=np.float32))
 
-    def test_schedule_override_needs_flag(self):
+    def test_given_schedule_is_used(self):
         cfg = frame_cfg(wait_k=3, stride_n=2)
-        with pytest.raises(ValueError):
-            streaming.StreamSession(ScriptedModel(cfg), wait_k=5)
-        session = streaming.StreamSession(ScriptedModel(cfg), wait_k=5, allow_schedule_override=True)
-        assert session.wait_k == 5
+        session = streaming.StreamSession(ScriptedModel(cfg), wait_k=5, stride_n=1)
+        assert (session.wait_k, session.stride_n) == (5, 1)
+        res = streaming.translate_stream(ScriptedModel(cfg, eos_after=99), np.zeros((16, 4), dtype=np.float32),
+                                         wait_k=5, stride_n=1, chunk_frames=1)
+        actions = [a for _, a, _ in res.trace if a in ("READ", "WRITE")]
+        # wait-5 stride-1: five reads, then one token a write
+        assert actions[:8] == ["READ"] * 5 + ["WRITE", "READ", "WRITE"]
 
     def test_output_capped_after_end_of_stream(self):
         cfg = frame_cfg(wait_k=1, stride_n=2)
@@ -444,7 +447,7 @@ def reference_translate(m, feats, wait_k, stride_n, beam):
     hypothesis decoded over its whole prefix in a plain call of its own.
     Units and their completion times come from a session's read side."""
     cfg = m.cfg
-    session = streaming.StreamSession(m, wait_k=wait_k, stride_n=stride_n, allow_schedule_override=True)
+    session = streaming.StreamSession(m, wait_k=wait_k, stride_n=stride_n)
     session.push_frames(feats)
     ready = list(session._unit_ready_ms)  # units complete before end-of-stream
     session.end_stream()
@@ -460,11 +463,11 @@ def reference_translate(m, feats, wait_k, stride_n, beam):
             stride_len = min(stride_n, 2 * n_units + 10 - len(committed))
             if stride_len < 1:
                 return committed, listen
-        segs = ctc.SegmentSet(tuple(session._segments[:visible]))
-        end = segs.total_frames
+        ends = np.array(session._ends[:visible])
+        end = ends[-1]
         with ad.no_grad():
             shrunk = shrink.shrink_states(ad.Tensor(states[:end]), ad.Tensor(post[:end, cfg.blank_index]),
-                                          session._labels[:end], segs, cfg.shrink_config)
+                                          session._labels[:end], ends, cfg.shrink_config)
             units = m.semantic_encode(shrunk)
         beams = [((), 0.0, False)]
         for _ in range(stride_len):
@@ -509,8 +512,7 @@ class TestCachedDecoding:
             lengths = []
             for feats in stream_feats(4, seed=beam):
                 res = streaming.translate_stream(m, feats, wait_k=wait_k, stride_n=stride_n,
-                                                 beam_size=beam, chunk_frames=3,
-                                                 allow_schedule_override=True)
+                                                 beam_size=beam, chunk_frames=3)
                 tokens, listen = reference_translate(m, feats, wait_k, stride_n, beam)
                 assert res.tokens == tokens
                 assert list(res.record.token_listen_ms) == listen
@@ -528,7 +530,7 @@ class TestSessionArguments:
                                           dict(stride_n=1.5), dict(wait_k=-2)])
     def test_bad_schedule_override_rejected(self, schedule):
         with pytest.raises(ValueError, match="wait_k|stride_n"):
-            streaming.StreamSession(ScriptedModel(frame_cfg()), allow_schedule_override=True, **schedule)
+            streaming.StreamSession(ScriptedModel(frame_cfg()), **schedule)
 
 
 def test_positional_only_semantic_encoder_streams_like_offline():
@@ -545,7 +547,7 @@ def test_positional_only_semantic_encoder_streams_like_offline():
                                       ctc.detect_boundaries(path), m.cfg.shrink_config)
         offline = m.semantic_encode(shrunk).data
         first = session._visible_source(2).data
-        units = session._visible_source(session.units_completed).data
+        units = np.concatenate([first, session._visible_source(session.units_completed).data])
     assert session.units_completed >= 3
     np.testing.assert_allclose(first, offline[:2], rtol=0, atol=1e-6)
     np.testing.assert_allclose(units, offline, rtol=0, atol=1e-6)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import struct
 from pathlib import Path
 
@@ -73,6 +74,24 @@ class TestCheckpointIO:
         short.write_bytes(raw[:keep])
         with pytest.raises(ValueError, match=f"short-{cut}.ckpt: truncated"):
             train.load_checkpoint(short)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: h.pop("stage"), lambda h: h.pop("tensors"),
+        lambda h: h["tensors"][0].update(kind="bogus"), lambda h: h["tensors"][0].update(offset=-8),
+    ], ids=["no stage", "no tensors", "unknown kind", "negative offset"])
+    def test_malformed_header_rejected_naming_it(self, tmp_path, corrupt):
+        corpus = small_corpus(2)
+        path = tmp_path / "a.ckpt"
+        train.save_checkpoint(train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings()), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        corrupt(header)
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match="bad.ckpt: malformed header"):
+            train.load_checkpoint(bad)
 
     def test_epochs_zero_returns_initialization(self):
         corpus = small_corpus(4)
