@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     report = train.evaluate(eval_corpus, train.model_from_checkpoint(tuned), trace_sink=traces)
     metrics.write_trace_file(out / "trace.tsv", traces)
     shrink = report["shrink_quality"]
-    extra = {"skipped": report["skipped"],
+    extra = {"skipped": len(report["skipped_ids"]),
              "shrink_quality": ",".join(f"le{n}:{pct:.1f}" for n, pct in shrink.items()) if shrink else None}
     print(metrics.write_report(out / "report.tsv", report, extra))
     return 0

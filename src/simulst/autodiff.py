@@ -74,8 +74,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype or _default_dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
@@ -482,15 +480,9 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return record_op(out, tuple(parts), vjp)
 
 
-def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    out = x.data.sum(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.data.dtype),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).astype(x.data.dtype),)
-
-    return record_op(np.asarray(out), (x,), vjp)
+def reduce_sum(x: Tensor) -> Tensor:
+    return record_op(np.asarray(x.data.sum()), (x,),
+                     lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

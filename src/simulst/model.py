@@ -449,8 +449,6 @@ class Model:
                 raise ValueError(f"cannot encode: {reason}")
         elif not cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
-        elif lengths is not None:
-            raise ValueError("a stream is one sequence; it takes no sequence lengths")
         kv = None if state is None else state.kv
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
 
@@ -487,18 +485,17 @@ class Model:
         return logits, ad.softmax(logits, axis=-1)
 
     def acoustic_encode(self, features: np.ndarray, rng=None, state: StreamState | None = None,
-                        end: bool = True, lengths=None) -> tuple[Tensor, Optional[Tensor]]:
+                        end: bool = True) -> tuple[Tensor, Optional[Tensor]]:
         """Conv-Transformer stack plus the CTC grid (None when CTC is off).
 
-        Without ``state`` this encodes whole utterances: one, or the
-        consecutive sequences of ``lengths`` rows of ``features``, each
-        encoded as if alone. With one it continues a stream: ``features``
-        are the rows that arrived since the last call, and the result
-        holds only the output frames that became final, each computed
-        once. ``end=False`` means more rows follow; ``end=True`` pads the
-        stream's end with zeros and so closes its remaining frames.
+        Without ``state`` this encodes one whole utterance. With one it
+        continues a stream: ``features`` are the rows that arrived since
+        the last call, and the result holds only the output frames that
+        became final, each computed once. ``end=False`` means more rows
+        follow; ``end=True`` pads the stream's end with zeros and so closes
+        its remaining frames.
         """
-        states = self._acoustic_stack(features, rng, state, end, lengths)
+        states = self._acoustic_stack(features, rng, state, end, None)
         return states, self._ctc_head(states)[1]
 
     def semantic_encode(self, shrunk: Tensor, rng=None, state: StreamState | None = None,

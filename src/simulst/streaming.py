@@ -1,13 +1,13 @@
 """Incremental wait-k-stride-n inference.
 
-A session consumes audio frames and finalizes encoder outputs once their
-look-ahead window is satisfied. Each of the model's three stages, the
+A session consumes audio frames. Each of the model's three stages, the
 acoustic encoder, the semantic encoder and the decoder, keeps one
 ``model.StreamState`` per session: its conv context (acoustic encoder
 only), its per-layer keys and values, and the count of rows it has
-computed. The acoustic encoder computes each output frame once, at the
-input length where it becomes final; those lengths do not depend on how
-the caller chunks the audio, so any chunking yields the same run.
+computed. The acoustic encoder returns each output frame once, at the
+input length where its look-ahead window is satisfied, and the session
+counts the frames it returns as final; those lengths do not depend on
+how the caller chunks the audio, so any chunking yields the same run.
 Finalized values match an offline pass up to float rounding (the two
 compute the same sums over row blocks of different sizes). The session
 detects segment boundaries online and alternates reading n new source
@@ -16,19 +16,19 @@ unidirectional: a bidirectional one is rejected with
 ``NonCausalEncoderError``.
 
 Every call gives a stage only what its state lacks, so the session keeps
-no source unit, only how many it gave the decoder, and a segment is its
-end frame. The semantic encoder's and the decoder's states are extended
-only at writes. A write that may see ``visible`` units first shrinks and
-semantic-encodes the units in [given, visible) over the cached ones.
-Beam step 0 gives them to the decoder, which computes their
-cross-attention keys and values once, with the rows of [EOS] + committed
-it lacks: a row's cross-attention is fixed once the token it predicts is
-committed, so from that write on it is final. Later beam steps score all
-live hypotheses in one decoder call on a fork of that state, with no new
-units, and leave it as it was. Both ends of every extension come from
-the schedule (units visible, tokens committed), never from when audio
-arrived, so row blocks, and with them float rounding, do not depend on
-the chunking either.
+no source unit, only how many it gave the decoder, and every unit, frame
+or segment, is its end frame. The semantic encoder's and the decoder's
+states are extended only at writes. A write that may see ``visible``
+units first shrinks and semantic-encodes the units in [given, visible)
+over the cached ones. Beam step 0 gives them to the decoder, which
+computes their cross-attention keys and values once, with the rows of
+[EOS] + committed it lacks: a row's cross-attention is fixed once the
+token it predicts is committed, so from that write on it is final. Later
+beam steps score all live hypotheses in one decoder call on a fork of
+that state, with no new units, and leave it as it was. Both ends of
+every extension come from the schedule (units visible, tokens
+committed), never from when audio arrived, so row blocks, and with them
+float rounding, do not depend on the chunking either.
 
 Listening times d(y_i) are stamped with the minimal audio prefix that
 completed the stride's required unit, which makes them invariant to how
@@ -128,7 +128,7 @@ class StreamSession:
         self._decoder = model_mod.StreamState()
         self._n_given = 0  # source units given to the decoder
         self._labels = np.zeros(0, dtype=np.int64)
-        self._ends: list[int] = []  # end frame of each closed segment
+        self._ends: list[int] = []  # end frame of each closed unit
         self._unit_ready_ms: list[float] = []
         self._committed: list[int] = []
         self._visibility: list[int] = []
@@ -149,9 +149,6 @@ class StreamSession:
     def ended(self) -> bool:
         return self._ended
 
-    def _fed_ms(self) -> float:
-        return self._n_fed * self.model.cfg.frame_ms
-
     def _total_frames_out(self) -> int:
         return model_mod.output_length(self.model.cfg, self._n_fed)
 
@@ -164,9 +161,9 @@ class StreamSession:
         """Finalized acoustic states and CTC rows, joined into one chunk each."""
         return _joined(self._states), (_joined(self._posteriors) if self._posteriors else None)
 
-    def _advance(self, rows: np.ndarray, n_final: int, stamp: float, end: bool = False) -> None:
-        """Encode ``rows``, the input since the last call, which makes frames
-        [self._n_final, n_final) final, and close the segments they complete."""
+    def _advance(self, rows: np.ndarray, stamp: float, end: bool = False) -> None:
+        """Encode ``rows``, the input since the last call; the frames the
+        encoder returns are final. Close the units they complete."""
         with ad.no_grad():
             states, posteriors = self.model.acoustic_encode(rows, state=self._enc_state, end=end)
         self.stats.acoustic_encode_calls += 1
@@ -174,20 +171,20 @@ class StreamSession:
         self._states.append(states.data)
         if posteriors is not None:
             self._posteriors.append(posteriors.data)
-        if self.unit_kind == "frame":
-            for idx in range(self._n_final, n_final):
-                self._unit_ready_ms.append(stamp)
-                self._trace.append((stamp, "READ", f"frame={idx}"))
+        if self.unit_kind == "frame":  # frame unit i ends at frame i + 1
+            ends = range(self._n_final + 1, self._n_final + states.shape[0] + 1)
         else:
             self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
-            for cut in ctc_mod.boundary_cuts(self._labels, max(self._n_final - 1, 0)):
-                self._close_segment(int(cut), stamp)
-        self._n_final = n_final
+            ends = ctc_mod.boundary_cuts(self._labels, max(self._n_final - 1, 0))
+        for unit_end in ends:
+            self._close_unit(int(unit_end), stamp)
+        self._n_final += states.shape[0]
 
-    def _close_segment(self, end: int, stamp: float) -> None:
+    def _close_unit(self, end: int, stamp: float) -> None:
+        """Record the next unit, frame or segment, which ends at frame ``end``."""
+        self._trace.append((stamp, "READ", f"{self.unit_kind}={len(self._ends)}"))
         self._ends.append(end)
         self._unit_ready_ms.append(stamp)
-        self._trace.append((stamp, "READ", f"segment={len(self._ends) - 1}"))
 
     def push_frames(self, frames: np.ndarray) -> None:
         """Feed audio. The encoder advances at each input length where a
@@ -201,13 +198,13 @@ class StreamSession:
             raise ValueError(f"push_frames takes [n, {cfg.d_feat}] frames, got shape {frames.shape}")
         rows = np.concatenate([self._unencoded, frames])
         first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
+        self._n_fed += frames.shape[0]
         horizon = model_mod.effective_lookahead_frames(cfg)
-        for t in range(self._n_final, model_mod.finalized_frames(cfg, first + rows.shape[0])):
+        for t in range(self._n_final, model_mod.finalized_frames(cfg, self._n_fed)):
             # frame t is final once input t*downsample + horizon has arrived
-            self._n_fed = t * cfg.downsample + horizon + 1
-            self._advance(rows[: self._n_fed - first], t + 1, self._fed_ms())
-            rows, first = rows[self._n_fed - first:], self._n_fed
-        self._n_fed = first + rows.shape[0]
+            n = t * cfg.downsample + horizon + 1
+            self._advance(rows[: n - first], n * cfg.frame_ms)
+            rows, first = rows[n - first:], n
         self._unencoded = rows
 
     def end_stream(self) -> None:
@@ -219,26 +216,26 @@ class StreamSession:
         reason = model_mod.skip_reason(cfg, self._n_fed, ())
         if reason is not None:
             raise ValueError(f"stream ended too short to encode: {reason}")
-        t_out = self._total_frames_out()
         total = self._total_ms()
-        self._advance(self._unencoded, t_out, total, end=True)
+        self._advance(self._unencoded, total, end=True)
         if self.unit_kind == "segment":
             # the open tail always closes at end-of-stream; an all-blank stream
             # yields this single segment so the decoder has at least one unit
-            self._close_segment(t_out, total)
+            self._close_unit(self._n_final, total)
 
     # -- decoding --------------------------------------------------------------
 
     def _visible_source(self, visible: int) -> Tensor:
         """Source units [given, visible), after the ``given`` ones the decoder
-        has seen; segments are shrunk and semantic-encoded here, over the
-        cached units, so each unit is encoded once."""
+        has seen: the frames [lo, hi) up to those units' end frames. Segments
+        are shrunk and semantic-encoded here, over the cached units, so each
+        unit is encoded once."""
         given, self._n_given = self._n_given, visible
         states, post = self._finalized()
-        if self.unit_kind == "frame" or visible == given:
-            return Tensor(states[given:visible])
-        cfg = self.model.cfg
         lo, hi = (self._ends[given - 1] if given else 0), self._ends[visible - 1]
+        if self.unit_kind == "frame" or visible == given:
+            return Tensor(states[lo:hi])
+        cfg = self.model.cfg
         with ad.no_grad():
             shrunk = shrink_mod.shrink_states(
                 Tensor(states[lo:hi]), Tensor(post[lo:hi, cfg.blank_index]), self._labels[lo:hi],
@@ -309,15 +306,11 @@ class StreamSession:
             return self.stride_n
         return min(self.stride_n, 2 * self.units_completed + 10 - len(self._committed))
 
-    def _write_stride(self) -> list[int]:
-        """Beam search over the next stride; commits the best continuation."""
-        if self._ended:
-            visible = self.units_completed
-            stamp = self._total_ms()
-        else:
-            visible = int(visible_units(self.wait_k, self.stride_n, len(self._committed)))
-            stamp = self._unit_ready_ms[visible - 1]
-        self._last_stamp = stamp
+    def _write_stride(self, visible: int) -> list[int]:
+        """Beam search over the next stride, which sees the first ``visible``
+        units; commits the best continuation, stamped when the last of them
+        was complete (at the stream's end after end-of-stream)."""
+        stamp = self._last_stamp = self._total_ms() if self._ended else self._unit_ready_ms[visible - 1]
         best = self._beam_stride(self._visible_source(visible), visible, self._stride_len())[0]
         committed = []
         for tok in best.tokens:
@@ -340,10 +333,8 @@ class StreamSession:
 
     def _finish(self) -> tuple[str, None]:
         self._finished = True
-        if self._ended:
-            stamp = self._total_ms()
-        else:
-            stamp = self._last_stamp if self._last_stamp is not None else self._fed_ms()
+        # before end-of-stream a session finishes only right after a write
+        stamp = self._total_ms() if self._ended else self._last_stamp
         self._trace.append((stamp, "FINISH", ""))
         return FINISH, None
 
@@ -356,7 +347,7 @@ class StreamSession:
         budget = visible_units(self.wait_k, self.stride_n, len(self._committed))
         if not self._ended and self.units_completed < budget:
             return READ, None
-        tokens = self._write_stride()
+        tokens = self._write_stride(self.units_completed if self._ended else int(budget))
         if tokens:
             return WRITE, tokens
         return self._finish()
@@ -378,13 +369,12 @@ class StreamSession:
             reference_length=reference_length if reference_length else max(len(self._committed), 1),
             lookahead_offset_ms=model_mod.effective_lookahead_ms(cfg),
         )
-        seg_count = len(self._ends) if (cfg.use_ctc and self.unit_kind == "segment") else None
         return SessionResult(
             tokens=list(self._committed),
             record=record,
             trace=[meta] + self._trace,
             n_units=self.units_completed,
-            segment_count=seg_count,
+            segment_count=self.units_completed if self.unit_kind == "segment" else None,
         )
 
 

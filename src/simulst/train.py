@@ -110,34 +110,31 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<Q", raw[8:16])
     if 16 + hlen > len(raw):
         raise ValueError(f"{path}: truncated, {len(raw)} bytes hold no {hlen}-byte header")
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     body = raw[16 + hlen:]
     tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
     try:
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
         for entry in header["tensors"]:
-            if entry["kind"] not in tables or entry["offset"] < 0:
-                raise ValueError(f"{path}: malformed header, tensor {entry['name']!r} has kind "
-                                 f"{entry['kind']!r} and offset {entry['offset']}")
+            kind, name = entry["kind"], entry["name"]
             dtype = np.dtype(entry["dtype"]).newbyteorder("<")
             count = int(np.prod(entry["shape"], dtype=np.int64))
             if entry["offset"] + count * dtype.itemsize > len(body):
-                raise ValueError(f"{path}: truncated, the payload ends before {entry['kind']} "
-                                 f"tensor {entry['name']!r}")
-            arr = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
-                                ).reshape(entry["shape"]).astype(entry["dtype"])
-            tables[entry["kind"]][entry["name"]] = arr
-        opt = OptimizerState(**header["opt"], m=tables["m"], v=tables["v"])
-        return Checkpoint(
-            params=tables["param"],
-            opt=opt,
-            epoch=header["epoch"],
-            fingerprint=header["fingerprint"],
-            cfg=config_from_dict(header["cfg"]),
-            rng_state=header["rng_state"],
-            stage=header["stage"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed header, it has no {exc} entry") from exc
+                break  # truncated: raised below, past the malformed-header handler
+            tables[kind][name] = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
+                                               ).reshape(entry["shape"]).astype(entry["dtype"])
+        else:
+            return Checkpoint(
+                params=tables["param"],
+                opt=OptimizerState(**header["opt"], m=tables["m"], v=tables["v"]),
+                epoch=header["epoch"],
+                fingerprint=header["fingerprint"],
+                cfg=config_from_dict(header["cfg"]),
+                rng_state=header["rng_state"],
+                stage=header["stage"],
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    raise ValueError(f"{path}: truncated, the payload ends before {kind} tensor {name!r}")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
@@ -297,10 +294,10 @@ def finetune(corpus: Corpus, start: Checkpoint, cfg: ModelConfig, epochs: int,
 
 
 def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_size: int = 5,
-             chunk_frames: Optional[int] = None, trace_sink: Optional[list] = None) -> dict:
+             trace_sink: Optional[list] = None) -> dict:
     """Run the streaming engine per utterance; aggregate BLEU, AP, AL, the
     shrink-quality histogram and the utterances too short to encode
-    (``skipped``, and ``skipped_ids`` with each one's reason)."""
+    (``skipped_ids``, each with its reason)."""
     seg_counts, transcript_lens = [], []
     utterances = []
     skipped_ids = {}
@@ -311,7 +308,7 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
             continue
         res = streaming.translate_stream(
             model, utt.features, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size,
-            chunk_frames=chunk_frames, reference_length=len(utt.target), tgt_vocab=corpus.tgt_vocab,
+            reference_length=len(utt.target), tgt_vocab=corpus.tgt_vocab,
         )
         utterances.append((utt.id, corpus.tgt_vocab.decode(res.tokens),
                            corpus.tgt_vocab.decode(utt.target), res.record))
@@ -322,6 +319,5 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
             trace_sink.append((utt.id, res.trace))
     report = metrics_mod.summarize(utterances)
     report["shrink_quality"] = ctc_mod.shrink_quality(seg_counts, transcript_lens) if seg_counts else None
-    report["skipped"] = len(skipped_ids)
     report["skipped_ids"] = skipped_ids
     return report

@@ -28,10 +28,13 @@ class ScriptedModel:
         self.eos_after = eos_after
 
     def acoustic_encode(self, features, rng=None, state=None, end=True):
-        states = np.asarray(features, dtype=np.float32)[::2]
-        pad = np.zeros((model.output_length(self.cfg, len(features)) - len(states), states.shape[1]))
-        if len(pad):
-            states = np.concatenate([states, pad.astype(np.float32)])
+        # like Model, return only the frames that became final: of all rows
+        # fed so far, the finalized ones (all of them at the end), minus those
+        # already returned; the state counts both
+        fed = state.kv.get("fed", 0) + len(features)
+        final = model.output_length(self.cfg, fed) if end else model.finalized_frames(self.cfg, fed)
+        states = np.zeros((final - state.rows, self.cfg.d_feat), dtype=np.float32)
+        state.kv["fed"], state.rows = fed, final
         return ad.Tensor(states), None
 
     def semantic_encode(self, shrunk, rng=None, state=None):
@@ -211,6 +214,30 @@ class TestPolicySchedule:
         monkeypatch.setattr(streaming, "StreamSession", no_session)
         with pytest.raises(ValueError, match="chunk_frames"):
             streaming.translate_stream(ScriptedModel(frame_cfg()), np.zeros((8, 4)), chunk_frames=chunk)
+
+
+class TestUnitKinds:
+    def test_frame_units_are_the_encoder_frames(self):
+        cfg = frame_cfg()
+        feats = np.zeros((13, 4), dtype=np.float32)
+        session = streaming.StreamSession(ScriptedModel(cfg, eos_after=99))
+        for i in range(0, len(feats), 3):
+            session.push_frames(feats[i:i + 3])
+        session.end_stream()
+        while session.step()[0] != streaming.FINISH:
+            pass
+        res = session.finalize()
+        n = model.output_length(cfg, len(feats))
+        assert [text for _, action, text in res.trace if action == "READ"] == [f"frame={i}" for i in range(n)]
+        assert res.n_units == n
+        assert session._ends == list(range(1, n + 1))  # frame unit i ends at frame i + 1
+        assert res.segment_count is None
+
+    def test_segment_units_are_counted_as_segments(self):
+        res = streaming.translate_stream(real_model(emitting=True), stream_feats(1, seed=2)[0], chunk_frames=3)
+        reads = [text for _, action, text in res.trace if action == "READ"]
+        assert reads == [f"segment={i}" for i in range(res.n_units)]
+        assert res.segment_count == res.n_units >= 2
 
 
 class TestBeamReranking:

@@ -78,7 +78,11 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("corrupt", [
         lambda h: h.pop("stage"), lambda h: h.pop("tensors"),
         lambda h: h["tensors"][0].update(kind="bogus"), lambda h: h["tensors"][0].update(offset=-8),
-    ], ids=["no stage", "no tensors", "unknown kind", "negative offset"])
+        lambda h: h["tensors"].__setitem__(0, ["x"]), lambda h: h["tensors"][0].update(dtype="nope"),
+        lambda h: h["tensors"][0].update(shape="ab"), lambda h: h["cfg"].update(bogus=1),
+        lambda h: h["opt"].update(bogus=1),
+    ], ids=["no stage", "no tensors", "unknown kind", "negative offset", "tensor entry not an object",
+            "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key"])
     def test_malformed_header_rejected_naming_it(self, tmp_path, corrupt):
         corpus = small_corpus(2)
         path = tmp_path / "a.ckpt"
@@ -88,6 +92,19 @@ class TestCheckpointIO:
         header = json.loads(raw[16:16 + hlen])
         corrupt(header)
         blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match="bad.ckpt: malformed header"):
+            train.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe{}", b"[]"],
+                             ids=["not json", "not utf-8", "a list"])
+    def test_undecodable_header_rejected_naming_it(self, tmp_path, blob):
+        corpus = small_corpus(2)
+        path = tmp_path / "a.ckpt"
+        train.save_checkpoint(train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings()), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
         with pytest.raises(ValueError, match="bad.ckpt: malformed header"):
@@ -263,7 +280,7 @@ class TestEvaluate:
         first = corpus.utterances[0]
         corpus.utterances[0] = dataclasses.replace(first, features=first.features[:3])
         report = train.evaluate(corpus, model.Model(cfg, seed=0), beam_size=1)
-        assert report["skipped"] == 1
+        assert len(report["skipped_ids"]) == 1
         assert report["skipped_ids"] == {"syn00000": "3 frames < downsampling factor"}
         assert [r["id"] for r in report["rows"]] == ["syn00001", "syn00002"]
 
