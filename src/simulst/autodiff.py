@@ -3,8 +3,8 @@
 A small define-by-run engine over numpy arrays. Each differentiable
 operation appends one entry to a global tape; ``backward`` replays the
 tape in reverse and accumulates gradients into leaf tensors. float32 is
-the working precision; float64 can be selected (globally or via the
-``using_dtype`` context) for high-precision gradient checks.
+the working precision; the ``using_dtype`` context selects float64 for
+high-precision gradient checks (there is no global dtype setter).
 
 Training and streaming run the same ops, so an op's fixed Python cost is
 paid once per layer and call. The model's dense layers are one ``affine``
@@ -36,20 +36,14 @@ def default_dtype():
     return _default_dtype
 
 
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype.type
-
-
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the default tensor dtype (e.g. float64 for oracles)."""
     global _default_dtype
-    prev = _default_dtype
-    set_default_dtype(dtype)
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
+    prev, _default_dtype = _default_dtype, dtype.type
     try:
         yield
     finally:

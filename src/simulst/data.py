@@ -22,7 +22,6 @@ class Vocab:
         self.tokens = list(RESERVED) + list(tokens)
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        self.index = {tok: i for i, tok in enumerate(self.tokens)}
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[int(i)] for i in ids]

@@ -89,6 +89,7 @@ class ModelConfig:
     frame_ms: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -117,6 +118,8 @@ class ModelConfig:
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         self.shrink_config  # ShrinkConfig rejects a bad mode or temperature
+        if self.use_shrink and not self.use_ctc:
+            raise ValueError("use_shrink needs use_ctc: segments are cut on the CTC path")
         if self.blank_penalty_mode not in ctc_mod.BLANK_PENALTY_MODES:
             raise ValueError(f"blank_penalty_mode must be one of {ctc_mod.BLANK_PENALTY_MODES}, "
                              f"got {self.blank_penalty_mode!r}")
@@ -437,13 +440,11 @@ class Model:
         return ad.relu(ad.add(y, self.params[f"{name}.b"])), np.array([y.shape[0]])
 
     def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[StreamState], end: bool,
-                        lengths) -> Tensor:
+                        lengths) -> tuple[Tensor, np.ndarray]:
+        """The conv-Transformer stack's output frames and their sequence lengths."""
         cfg = self.cfg
         if state is None:
             lengths = np.array([features.shape[0]] if lengths is None else lengths, dtype=np.int64)
-            if lengths.sum() != features.shape[0]:
-                raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
-                                 f"{features.shape[0]} input frames")
             reason = skip_reason(cfg, int(lengths.min()), ())
             if reason is not None:
                 raise ValueError(f"cannot encode: {reason}")
@@ -475,7 +476,7 @@ class Model:
                 x, lengths = convs_of_block(b, x, lengths)
             for b in range(cfg.n_blocks):
                 x = transformers_of_block(b, x, lengths)
-        return x
+        return x, lengths
 
     def _ctc_head(self, states: Tensor) -> tuple[Optional[Tensor], Optional[Tensor]]:
         """CTC logits and their softmax grid; (None, None) when CTC is off."""
@@ -495,7 +496,7 @@ class Model:
         follow; ``end=True`` pads the stream's end with zeros and so closes
         its remaining frames.
         """
-        states = self._acoustic_stack(features, rng, state, end, None)
+        states, _ = self._acoustic_stack(features, rng, state, end, None)
         return states, self._ctc_head(states)[1]
 
     def semantic_encode(self, shrunk: Tensor, rng=None, state: StreamState | None = None,
@@ -585,9 +586,8 @@ class Model:
             return None, None, diagnostics
         lengths = np.array([utt.n_frames for utt in keep], dtype=np.int64)
         feats = np.concatenate([utt.features for utt in keep])
-        states = self._acoustic_stack(feats, rng, None, True, lengths)
+        states, frames = self._acoustic_stack(feats, rng, None, True, lengths)
         ctc_logits, posteriors = self._ctc_head(states)
-        frames = output_length(cfg, lengths)
         units, unit_lengths = states, frames  # without shrinking the units are the encoder frames
         loss_ctc = None
         if cfg.use_ctc:

@@ -8,6 +8,8 @@ computed. The acoustic encoder returns each output frame once, at the
 input length where its look-ahead window is satisfied, and the session
 counts the frames it returns as final; those lengths do not depend on
 how the caller chunks the audio, so any chunking yields the same run.
+That count is also the stream's length once ``end_stream`` has closed
+it, so a result needs an ended stream.
 Finalized values match an offline pass up to float rounding (the two
 compute the same sums over row blocks of different sizes). The session
 detects segment boundaries online and alternates reading n new source
@@ -31,8 +33,8 @@ committed), never from when audio arrived, so row blocks, and with them
 float rounding, do not depend on the chunking either.
 
 Listening times d(y_i) are stamped with the minimal audio prefix that
-completed the stride's required unit, which makes them invariant to how
-the caller chunks the audio.
+completed the stride's required unit, or the whole stream after its end,
+which makes them invariant to how the caller chunks the audio.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class BeamHypothesis:
 class SessionStats:
     """Work one session did."""
 
-    encoder_frames: int = 0  # acoustic encoder output frames computed
+    encoder_frames: int = 0  # acoustic encoder output frames computed, all final
     acoustic_encode_calls: int = 0
     semantic_encode_calls: int = 0
     semantic_units: int = 0  # source units the semantic encoder encoded
@@ -78,11 +80,12 @@ class SessionStats:
 
 @dataclass
 class SessionResult:
+    """A finished session over an ended stream."""
+
     tokens: list[int]
     record: metrics.LatencyRecord
     trace: list[tuple[float, str, str]]
-    n_units: int
-    segment_count: Optional[int]  # segments detected by the CTC head, if any
+    n_units: int  # source units, frames or (with shrinking) CTC segments
 
 
 def _joined(chunks: list[np.ndarray]) -> np.ndarray:
@@ -116,14 +119,13 @@ class StreamSession:
             raise ValueError(f"beam_size must be a positive integer, got {beam_size!r}")
         self.beam_size = beam_size
         self.tgt_vocab = tgt_vocab
-        self.unit_kind = "segment" if (cfg.use_ctc and cfg.use_shrink) else "frame"
+        self.unit_kind = "segment" if cfg.use_shrink else "frame"
         self.stats = SessionStats()
         self._enc_state = model_mod.StreamState()
         self._n_fed = 0  # input frames pushed
         self._unencoded = np.zeros((0, cfg.d_feat), dtype=np.float32)  # pushed, not yet encoded
         self._states: list[np.ndarray] = []  # finalized acoustic states, in chunks
         self._posteriors: list[np.ndarray] = []  # their CTC rows, when CTC is on
-        self._n_final = 0
         self._semantic = model_mod.StreamState()
         self._decoder = model_mod.StreamState()
         self._n_given = 0  # source units given to the decoder
@@ -149,11 +151,9 @@ class StreamSession:
     def ended(self) -> bool:
         return self._ended
 
-    def _total_frames_out(self) -> int:
-        return model_mod.output_length(self.model.cfg, self._n_fed)
-
     def _total_ms(self) -> float:
-        return self._total_frames_out() * self.model.cfg.output_frame_ms
+        """The stream's duration; final only after ``end_stream``."""
+        return self.stats.encoder_frames * self.model.cfg.output_frame_ms
 
     # -- encoding ------------------------------------------------------------
 
@@ -161,9 +161,11 @@ class StreamSession:
         """Finalized acoustic states and CTC rows, joined into one chunk each."""
         return _joined(self._states), (_joined(self._posteriors) if self._posteriors else None)
 
-    def _advance(self, rows: np.ndarray, stamp: float, end: bool = False) -> None:
+    def _advance(self, rows: np.ndarray, end: bool = False) -> list[int]:
         """Encode ``rows``, the input since the last call; the frames the
-        encoder returns are final. Close the units they complete."""
+        encoder returns are final, and ``stats.encoder_frames`` counts
+        them. Returns the end frames of the units they complete."""
+        done = self.stats.encoder_frames
         with ad.no_grad():
             states, posteriors = self.model.acoustic_encode(rows, state=self._enc_state, end=end)
         self.stats.acoustic_encode_calls += 1
@@ -172,13 +174,9 @@ class StreamSession:
         if posteriors is not None:
             self._posteriors.append(posteriors.data)
         if self.unit_kind == "frame":  # frame unit i ends at frame i + 1
-            ends = range(self._n_final + 1, self._n_final + states.shape[0] + 1)
-        else:
-            self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
-            ends = ctc_mod.boundary_cuts(self._labels, max(self._n_final - 1, 0))
-        for unit_end in ends:
-            self._close_unit(int(unit_end), stamp)
-        self._n_final += states.shape[0]
+            return list(range(done + 1, self.stats.encoder_frames + 1))
+        self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
+        return ctc_mod.boundary_cuts(self._labels, max(done - 1, 0)).tolist()
 
     def _close_unit(self, end: int, stamp: float) -> None:
         """Record the next unit, frame or segment, which ends at frame ``end``."""
@@ -200,28 +198,30 @@ class StreamSession:
         first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
         self._n_fed += frames.shape[0]
         horizon = model_mod.effective_lookahead_frames(cfg)
-        for t in range(self._n_final, model_mod.finalized_frames(cfg, self._n_fed)):
+        for t in range(self.stats.encoder_frames, model_mod.finalized_frames(cfg, self._n_fed)):
             # frame t is final once input t*downsample + horizon has arrived
             n = t * cfg.downsample + horizon + 1
-            self._advance(rows[: n - first], n * cfg.frame_ms)
+            for unit_end in self._advance(rows[: n - first]):
+                self._close_unit(unit_end, n * cfg.frame_ms)
             rows, first = rows[n - first:], n
         self._unencoded = rows
 
     def end_stream(self) -> None:
-        """No more audio: finalize every frame and close the last segment."""
+        """No more audio: finalize every frame, so the encoder's count is the
+        stream's length, and close the units left, stamped with it."""
         if self._ended:
             raise RuntimeError("end_stream called twice")
-        self._ended = True
-        cfg = self.model.cfg
-        reason = model_mod.skip_reason(cfg, self._n_fed, ())
+        reason = model_mod.skip_reason(self.model.cfg, self._n_fed, ())
         if reason is not None:
             raise ValueError(f"stream ended too short to encode: {reason}")
-        total = self._total_ms()
-        self._advance(self._unencoded, total, end=True)
+        self._ended = True
+        ends = self._advance(self._unencoded, end=True)
         if self.unit_kind == "segment":
             # the open tail always closes at end-of-stream; an all-blank stream
             # yields this single segment so the decoder has at least one unit
-            self._close_unit(self._n_final, total)
+            ends.append(self.stats.encoder_frames)
+        for unit_end in ends:
+            self._close_unit(unit_end, self._total_ms())
 
     # -- decoding --------------------------------------------------------------
 
@@ -353,29 +353,23 @@ class StreamSession:
         return self._finish()
 
     def finalize(self, reference_length: Optional[int] = None) -> SessionResult:
-        """Assemble the hypothesis, latency record, and trace."""
-        if not self._finished:
-            raise RuntimeError("finalize before the session finished")
+        """Assemble the hypothesis, latency record, and trace. A result needs
+        a finished session over an ended stream: the record's source length
+        is the encoder's frame count, which only ``end_stream`` makes final."""
+        if not (self._finished and self._ended):
+            raise RuntimeError("finalize needs a finished session and an ended stream")
         cfg = self.model.cfg
-        total = self._total_ms()
-        meta = (0.0, "META",
-                f"frames={self._total_frames_out()} frame_ms={cfg.output_frame_ms} "
-                f"total_ms={total:g} offset_ms={model_mod.effective_lookahead_ms(cfg)}")
         record = metrics.LatencyRecord(
             token_listen_ms=tuple(self._listen_ms),
-            total_ms=total,
-            source_frames=self._total_frames_out(),
+            total_ms=self._total_ms(),
+            source_frames=self.stats.encoder_frames,
             frame_ms=cfg.output_frame_ms,
             reference_length=reference_length if reference_length else max(len(self._committed), 1),
             lookahead_offset_ms=model_mod.effective_lookahead_ms(cfg),
         )
-        return SessionResult(
-            tokens=list(self._committed),
-            record=record,
-            trace=[meta] + self._trace,
-            n_units=self.units_completed,
-            segment_count=self.units_completed if self.unit_kind == "segment" else None,
-        )
+        meta = (0.0, "META", f"frames={record.source_frames} frame_ms={record.frame_ms} "
+                f"total_ms={record.total_ms:g} offset_ms={record.lookahead_offset_ms}")
+        return SessionResult(list(self._committed), record, [meta] + self._trace, self.units_completed)
 
 
 def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_n=None,

@@ -55,18 +55,6 @@ class Checkpoint:
     stage: str  # init | pretrain | finetune
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["conv_lookahead"] = list(cfg.conv_lookahead)
-    return d
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["conv_lookahead"] = tuple(d["conv_lookahead"])
-    return ModelConfig(**d)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
@@ -86,7 +74,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             payload.extend(le.tobytes())
     header = {
         "fingerprint": ckpt.fingerprint,
-        "cfg": config_to_dict(ckpt.cfg),
+        "cfg": dataclasses.asdict(ckpt.cfg),
         "epoch": ckpt.epoch,
         "stage": ckpt.stage,
         "rng_state": ckpt.rng_state,
@@ -128,7 +116,7 @@ def load_checkpoint(path) -> Checkpoint:
                 opt=OptimizerState(**header["opt"], m=tables["m"], v=tables["v"]),
                 epoch=header["epoch"],
                 fingerprint=header["fingerprint"],
-                cfg=config_from_dict(header["cfg"]),
+                cfg=ModelConfig(**header["cfg"]),
                 rng_state=header["rng_state"],
                 stage=header["stage"],
             )
@@ -312,8 +300,8 @@ def evaluate(corpus: Corpus, model: Model, *, wait_k=None, stride_n=None, beam_s
         )
         utterances.append((utt.id, corpus.tgt_vocab.decode(res.tokens),
                            corpus.tgt_vocab.decode(utt.target), res.record))
-        if res.segment_count is not None:
-            seg_counts.append(res.segment_count)
+        if model.cfg.use_shrink:
+            seg_counts.append(res.n_units)
             transcript_lens.append(len(utt.source))
         if trace_sink is not None:
             trace_sink.append((utt.id, res.trace))

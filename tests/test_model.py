@@ -371,6 +371,7 @@ class TestStreamingEncode:
     dict(tgt_vocab_size=1),  # EOS is id 1
     dict(tgt_vocab_size=0),
     dict(src_vocab_size=0),
+    dict(use_ctc=False, use_shrink=True),  # segments are cut on the CTC path
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError):

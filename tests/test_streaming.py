@@ -162,6 +162,31 @@ class TestPolicySchedule:
         d = res.record.token_listen_ms
         assert all(b >= a for a, b in zip(d, d[1:]))
 
+    def test_finalize_needs_an_ended_stream(self):
+        cfg = frame_cfg(wait_k=1, stride_n=1)
+        session = streaming.StreamSession(ScriptedModel(cfg, eos_after=0))
+        session.push_frames(np.zeros((40, 4), dtype=np.float32))
+        while session.step()[0] != streaming.FINISH:
+            pass
+        assert session.units_completed == 19
+        with pytest.raises(RuntimeError, match="ended stream"):
+            session.finalize()
+        session.end_stream()
+        record = session.finalize().record
+        assert record.source_frames == session.stats.encoder_frames == 20
+        assert record.total_ms == 400
+
+    def test_a_stream_too_short_to_encode_stays_open(self):
+        cfg = frame_cfg()
+        session = streaming.StreamSession(ScriptedModel(cfg))
+        session.push_frames(np.zeros((1, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="too short"):
+            session.end_stream()
+        assert not session.ended
+        session.push_frames(np.zeros((3, 4), dtype=np.float32))
+        session.end_stream()
+        assert session.stats.encoder_frames == model.output_length(cfg, 4)
+
     def test_step_after_finish_rejected(self):
         cfg = frame_cfg(wait_k=1, stride_n=1)
         m = ScriptedModel(cfg, eos_after=0)
@@ -231,13 +256,12 @@ class TestUnitKinds:
         assert [text for _, action, text in res.trace if action == "READ"] == [f"frame={i}" for i in range(n)]
         assert res.n_units == n
         assert session._ends == list(range(1, n + 1))  # frame unit i ends at frame i + 1
-        assert res.segment_count is None
 
     def test_segment_units_are_counted_as_segments(self):
         res = streaming.translate_stream(real_model(emitting=True), stream_feats(1, seed=2)[0], chunk_frames=3)
         reads = [text for _, action, text in res.trace if action == "READ"]
         assert reads == [f"segment={i}" for i in range(res.n_units)]
-        assert res.segment_count == res.n_units >= 2
+        assert res.n_units >= 2
 
 
 class TestBeamReranking:
@@ -335,7 +359,7 @@ class TestChunkingInvariance:
         with ad.no_grad():
             _, post = m.acoustic_encode(feats)
         offline_segments = ctc_mod.detect_boundaries(ctc_mod.greedy_path(post))
-        assert res.segment_count == len(offline_segments)
+        assert res.n_units == len(offline_segments)
 
 
 class TestCausalityGuard:
@@ -419,6 +443,7 @@ class TestSessionStats:
             if action == streaming.FINISH:
                 break
         assert stats.encoder_frames == model.output_length(m.cfg, 30)
+        assert session.finalize().record.source_frames == stats.encoder_frames
         assert stats.semantic_encode_calls >= 1
         assert stats.decode_logits_calls >= 1
         # a scored hypothesis is extended by at most beam tokens
@@ -458,14 +483,14 @@ def test_a_stream_leaves_the_tape_empty():
     m = real_model(emitting=True)
     assert all(p.requires_grad for p in m.parameters().values())
     res = streaming.translate_stream(m, stream_feats(1, seed=3)[0], chunk_frames=3)
-    assert res.segment_count >= 2
+    assert res.n_units >= 2
     assert ad.tape_length() == 0
 
 
 def test_emitting_model_makes_several_segments_per_stream():
     m = real_model(emitting=True)
     for feats in stream_feats(6):
-        assert streaming.translate_stream(m, feats, chunk_frames=3).segment_count >= 3
+        assert streaming.translate_stream(m, feats, chunk_frames=3).n_units >= 3
 
 
 def reference_translate(m, feats, wait_k, stride_n, beam):

@@ -251,8 +251,7 @@ class TestAblationMatrix:
         if cfg.use_ctc:
             ckpt = train.pretrain_ctc(corpus, cfg, 1, st)
         else:
-            ckpt = train.pretrain_ctc(corpus, model.ModelConfig(**{
-                **train.config_to_dict(cfg), "use_ctc": True}), 0, st)
+            ckpt = train.pretrain_ctc(corpus, dataclasses.replace(cfg, use_ctc=True), 0, st)
             ckpt = train.Checkpoint(
                 params=ckpt.params, opt=ckpt.opt, epoch=0,
                 fingerprint=cfg.fingerprint(), cfg=cfg, rng_state=ckpt.rng_state,
