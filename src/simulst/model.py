@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -90,6 +91,11 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
+        for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "conv_lookahead",
+                     "transformer_layers_per_block", "d_model", "n_heads", "ffn_dim", "semantic_layers",
+                     "decoder_layers", "src_vocab_size", "tgt_vocab_size"):  # each sizes arrays or loops
+            if not all(isinstance(v, numbers.Integral) for v in np.ravel(getattr(self, name))):
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -368,13 +374,12 @@ class Model:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
-                   kv_cache: dict | None = None) -> Tensor:
-        """Multi-head attention, all ``cfg.n_heads`` heads in one op; with
-        ``kv_cache`` the keys and values of earlier calls (held under
-        ``prefix``) precede those of ``kv_in``'s rows, and the cache is
-        extended by them."""
+                   kv_cache: dict) -> Tensor:
+        """Multi-head attention, all ``cfg.n_heads`` heads in one op: the keys
+        and values ``kv_cache`` holds under ``prefix`` (none in a fresh cache)
+        precede those of ``kv_in``'s rows, and the cache is extended by them."""
         q = self._affine(f"{prefix}.q", q_in)
-        past = None if kv_cache is None else kv_cache.get(prefix)
+        past = kv_cache.get(prefix)
         if past is not None and kv_in.shape[0] == 0:
             k, v = past
         else:
@@ -382,8 +387,7 @@ class Model:
             v = self._affine(f"{prefix}.v", kv_in)
             if past is not None:
                 k, v = ad.concat_rows([past[0], k]), ad.concat_rows([past[1], v])
-            if kv_cache is not None:
-                kv_cache[prefix] = (k, v)
+            kv_cache[prefix] = (k, v)
         return self._affine(f"{prefix}.o", ad.masked_attention(q, k, v, mask, self.cfg.n_heads))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -392,9 +396,8 @@ class Model:
     def _norm_of(self, name: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray, rng,
-                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | None = None,
-                    kv_cache: dict | None = None) -> Tensor:
+    def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray, rng, kv_cache: dict,
+                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | None = None) -> Tensor:
         p = self.cfg.dropout
         normed = self._norm_of(f"{prefix}.ln1", x)
         h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
@@ -450,7 +453,7 @@ class Model:
                 raise ValueError(f"cannot encode: {reason}")
         elif not cfg.unidirectional:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
-        kv = None if state is None else state.kv
+        kv = {} if state is None else state.kv
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
 
         def convs_of_block(b: int, x: Tensor, lengths: np.ndarray):
@@ -461,7 +464,7 @@ class Model:
         def transformers_of_block(b: int, x: Tensor, lengths: np.ndarray) -> Tensor:
             if x.shape[0] == 0:  # no new rows: the caches stand as they are
                 return x
-            mask = self._self_mask(lengths, _cached_rows(kv or {}, f"acoustic.block{b}.tf0.attn"))
+            mask = self._self_mask(lengths, _cached_rows(kv, f"acoustic.block{b}.tf0.attn"))
             for l in range(cfg.transformer_layers_per_block):
                 x = self._tf_forward(f"acoustic.block{b}.tf{l}", x, mask, rng, kv_cache=kv)
             return x

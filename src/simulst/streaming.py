@@ -32,9 +32,10 @@ every extension come from the schedule (units visible, tokens
 committed), never from when audio arrived, so row blocks, and with them
 float rounding, do not depend on the chunking either.
 
-Listening times d(y_i) are stamped with the minimal audio prefix that
-completed the stride's required unit, or the whole stream after its end,
-which makes them invariant to how the caller chunks the audio.
+A write, and with it the listening times d(y_i) of its tokens, is stamped
+with the minimal audio prefix that completed its last visible unit, or
+the whole stream after its end, which makes the stamps invariant to how
+the caller chunks the audio; ``StreamSession.step`` decides each write.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ class StreamSession:
         self._trace: list[tuple[float, str, str]] = []
         self._ended = False
         self._finished = False
-        self._eos = False
-        self._last_stamp: Optional[float] = None
+        self._eos_stamp: Optional[float] = None  # stamp of the write that reached EOS
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -299,23 +299,15 @@ class StreamSession:
                 break
         return beams
 
-    def _stride_len(self) -> int:
-        """Tokens the next write may commit. After end-of-stream the output
-        is capped at 2 * units + 10 tokens, so a session always finishes."""
-        if not self._ended:
-            return self.stride_n
-        return min(self.stride_n, 2 * self.units_completed + 10 - len(self._committed))
-
-    def _write_stride(self, visible: int) -> list[int]:
-        """Beam search over the next stride, which sees the first ``visible``
-        units; commits the best continuation, stamped when the last of them
-        was complete (at the stream's end after end-of-stream)."""
-        stamp = self._last_stamp = self._total_ms() if self._ended else self._unit_ready_ms[visible - 1]
-        best = self._beam_stride(self._visible_source(visible), visible, self._stride_len())[0]
+    def _write_stride(self, visible: int, stamp: float, stride_len: int) -> list[int]:
+        """Beam search over the next ``stride_len`` tokens, which see the
+        first ``visible`` units; commits the best continuation up to any
+        EOS, each token stamped ``stamp``."""
+        best = self._beam_stride(self._visible_source(visible), visible, stride_len)[0]
         committed = []
         for tok in best.tokens:
             if tok == EOS:
-                self._eos = True
+                self._eos_stamp = stamp
                 break
             committed.append(tok)
             self._committed.append(tok)
@@ -331,26 +323,37 @@ class StreamSession:
             return self.tgt_vocab.tokens[tok]
         return str(tok)
 
-    def _finish(self) -> tuple[str, None]:
+    def _finish(self, stamp: float) -> tuple[str, None]:
+        """End the session, its FINISH stamped ``stamp``."""
         self._finished = True
-        # before end-of-stream a session finishes only right after a write
-        stamp = self._total_ms() if self._ended else self._last_stamp
         self._trace.append((stamp, "FINISH", ""))
         return FINISH, None
 
     def step(self) -> tuple[str, Optional[list[int]]]:
-        """Advance the policy one action: read, write, or finish."""
+        """Advance the policy one action: read, write, or finish. Before
+        end-of-stream a write sees the ``visible_units`` budget (READ while
+        fewer units are complete), is stamped when its last unit completed and
+        commits up to ``stride_n`` tokens; after it, a write sees every unit,
+        is stamped at the stream's end and keeps the output within 2 * units
+        + 10 tokens. FINISH follows a write that reaches EOS, or that cap, and
+        is stamped at the stream's end if it has ended, else at that write's."""
         if self._finished:
             raise RuntimeError("step on a finished session")
-        if self._eos or self._stride_len() < 1:
-            return self._finish()
-        budget = visible_units(self.wait_k, self.stride_n, len(self._committed))
-        if not self._ended and self.units_completed < budget:
-            return READ, None
-        tokens = self._write_stride(self.units_completed if self._ended else int(budget))
-        if tokens:
-            return WRITE, tokens
-        return self._finish()
+        if self._ended:
+            visible, stamp = self.units_completed, self._total_ms()
+            stride_len = min(self.stride_n, 2 * visible + 10 - len(self._committed))
+        elif self._eos_stamp is not None:
+            return self._finish(self._eos_stamp)
+        else:
+            visible = visible_units(self.wait_k, self.stride_n, len(self._committed))
+            if self.units_completed < visible:
+                return READ, None
+            visible, stride_len = int(visible), self.stride_n
+            stamp = self._unit_ready_ms[visible - 1]
+        if self._eos_stamp is not None or stride_len < 1:
+            return self._finish(stamp)
+        tokens = self._write_stride(visible, stamp, stride_len)
+        return (WRITE, tokens) if tokens else self._finish(stamp)
 
     def finalize(self, reference_length: Optional[int] = None) -> SessionResult:
         """Assemble the hypothesis, latency record, and trace. A result needs
@@ -358,13 +361,15 @@ class StreamSession:
         is the encoder's frame count, which only ``end_stream`` makes final."""
         if not (self._finished and self._ended):
             raise RuntimeError("finalize needs a finished session and an ended stream")
+        if reference_length is not None and not reference_length >= 1:
+            raise ValueError(f"reference_length must be >= 1, got {reference_length}")
         cfg = self.model.cfg
         record = metrics.LatencyRecord(
             token_listen_ms=tuple(self._listen_ms),
             total_ms=self._total_ms(),
             source_frames=self.stats.encoder_frames,
             frame_ms=cfg.output_frame_ms,
-            reference_length=reference_length if reference_length else max(len(self._committed), 1),
+            reference_length=max(len(self._committed), 1) if reference_length is None else reference_length,
             lookahead_offset_ms=model_mod.effective_lookahead_ms(cfg),
         )
         meta = (0.0, "META", f"frames={record.source_frames} frame_ms={record.frame_ms} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,12 +184,17 @@ class TrainSettings:
         for name in ("warmup", "max_frames"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
            settings: TrainSettings, start: Optional[Checkpoint]) -> Checkpoint:
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    finetuning = stage == "finetune"  # all parameters on the total loss; else the encoder's on CTC
+    if not finetuning and not cfg.use_ctc:
+        raise ValueError("CTC pre-training requires use_ctc=true")
     if start is not None and start.fingerprint != cfg.fingerprint():
         raise FingerprintMismatch(
             f"checkpoint fingerprint {start.fingerprint} != config {cfg.fingerprint()}"
@@ -207,13 +213,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
         opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup)
         rng = np.random.default_rng(settings.seed)
         epoch0 = 0
-
-    if stage == "pretrain":
-        params = model.encoder_parameters()
-        if not cfg.use_ctc:
-            raise ValueError("CTC pre-training requires use_ctc=true")
-    else:
-        params = model.parameters()
+    params = model.parameters() if finetuning else model.encoder_parameters()
 
     log_fh = open(settings.log_path, "a", encoding="utf-8") if settings.log_path else None
     try:
@@ -224,19 +224,10 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
             for bi in order:
                 batch = batches[bi]
                 ad.reset_tape()
-                loss_st, loss_ctc, diag = model.forward_train(
-                    batch, rng=rng, compute_st=(stage != "pretrain")
-                )
-                if stage == "pretrain":
-                    total = loss_ctc
-                    st_val = float("nan")
-                else:
-                    if loss_st is None:
-                        continue  # batch had no usable utterance
-                    total = model.total_loss(loss_st, loss_ctc)
-                    st_val = loss_st.item()
-                if total is None:
-                    continue  # batch had no CTC-feasible utterance
+                loss_st, loss_ctc, diag = model.forward_train(batch, rng=rng, compute_st=finetuning)
+                if (loss_st if finetuning else loss_ctc) is None:
+                    continue  # no utterance of the batch could train
+                total = model.total_loss(loss_st, loss_ctc) if finetuning else loss_ctc
                 total_val = total.item()
                 if not np.isfinite(total_val):
                     raise NumericError(f"non-finite loss at step {opt.step + 1}")
@@ -245,7 +236,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                 ad.adam_step(params, opt, lr)
                 updates += 1
                 if log_fh:
-                    ctc_val = loss_ctc.item() if loss_ctc is not None else float("nan")
+                    st_val, ctc_val = (float("nan") if x is None else x.item() for x in (loss_st, loss_ctc))
                     log_fh.write(f"{opt.step}\t{lr:.6g}\t{st_val:.6g}\t{ctc_val:.6g}\t"
                                  f"{diag['blank_fraction']:.4f}\t{len(diag['skipped_ids'])}\t{stage}\n")
             if updates == 0:

@@ -300,7 +300,7 @@ def test_attention_records_one_op_for_any_head_count():
     for n_heads in (1, 4):
         m = model.Model(tiny_cfg(n_heads=n_heads), seed=0)
         ad.reset_tape()
-        m._tf_forward("semantic.tf0", x, m._self_mask(5), None)
+        m._tf_forward("semantic.tf0", x, m._self_mask(5), None, {})
         tapes.append([(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape])
     assert tapes[0] == tapes[1]
     assert sum(name.startswith("masked_attention") for name, _ in tapes[1]) == 1
@@ -372,6 +372,12 @@ class TestStreamingEncode:
     dict(tgt_vocab_size=0),
     dict(src_vocab_size=0),
     dict(use_ctc=False, use_shrink=True),  # segments are cut on the CTC path
+    dict(n_blocks=2.5),  # counts size arrays and loops, so they must be integers
+    dict(d_model=64.0),
+    dict(semantic_layers=1.5),
+    dict(conv_kernel=3.0),
+    dict(ffn_dim=128.5),
+    dict(conv_lookahead=(0, 0, 1.0)),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError):

@@ -187,6 +187,33 @@ class TestPolicySchedule:
         session.end_stream()
         assert session.stats.encoder_frames == model.output_length(cfg, 4)
 
+    @pytest.mark.parametrize("end_first", [False, True])
+    def test_finish_is_stamped_where_the_output_ended(self, end_first):
+        # the write reaching EOS commits two tokens, so FINISH comes one step later
+        session = streaming.StreamSession(ScriptedModel(frame_cfg(wait_k=1, stride_n=3), eos_after=2))
+        session.push_frames(np.zeros((40, 4), dtype=np.float32))
+        action, tokens = session.step()
+        assert (action, len(tokens)) == (streaming.WRITE, 2)
+        if end_first:
+            session.end_stream()
+        assert session.step()[0] == streaming.FINISH
+        if not end_first:
+            session.end_stream()
+        stamps = {action: ms for ms, action, _ in session.finalize().trace if action in ("WRITE", "FINISH")}
+        assert stamps["WRITE"] < session._total_ms()
+        assert stamps["FINISH"] == (session._total_ms() if end_first else stamps["WRITE"])
+
+    def test_reference_length_below_one_rejected(self):
+        session = streaming.StreamSession(ScriptedModel(frame_cfg(wait_k=1, stride_n=1), eos_after=2))
+        session.push_frames(np.zeros((8, 4), dtype=np.float32))
+        session.end_stream()
+        while session.step()[0] != streaming.FINISH:
+            pass
+        assert session.finalize().record.reference_length == 2  # None: the hypothesis length
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="reference_length"):
+                session.finalize(reference_length=bad)
+
     def test_step_after_finish_rejected(self):
         cfg = frame_cfg(wait_k=1, stride_n=1)
         m = ScriptedModel(cfg, eos_after=0)
@@ -436,7 +463,8 @@ class TestSessionStats:
         session.end_stream()
         stats = session.stats
         while True:
-            stride_len, calls = session._stride_len(), stats.decode_logits_calls
+            stride_len = min(session.stride_n, 2 * session.units_completed + 10 - len(session._committed))
+            calls = stats.decode_logits_calls
             action, _ = session.step()
             # one decoder call per beam step, whatever the beam width
             assert stats.decode_logits_calls - calls <= max(stride_len, 0)

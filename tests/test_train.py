@@ -123,6 +123,12 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="epochs"):
             train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), -3, settings())
 
+    def test_pretraining_without_ctc_rejected(self):
+        corpus = small_corpus(4)
+        cfg = small_cfg(vocab_sizes(corpus), use_ctc=False, use_shrink=False)
+        with pytest.raises(ValueError, match="use_ctc"):
+            train.pretrain_ctc(corpus, cfg, 1, settings())
+
     def test_model_from_checkpoint_draws_no_random_init(self, monkeypatch):
         corpus = small_corpus(4)
         ckpt = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 0, settings())
@@ -300,6 +306,8 @@ class TestEvaluate:
     dict(base_lr=float("inf")),
     dict(warmup=0),
     dict(max_frames=0),
+    dict(seed=-1),
+    dict(seed=1.5),
 ])
 def test_bad_settings_rejected_at_construction(kw):
     with pytest.raises(ValueError):
