@@ -8,10 +8,17 @@ high-precision gradient checks (there is no global dtype setter).
 
 Training and streaming run the same ops, so an op's fixed Python cost is
 paid once per layer and call. The model's dense layers are one ``affine``
-op each (``x @ w + b``, the same bits as ``matmul`` then ``add``), and
-multi-head attention is one ``masked_attention`` op, which skips the
-mask's bias when the mask allows every key, as a streamed causal row over
-its cache does.
+op each (``x @ w + b``), and multi-head attention is one
+``masked_attention`` op. Its mask is one block (a 2-D array: a stream's
+rows over their cache, or one utterance), or a ``Blocks`` layout of
+consecutive sequences, each attending only within itself, which the op
+runs as one batch of blocks padded to the longest instead of the dense
+grid of all rows.
+
+A model's parameters live in one flat buffer (``flat_parameters``), and
+their gradients in another: each named parameter is a view of both. So
+``adam_step`` updates a trained slice in one in-place pass, and copying
+the parameters is one copy.
 """
 
 from __future__ import annotations
@@ -168,11 +175,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return record_op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return record_op(
@@ -192,20 +194,9 @@ def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} @ {b.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    _check_matmul("matmul", a, b)
-    out = a.data @ b.data
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return record_op(out, (a, b), vjp)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for 2-D ``x`` and ``w`` as one op: the arithmetic of
-    ``add(matmul(x, w), b)``, so the same bits, in one tape entry."""
+    """``x @ w + b`` for 2-D ``x`` and ``w`` as one op: ``out = x @ w``,
+    then ``out += b``, in one tape entry."""
     _check_matmul("affine", x, w)
     out = x.data @ w.data
     out += b.data
@@ -214,11 +205,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.shape)
 
     return record_op(out, (x, w, b), vjp)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-    return record_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -277,7 +263,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
                      context: np.ndarray | None = None, end: bool = True,
-                     lengths=None) -> Tensor:
+                     lengths=None) -> tuple[Tensor, np.ndarray]:
     """Causal 1-D convolution with a bounded right-context window.
 
     ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. Each sequence is
@@ -288,7 +274,8 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
 
     ``lengths`` splits the rows of ``x`` into consecutive sequences (one
     sequence by default). Each is padded on its own and gives its outputs
-    as consecutive rows, all in one op.
+    as consecutive rows, all in one op. Returns the output and each
+    sequence's output row count.
 
     The left rows are zeros, or ``context`` when given: a stream's held
     rows (constants to the tape), any number of them, from the first row
@@ -335,6 +322,7 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
     idx = first[:, None] + np.arange(K)[None, :]
     win = xp[idx]  # [sum t_out, K, c_in]
     out = np.einsum("tkc,kco->to", win, kernel.data)
+    out_lengths = np.array([len(f) for f in firsts], dtype=np.int64)
 
     def vjp(g):
         flat = win.reshape(win.shape[0], -1)  # [sum t_out, K*c_in]
@@ -345,57 +333,125 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
             gxp[first + k] += gwin[:, k]
         return np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)]), gk
 
-    return record_op(out, (x, kernel), vjp)
+    return record_op(out, (x, kernel), vjp), out_lengths
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention as one op; mask[i, j]=True
-    lets query i see key j, in every head.
+class Blocks:
+    """The layout of block-diagonal attention over consecutive sequences.
+
+    Query block i, the next ``q_lengths[i]`` rows of the queries, attends
+    only key block i, the next ``k_lengths[i]`` rows of the keys, and
+    query row r (in packed order) the first ``counts[r]`` keys of its
+    block: a prefix, as causal self-attention and the wait-k-stride-n
+    cross rule allow. ``masked_attention`` runs the blocks as one batch
+    padded to the longest; the gather indices and the padded mask are
+    built here once, for every layer that shares the layout.
+    """
+
+    def __init__(self, q_lengths, k_lengths, counts):
+        q_lengths, k_lengths, counts = (np.asarray(a, dtype=np.int64) for a in (q_lengths, k_lengths, counts))
+        if (q_lengths.ndim != 1 or q_lengths.shape != k_lengths.shape or not len(q_lengths)
+                or min(q_lengths.min(), k_lengths.min()) < 1 or counts.shape != (q_lengths.sum(),)):
+            raise ShapeError(f"Blocks: {counts.shape} counts for query lengths {q_lengths.tolist()} "
+                             f"and key lengths {k_lengths.tolist()}")
+        self.n_queries, self.n_keys = int(q_lengths.sum()), int(k_lengths.sum())
+        # (block, position in block) of every packed query and key row
+        q_at, k_at = ((np.repeat(np.arange(len(n)), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+                      for n in (q_lengths, k_lengths))
+        bad = (counts < 1) | (counts > k_lengths[q_at[0]])
+        if bad.any():
+            r = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"attention mask row {r} allows {counts[r]} of its block's "
+                             f"{k_lengths[q_at[0][r]]} keys")
+        # [B, T_max]: the packed row in each padded slot (padding repeats row 0);
+        # [T]: each packed row's slot in the flattened [B * T_max] layout
+        self.q_index, self.k_index = (np.zeros((len(n), n.max()), dtype=np.int64) for n in (q_lengths, k_lengths))
+        self.q_index[q_at] = np.arange(self.n_queries)
+        self.k_index[k_at] = np.arange(self.n_keys)
+        self.q_slot = q_at[0] * self.q_index.shape[1] + q_at[1]
+        self.k_slot = k_at[0] * self.k_index.shape[1] + k_at[1]
+        allowed = np.zeros(self.q_index.shape, dtype=np.int64)  # padded query rows see no key
+        allowed[q_at] = counts
+        # float32 holds 0 and -1e9 exactly, so this bias serves float64 scores too
+        self.bias = np.where(np.arange(k_lengths.max()) < allowed[..., None], 0.0, -1e9
+                             ).astype(np.float32)  # [B, Tq_max, Tk_max]
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
 
     ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
     ``n_heads`` column blocks; head h attends with block h and writes
     output columns h*dv:(h+1)*dv. Disallowed scores get an additive -1e9
-    before the softmax. Every query row must have at least one allowed key.
-    A full mask (every key allowed, and at least one key), as a streamed
-    causal row over its cache has, meets that without a row check and
-    adds no bias: adding zeros would change no score.
+    before the softmax.
+
+    ``mask`` is either one block, a boolean [Tq, Tk] array in which
+    mask[i, j]=True lets query i see key j, or a ``Blocks`` layout of
+    consecutive sequences. One block runs on views of q, k and v, and
+    every query row must have at least one allowed key; a full mask
+    (every key allowed, and at least one key), as a streamed causal row
+    over its cache has, adds no bias. ``Blocks`` gathers each sequence's
+    rows into a batch padded to the longest block, so the work grows with
+    the sum of squared block lengths rather than the square of their sum;
+    padded keys get the bias and padded queries are dropped.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (q.shape[0], k.shape[0]):
-        raise ShapeError(f"mask shape {mask.shape} != (queries {q.shape[0]}, keys {k.shape[0]})")
-    full = mask.shape[1] > 0 and mask.all()
-    if not full and not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise ValueError(f"attention mask row {bad} allows no keys")
+    blocks = mask if isinstance(mask, Blocks) else None
+    if blocks is None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (q.shape[0], k.shape[0]):
+            raise ShapeError(f"mask shape {mask.shape} != (queries {q.shape[0]}, keys {k.shape[0]})")
+        full = mask.shape[1] > 0 and mask.all()
+        if not full and not mask.any(axis=1).all():
+            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+            raise ValueError(f"attention mask row {bad} allows no keys")
+    elif (blocks.n_queries, blocks.n_keys) != (q.shape[0], k.shape[0]):
+        raise ShapeError(f"Blocks of {blocks.n_queries} queries and {blocks.n_keys} keys "
+                         f"for {q.shape[0]} queries and {k.shape[0]} keys")
     if q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
         raise ShapeError(f"masked_attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     if q.shape[1] % n_heads or v.shape[1] % n_heads:
         raise ShapeError(f"masked_attention: {n_heads} heads do not divide widths {q.shape[1]}, {v.shape[1]}")
 
-    def heads(x: np.ndarray) -> np.ndarray:  # [T, H*d] -> [H, T, d] view
-        return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+    q_index, k_index, q_slot, k_slot = (None,) * 4 if blocks is None else (
+        blocks.q_index, blocks.k_index, blocks.q_slot, blocks.k_slot)
 
-    # BLAS rounds by memory layout; with a contiguous k^T and row-major
-    # gradients, outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    def heads(x: np.ndarray, index) -> np.ndarray:  # [T, H*d] -> [H, T, d], or [H, B, T_max, d] blocks
+        x = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+        return x if index is None else x.take(index, axis=1)
+
+    def packed(x: np.ndarray, slot) -> np.ndarray:  # back to [T, H*d]
+        if slot is not None:
+            x = x.reshape(x.shape[0], -1, x.shape[-1]).take(slot, axis=1)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
+
+    qh, kh, vh = heads(q.data, q_index), heads(k.data, k_index), heads(v.data, k_index)
+    # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
+    # one block's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
+    kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
     s = 1.0 / math.sqrt(q.shape[1] // n_heads)
     scores = (qh @ kt) * s
-    if not full:
-        scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)  # [H, Tq, Tk]
-    out = (w @ vh).transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
+    if blocks is not None:
+        scores += blocks.bias
+    elif not full:
+        scores += np.where(mask, 0.0, -1e9).astype(scores.dtype)
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)  # [H, (B,) Tq, Tk]
+    out = packed(w @ vh, q_slot)
 
     def vjp(g):
-        gh = heads(g)
-        gw = gh @ vh.transpose(0, 2, 1)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * s
-        gq = gs @ kt.transpose(0, 2, 1)
-        gk = (qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
-        gv = w.transpose(0, 2, 1) @ gh
-        return tuple(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t.shape)
-                     for x, t in ((gq, q), (gk, k), (gv, v)))
+        gh = heads(g, None)
+        if blocks is not None:  # into the padded blocks; padded query rows get no gradient
+            gh, rows = np.zeros(w.shape[:-1] + (vh.shape[-1],), dtype=g.dtype), gh
+            gh.reshape(n_heads, -1, gh.shape[-1])[:, q_slot] = rows
+        gs = gh @ vh.swapaxes(-1, -2)  # the gradient of w, then in place that of the scores
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= s
+        gq = gs @ kt.swapaxes(-1, -2)
+        gk = gs.swapaxes(-1, -2) @ qh
+        gv = w.swapaxes(-1, -2) @ gh
+        return packed(gq, q_slot), packed(gk, k_slot), packed(gv, k_slot)
 
     return record_op(out, (q, k, v), vjp)
 
@@ -492,14 +548,34 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
-    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameter tensor."""
+def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
+    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initial values."""
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def zeros_param(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Views of consecutive pieces of the 1-D ``flat``, shaped and named
+    by ``shapes``, in its order."""
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = flat[at:at + n].reshape(shape)
+        at += n
+    return views
+
+
+def flat_parameters(shapes: dict[str, tuple]) -> tuple[Tensor, dict[str, Tensor]]:
+    """A flat parameter store: one 1-D parameter holding every parameter of
+    ``shapes`` end to end, in its order, and those parameters by name, each
+    a leaf whose data and grad are views of the flat one's. Values start
+    unset and gradients at zero."""
+    flat = Tensor(np.empty(sum(math.prod(s) for s in shapes.values()), dtype=_default_dtype), requires_grad=True)
+    params = {}
+    for (name, data), grad in zip(unflatten(flat.data, shapes).items(), unflatten(flat.grad, shapes).values()):
+        p = params[name] = Tensor.__new__(Tensor)
+        p.data, p.grad, p.requires_grad = data, grad, True
+    return flat, params
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +585,7 @@ def zeros_param(shape) -> Tensor:
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the schedule hyperparameters."""
+    """Adam moments, by parameter name, plus the schedule hyperparameters."""
 
     beta1: float = 0.9
     beta2: float = 0.98
@@ -521,24 +597,44 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update; zeroes gradients afterward."""
-    for name, p in params.items():
-        if p.grad is None:
-            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+_ADAM_CHUNK = 1 << 15  # values updated together: a chunk's slices and temporaries stay in cache
+
+
+def adam_step(param: Tensor, m: np.ndarray, v: np.ndarray, state: OptimizerState, lr: float) -> None:
+    """One bias-corrected Adam update, in place, of the leading ``m.size``
+    values of the 1-D ``param`` (a flat store whose leading parameters are
+    the trained ones), with first and second moments ``m`` and ``v``;
+    zeroes that slice's gradient afterward. Each value goes through the
+    arithmetic of a per-tensor update in the same order, so the bits are
+    those of updating each parameter on its own. The pass runs over
+    cache-sized chunks with two reused temporaries."""
+    if param.grad is None:
+        raise ValueError("adam_step: the parameter has no gradient")
+    if not (param.ndim == m.ndim == 1 and m.shape == v.shape and m.size <= param.data.size):
+        raise ShapeError(f"adam_step: moments {m.shape}, {v.shape} for a parameter of shape {param.shape}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name, p in params.items():
-        g = p.grad
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
-        p.grad[...] = 0.0
+    tmp, update = (np.empty(min(m.size, _ADAM_CHUNK), dtype=m.dtype) for _ in range(2))
+    for at in range(0, m.size, _ADAM_CHUNK):
+        end = min(at + _ADAM_CHUNK, m.size)
+        p, g, mc, vc = (a[at:end] for a in (param.data, param.grad, m, v))
+        tc, uc = tmp[:end - at], update[:end - at]
+        np.multiply(g, 1.0 - b1, out=tc)
+        mc *= b1
+        mc += tc  # m = b1 * m + (1 - b1) * g
+        np.multiply(g, 1.0 - b2, out=tc)
+        tc *= g
+        vc *= b2
+        vc += tc  # v = b2 * v + (1 - b2) * g * g
+        np.divide(vc, 1.0 - b2 ** t, out=tc)
+        np.sqrt(tc, out=tc)
+        tc += state.eps
+        np.divide(mc, 1.0 - b1 ** t, out=uc)
+        uc *= lr
+        uc /= tc  # lr * m_hat / (sqrt(v_hat) + eps)
+        p -= uc
+        g[...] = 0.0
 
 
 def inverse_sqrt_lr(step: int, base: float, warmup: int) -> float:

@@ -5,10 +5,11 @@ wait-k-stride-n schedule.
 
 A training batch is a list of utterances, packed: they are laid end to
 end as one sequence of rows per stage, so each layer runs once per
-batch. Convolutions pad each utterance on its own, attention masks are
-block-diagonal (causal blocks for self-attention, the wait-k-stride-n rule
-for cross-attention) and positions restart with each utterance; only the
-CTC forward algorithm runs per utterance, on its rows. One utterance is the
+batch. Convolutions pad each utterance on its own and report each one's
+output length, attention runs block by block (an ``ad.Blocks`` layout:
+causal blocks for self-attention, the wait-k-stride-n rule for
+cross-attention) and positions restart with each utterance; only the CTC
+forward algorithm runs per utterance, on its rows. One utterance is the
 packed case with one sequence.
 
 The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
@@ -227,19 +228,26 @@ def visible_units(wait_k, stride_n: int, written):
     return stride_n * (written // stride_n) + wait_k
 
 
-def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
-    """Boolean [n_targets, n_source]: target position t (1-indexed) may
-    attend the first ``visible_units(wait_k, stride_n, t - 1)`` source units.
-
-    With sequences of lengths for ``n_targets`` and ``n_source`` (one pair
-    per utterance) the mask is block-diagonal: each utterance's targets
-    see its own source units under the rule."""
+def visible_counts(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
+    """Source units each target row may attend: target position t
+    (1-indexed) the first ``visible_units(wait_k, stride_n, t - 1)``, at
+    most all of them. With sequences of lengths for ``n_targets`` and
+    ``n_source`` (one pair per utterance), one count per row of the
+    utterances' targets laid end to end, each over its own units."""
     n_targets, n_source = np.atleast_1d(n_targets), np.atleast_1d(n_source)
     if (n_source < 1).any():
         raise ValueError("mask needs at least one source unit")
     check_schedule(wait_k, stride_n)
     budget = visible_units(wait_k, stride_n, packed_offsets(n_targets))
-    counts = np.minimum(budget, np.repeat(n_source, n_targets)).astype(np.int64)
+    return np.minimum(budget, np.repeat(n_source, n_targets)).astype(np.int64)
+
+
+def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
+    """Boolean [n_targets, n_source] form of ``visible_counts``: target
+    row i may attend source unit j. For several utterances it is
+    block-diagonal: each utterance's targets see only its own units."""
+    counts = visible_counts(wait_k, stride_n, n_targets, n_source)
+    n_targets, n_source = np.atleast_1d(n_targets), np.atleast_1d(n_source)
     return same_sequence(n_targets, n_source) & (packed_offsets(n_source)[None, :] < counts[:, None])
 
 
@@ -296,76 +304,85 @@ def _cached_rows(kv: dict, prefix: str) -> int:
 
 class Model:
     """Parameter container plus forward passes; training mutates params only
-    through the optimizer."""
+    through the optimizer.
+
+    The parameters live in one flat store: ``flat`` is a 1-D parameter
+    holding them all end to end, and each entry of ``params`` is a view of
+    a piece of its data and of its gradient. The acoustic encoder and the
+    CTC head come first, so the parameters pre-training updates are a
+    leading slice of the store.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: Optional[int] = 0):
         """Weights are drawn from ``seed``. ``seed=None`` draws nothing and
         leaves them unset, for a caller that loads every parameter next
         (``train.load_params``)."""
         self.cfg = cfg
-        self.params: dict[str, Tensor] = {}
-        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        self._build(rng)
+        self._specs: dict[str, tuple[tuple, Optional[int], float]] = {}  # name -> shape, fan_in, fill
+        self._build()
+        self.flat, self.params = ad.flat_parameters({name: shape for name, (shape, _, _) in self._specs.items()})
+        if seed is None:
+            return
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        for name, (shape, fan_in, fill) in self._specs.items():  # drawn in declaration order
+            self.params[name].data[...] = fill if fan_in is None else ad.uniform_init(shape, fan_in, rng)
 
     # -- parameter construction -------------------------------------------
 
-    @staticmethod
-    def _uniform(shape, fan_in: int, rng) -> Tensor:
-        if rng is None:
-            return Tensor(np.empty(shape, dtype=ad.default_dtype()), requires_grad=True)
-        return ad.uniform_init(shape, fan_in, rng)
+    def _param(self, name: str, shape: tuple, fan_in: Optional[int] = None, fill: float = 0.0) -> None:
+        """Declare a parameter, drawn uniform(±1/sqrt(fan_in)) when ``fan_in``
+        is given, else filled with ``fill``."""
+        self._specs[name] = (tuple(shape), fan_in, fill)
 
-    def _linear(self, name: str, fan_in: int, fan_out: int, rng) -> None:
-        self.params[f"{name}.w"] = self._uniform((fan_in, fan_out), fan_in, rng)
-        self.params[f"{name}.b"] = ad.zeros_param(fan_out)
+    def _linear(self, name: str, fan_in: int, fan_out: int) -> None:
+        self._param(f"{name}.w", (fan_in, fan_out), fan_in)
+        self._param(f"{name}.b", (fan_out,))
 
     def _norm(self, name: str) -> None:
-        self.params[f"{name}.g"] = Tensor(np.ones(self.cfg.d_model), requires_grad=True)
-        self.params[f"{name}.b"] = ad.zeros_param(self.cfg.d_model)
+        self._param(f"{name}.g", (self.cfg.d_model,), fill=1.0)
+        self._param(f"{name}.b", (self.cfg.d_model,))
 
-    def _tf_block(self, prefix: str, rng, cross: bool = False) -> None:
+    def _tf_block(self, prefix: str, cross: bool = False) -> None:
         d = self.cfg.d_model
         self._norm(f"{prefix}.ln1")
         for p in ("q", "k", "v", "o"):
-            self._linear(f"{prefix}.attn.{p}", d, d, rng)
+            self._linear(f"{prefix}.attn.{p}", d, d)
         if cross:
             self._norm(f"{prefix}.lnx")
             for p in ("q", "k", "v", "o"):
-                self._linear(f"{prefix}.xattn.{p}", d, d, rng)
+                self._linear(f"{prefix}.xattn.{p}", d, d)
         self._norm(f"{prefix}.ln2")
-        self._linear(f"{prefix}.ffn.1", d, self.cfg.ffn_dim, rng)
-        self._linear(f"{prefix}.ffn.2", self.cfg.ffn_dim, d, rng)
+        self._linear(f"{prefix}.ffn.1", d, self.cfg.ffn_dim)
+        self._linear(f"{prefix}.ffn.2", self.cfg.ffn_dim, d)
 
-    def _build(self, rng) -> None:
+    def _build(self) -> None:
+        """Declares every parameter; the acoustic encoder and CTC head first."""
         cfg = self.cfg
         c_in = cfg.d_feat
         for b, i, _ in _conv_layout(cfg):
             k = cfg.conv_kernel
-            self.params[f"acoustic.conv{b}.{i}.w"] = self._uniform(
-                (k, c_in, cfg.d_model), k * c_in, rng
-            )
-            self.params[f"acoustic.conv{b}.{i}.b"] = ad.zeros_param(cfg.d_model)
+            self._param(f"acoustic.conv{b}.{i}.w", (k, c_in, cfg.d_model), k * c_in)
+            self._param(f"acoustic.conv{b}.{i}.b", (cfg.d_model,))
             c_in = cfg.d_model
         for b in range(cfg.n_blocks):
             for l in range(cfg.transformer_layers_per_block):
-                self._tf_block(f"acoustic.block{b}.tf{l}", rng)
-        self._linear("ctc.hidden", cfg.d_model, cfg.d_model, rng)
-        self._linear("ctc.out", cfg.d_model, cfg.src_vocab_size + 1, rng)
+                self._tf_block(f"acoustic.block{b}.tf{l}")
+        self._linear("ctc.hidden", cfg.d_model, cfg.d_model)
+        self._linear("ctc.out", cfg.d_model, cfg.src_vocab_size + 1)
         for l in range(cfg.semantic_layers):
-            self._tf_block(f"semantic.tf{l}", rng)
-        self.params["decoder.embed"] = self._uniform(
-            (cfg.tgt_vocab_size, cfg.d_model), cfg.d_model, rng
-        )
+            self._tf_block(f"semantic.tf{l}")
+        self._param("decoder.embed", (cfg.tgt_vocab_size, cfg.d_model), cfg.d_model)
         for l in range(cfg.decoder_layers):
-            self._tf_block(f"decoder.tf{l}", rng, cross=True)
+            self._tf_block(f"decoder.tf{l}", cross=True)
         self._norm("decoder.ln_out")
-        self._linear("decoder.out", cfg.d_model, cfg.tgt_vocab_size, rng)
+        self._linear("decoder.out", cfg.d_model, cfg.tgt_vocab_size)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
     def encoder_parameters(self) -> dict[str, Tensor]:
-        """Acoustic encoder + CTC head, the subset the pre-training stage updates."""
+        """Acoustic encoder + CTC head, the subset the pre-training stage
+        updates: the leading parameters of ``flat``."""
         return {k: v for k, v in self.params.items() if k.startswith(("acoustic.", "ctc."))}
 
     # -- forward pieces ----------------------------------------------------
@@ -373,7 +390,7 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
+    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray | ad.Blocks,
                    kv_cache: dict) -> Tensor:
         """Multi-head attention, all ``cfg.n_heads`` heads in one op: the keys
         and values ``kv_cache`` holds under ``prefix`` (none in a fresh cache)
@@ -396,8 +413,8 @@ class Model:
     def _norm_of(self, name: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray, rng, kv_cache: dict,
-                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | None = None) -> Tensor:
+    def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray | ad.Blocks, rng, kv_cache: dict,
+                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | ad.Blocks | None = None) -> Tensor:
         p = self.cfg.dropout
         normed = self._norm_of(f"{prefix}.ln1", x)
         h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
@@ -409,14 +426,19 @@ class Model:
         h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
         return ad.add(x, ad.dropout(h, p, rng))
 
-    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None) -> np.ndarray:
-        """[N, past+N] for N rows in consecutive sequences of ``lengths``:
-        each row sees the ``past`` cached rows and the rows of its own
-        sequence, only those up to itself when ``causal`` (by default
-        ``cfg.unidirectional``; the decoder is always causal)."""
+    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None):
+        """The mask of N rows in consecutive sequences of ``lengths``: each
+        row sees the ``past`` cached rows and the rows of its own sequence,
+        only those up to itself when ``causal`` (by default
+        ``cfg.unidirectional``; the decoder is always causal). Several
+        sequences without a past are ``ad.Blocks``; otherwise it is one
+        [N, past+N] block, as a stream's rows over their cache are."""
         lengths = np.atleast_1d(lengths)
+        causal = self.cfg.unidirectional if causal is None else causal
+        if past == 0 and len(lengths) > 1:
+            return ad.Blocks(lengths, lengths, packed_offsets(lengths) + 1 if causal else np.repeat(lengths, lengths))
         n = int(lengths.sum())
-        if self.cfg.unidirectional if causal is None else causal:
+        if causal:
             mask = np.tri(n, past + n, past, dtype=bool)
         else:
             mask = np.ones((n, past + n), dtype=bool)
@@ -433,14 +455,14 @@ class Model:
         kernel = self.params[f"{name}.w"]
         stride, lookahead = (2 if i == 1 else 1), self.cfg.conv_lookahead[i]
         if state is None:
-            y = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
-            return ad.relu(ad.add(y, self.params[f"{name}.b"])), -(-lengths // stride)
-        held = state.conv.get(name)
-        if held is None:  # a stream starts with a zero left context
-            held = np.zeros((kernel.shape[0] - 1 - lookahead, x.shape[1]), dtype=x.data.dtype)
-        y = ad.conv1d_lookahead(x, kernel, stride, lookahead, held, end)
-        state.conv[name] = np.concatenate([held, x.data])[y.shape[0] * stride:]
-        return ad.relu(ad.add(y, self.params[f"{name}.b"])), np.array([y.shape[0]])
+            y, lengths = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
+        else:
+            held = state.conv.get(name)
+            if held is None:  # a stream starts with a zero left context
+                held = np.zeros((kernel.shape[0] - 1 - lookahead, x.shape[1]), dtype=x.data.dtype)
+            y, lengths = ad.conv1d_lookahead(x, kernel, stride, lookahead, held, end)
+            state.conv[name] = np.concatenate([held, x.data])[y.shape[0] * stride:]
+        return ad.relu(ad.add(y, self.params[f"{name}.b"])), lengths
 
     def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[StreamState], end: bool,
                         lengths) -> tuple[Tensor, np.ndarray]:
@@ -529,10 +551,11 @@ class Model:
         state.rows += x.shape[0]
         return x
 
-    def decode_logits(self, prefix_ids: np.ndarray, units: Tensor, cross_mask: np.ndarray,
+    def decode_logits(self, prefix_ids: np.ndarray, units: Tensor, cross_mask: np.ndarray | ad.Blocks,
                       rng=None, state: StreamState | None = None, lengths=None) -> Tensor:
         """Decoder logits, one row per input row; ``cross_mask[i, j]`` lets
-        row i see source unit j.
+        row i see source unit j (or an ``ad.Blocks`` layout pairs each
+        block of rows with its own units).
 
         The rows are consecutive blocks of ``lengths`` rows (one block by
         default), each with its own positions and attending causally
@@ -611,7 +634,7 @@ class Model:
         prefix = np.concatenate([np.concatenate([[EOS], utt.target]) for utt in keep])
         target_out = np.concatenate([np.concatenate([utt.target, [EOS]]) for utt in keep])
         rows = np.array([len(utt.target) + 1 for utt in keep])
-        mask = build_cross_attention_mask(cfg.wait_k, cfg.stride_n, rows, unit_lengths)
+        mask = ad.Blocks(rows, unit_lengths, visible_counts(cfg.wait_k, cfg.stride_n, rows, unit_lengths))
         logits = self.decode_logits(prefix, units, mask, rng, lengths=rows)
         return ad.cross_entropy(logits, target_out), loss_ctc, diagnostics
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -142,21 +143,22 @@ def load_params(model: Model, params: dict[str, np.ndarray]) -> None:
         if own[name].data.shape != arr.shape:
             raise FingerprintMismatch(f"shape mismatch for {name}")
         own[name].data[...] = arr
-        own[name].zero_grad()
+    model.flat.zero_grad()
 
 
-def _copy_opt(opt: OptimizerState) -> OptimizerState:
-    """An optimizer state with its own moment arrays: updating one leaves
-    the other as it was."""
-    return dataclasses.replace(opt, m={k: v.copy() for k, v in opt.m.items()},
-                               v={k: v.copy() for k, v in opt.v.items()})
+def _shapes(params: dict) -> dict[str, tuple]:
+    return {name: p.shape for name, p in params.items()}
 
 
 def snapshot(model: Model, opt: OptimizerState, epoch: int, rng: np.random.Generator,
              stage: str) -> Checkpoint:
+    """A checkpoint of the model and ``opt``. Its parameters are views of
+    one copy of the model's flat store, so training the model further
+    leaves it as it is; ``opt`` is taken as it is (``_train`` hands over
+    moment buffers that it writes no more)."""
     return Checkpoint(
-        params={k: v.data.copy() for k, v in model.parameters().items()},
-        opt=_copy_opt(opt),
+        params=ad.unflatten(model.flat.data.copy(), _shapes(model.parameters())),
+        opt=opt,
         epoch=epoch,
         fingerprint=model.cfg.fingerprint(),
         cfg=model.cfg,
@@ -202,18 +204,29 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
     model = Model(cfg, seed=settings.seed if start is None else None)
     if start is not None:
         load_params(model, start.params)
+    # the trained parameters lead the flat store; Adam's moments are flat
+    # buffers over them, which the optimizer state holds by name as views
+    trained = _shapes(model.parameters() if finetuning else model.encoder_parameters())
+    n = sum(math.prod(s) for s in trained.values())
+    m, v = np.empty(n, dtype=model.flat.data.dtype), np.empty(n, dtype=model.flat.data.dtype)
+    # zeroed by writing: a fresh page then faults once, where calloc's pages would
+    # fault twice in Adam's in-place update (a read of the zero page, then a write)
+    m[...] = v[...] = 0.0
+    named_m, named_v = ad.unflatten(m, trained), ad.unflatten(v, trained)
     if start is not None and start.stage == stage:
         # resuming the same stage: restore optimizer and data-order RNG,
-        # training a copy so the caller's checkpoint stays as it was
-        opt = _copy_opt(start.opt)
+        # into new buffers so the caller's checkpoint stays as it was
+        for named, old in ((named_m, start.opt.m), (named_v, start.opt.v)):
+            for name, arr in old.items():
+                named[name][...] = arr
+        opt = dataclasses.replace(start.opt, m=named_m, v=named_v)
         rng = np.random.default_rng()
         rng.bit_generator.state = start.rng_state
         epoch0 = start.epoch
     else:
-        opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup)
+        opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup, m=named_m, v=named_v)
         rng = np.random.default_rng(settings.seed)
         epoch0 = 0
-    params = model.parameters() if finetuning else model.encoder_parameters()
 
     log_fh = open(settings.log_path, "a", encoding="utf-8") if settings.log_path else None
     try:
@@ -233,7 +246,7 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
                     raise NumericError(f"non-finite loss at step {opt.step + 1}")
                 ad.backward(total)
                 lr = ad.inverse_sqrt_lr(opt.step + 1, opt.base_lr, opt.warmup)
-                ad.adam_step(params, opt, lr)
+                ad.adam_step(model.flat, m, v, opt, lr)
                 updates += 1
                 if log_fh:
                     st_val, ctc_val = (float("nan") if x is None else x.item() for x in (loss_st, loss_ctc))

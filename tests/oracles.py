@@ -1,0 +1,120 @@
+"""Reference ops the package does not use, kept as oracles for its tests.
+
+``matmul``, ``sub`` and ``reshape`` are plain recorded ops that spell out
+op chains (shrinking, ``affine``) step by step. ``dense_attention`` is
+multi-head attention over the dense grid of all query and key rows, the
+op that ``ad.masked_attention`` computes block by block, and
+``per_tensor_adam_step`` the Adam update of one named tensor at a time,
+which the flat in-place ``ad.adam_step`` must reproduce bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from simulst import autodiff as ad
+
+
+def sub(a, b):
+    out = a.data - b.data
+    return ad.record_op(out, (a, b), lambda g: (ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)))
+
+
+def matmul(a, b):
+    """Matrix product of two 2-D tensors."""
+    ad._check_matmul("matmul", a, b)
+    out = a.data @ b.data
+
+    def vjp(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return ad.record_op(out, (a, b), vjp)
+
+
+def reshape(a, shape):
+    old = a.shape
+    return ad.record_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
+def dense_attention(q, k, v, mask, n_heads=1):
+    """Multi-head scaled dot-product attention over the dense [H, Tq, Tk]
+    grid; mask[i, j]=True lets query i see key j. A full mask adds no
+    bias."""
+    mask = np.asarray(mask, dtype=bool)
+    full = mask.shape[1] > 0 and mask.all()
+
+    def heads(x):  # [T, H*d] -> [H, T, d] view
+        return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    s = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    scores = (qh @ kt) * s
+    if not full:
+        scores = scores + np.where(mask, 0.0, -1e9).astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = (w @ vh).transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
+
+    def vjp(g):
+        gh = heads(g)
+        gw = gh @ vh.transpose(0, 2, 1)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * s
+        gq = gs @ kt.transpose(0, 2, 1)
+        gk = (qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        gv = w.transpose(0, 2, 1) @ gh
+        return tuple(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t.shape)
+                     for x, t in ((gq, q), (gk, k), (gv, v)))
+
+    return ad.record_op(out, (q, k, v), vjp)
+
+
+def per_tensor_adam_step(params, state, lr):
+    """One bias-corrected Adam update of each named tensor on its own, with
+    moments in ``state.m`` and ``state.v`` by name; zeroes gradients."""
+    for name, p in params.items():
+        if p.grad is None:
+            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for name, p in params.items():
+        g = p.grad
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.grad[...] = 0.0
+
+
+def zero_moments(param):
+    """Fresh Adam moments for every value of the 1-D ``param``."""
+    return np.zeros_like(param.data), np.zeros_like(param.data)
+
+
+def dense_mask(q_lengths, k_lengths, counts):
+    """The [sum(q_lengths), sum(k_lengths)] mask of ``ad.Blocks(q_lengths,
+    k_lengths, counts)``: block-diagonal, each row seeing the first
+    ``counts[row]`` keys of its block."""
+    q_lengths, k_lengths = np.asarray(q_lengths), np.asarray(k_lengths)
+    row_block = np.repeat(np.arange(len(q_lengths)), q_lengths)
+    col_block = np.repeat(np.arange(len(k_lengths)), k_lengths)
+    col_at = np.arange(k_lengths.sum()) - np.repeat(np.cumsum(k_lengths) - k_lengths, k_lengths)
+    return (row_block[:, None] == col_block[None, :]) & (col_at[None, :] < np.asarray(counts)[:, None])
+
+
+def attention_runs(ops_and_masks, q, k, v, n_heads, dtype):
+    """For each (op, mask): the output and the q, k and v gradients of the
+    sum of the output weighted by fixed random numbers."""
+    weights = np.random.default_rng(0).normal(size=(q.shape[0], v.shape[1])).astype(dtype)
+    runs = []
+    for op, mask in ops_and_masks:
+        ad.reset_tape()
+        leaves = [ad.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+        out = op(*leaves, mask, n_heads)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(weights, dtype=dtype))))
+        runs.append([out.data] + [leaf.grad for leaf in leaves])
+    return runs

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simulst import autodiff as ad
 from conftest import central_difference, relative_error
+from oracles import attention_runs, dense_attention, dense_mask, matmul, per_tensor_adam_step, zero_moments
 
 
 def t64(data, requires_grad=False):
@@ -17,18 +18,18 @@ class TestMatmul:
     def test_identity(self):
         a = ad.Tensor(np.eye(2))
         b = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(ad.matmul(a, b).data, b.data)
+        np.testing.assert_allclose(matmul(a, b).data, b.data)
 
     def test_hand_product(self):
         a = ad.Tensor([[1.0, 2.0]])
         b = ad.Tensor([[3.0], [4.0]])
-        np.testing.assert_allclose(ad.matmul(a, b).data, [[11.0]])
+        np.testing.assert_allclose(matmul(a, b).data, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         a = ad.Tensor(np.zeros((2, 3)))
         b = ad.Tensor(np.zeros((2, 3)))
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(a, b)
+            matmul(a, b)
 
 
 class TestAffine:
@@ -37,7 +38,7 @@ class TestAffine:
         arrays = [rng.normal(size=s).astype(np.float32) for s in ((7, 5), (5, 3), (3,))]
         probe = ad.Tensor(rng.normal(size=(7, 3)).astype(np.float32))
         runs = []
-        for op in (ad.affine, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+        for op in (ad.affine, lambda x, w, b: ad.add(matmul(x, w), b)):
             ad.reset_tape()
             leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
             out = op(*leaves)
@@ -106,13 +107,13 @@ class TestConv1dLookahead:
     def test_identity_kernel(self):
         x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(6, 1))
         k = ad.Tensor(np.ones((1, 1, 1)))
-        y = ad.conv1d_lookahead(x, k, stride=1, lookahead=0)
+        y = ad.conv1d_lookahead(x, k, stride=1, lookahead=0)[0]
         np.testing.assert_allclose(y.data, x.data)
 
     def test_output_length_ceil(self):
         x = ad.Tensor(np.zeros((5, 2)))
         k = ad.Tensor(np.zeros((3, 2, 4)))
-        y = ad.conv1d_lookahead(x, k, stride=2, lookahead=1)
+        y = ad.conv1d_lookahead(x, k, stride=2, lookahead=1)[0]
         assert y.shape == (3, 4)
 
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1)])
@@ -121,14 +122,14 @@ class TestConv1dLookahead:
         T = 12
         x = rng.normal(size=(T, 3))
         k = ad.Tensor(rng.normal(size=(3, 3, 2)), dtype=np.float64)
-        base = ad.conv1d_lookahead(t64(x), k, stride, lookahead).data
+        base = ad.conv1d_lookahead(t64(x), k, stride, lookahead)[0].data
         for t_out in range(base.shape[0]):
             horizon = t_out * stride + lookahead
             if horizon + 1 >= T:
                 continue
             x2 = x.copy()
             x2[horizon + 1:] += 100.0
-            pert = ad.conv1d_lookahead(t64(x2), k, stride, lookahead).data
+            pert = ad.conv1d_lookahead(t64(x2), k, stride, lookahead)[0].data
             np.testing.assert_array_equal(base[t_out], pert[t_out])
 
     def test_lookahead_wider_than_kernel_errors(self):
@@ -143,10 +144,12 @@ class TestConv1dLookahead:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(sum(lengths), 3))
         k = t64(rng.normal(size=(3, 3, 2)))
-        packed = ad.conv1d_lookahead(t64(x), k, stride, lookahead, lengths=lengths).data
+        packed, out_lengths = ad.conv1d_lookahead(t64(x), k, stride, lookahead, lengths=lengths)
+        packed = packed.data
         ends = np.cumsum(lengths)
-        alone = [ad.conv1d_lookahead(t64(x[e - n:e]), k, stride, lookahead).data for n, e in zip(lengths, ends)]
+        alone = [ad.conv1d_lookahead(t64(x[e - n:e]), k, stride, lookahead)[0].data for n, e in zip(lengths, ends)]
         assert [a.shape[0] for a in alone] == [-(-n // stride) for n in lengths]
+        assert out_lengths.tolist() == [a.shape[0] for a in alone]
         np.testing.assert_allclose(packed, np.concatenate(alone), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("stride,lookahead", [(1, 1), (2, 1), (2, 0)])
@@ -159,13 +162,13 @@ class TestConv1dLookahead:
 
         def f(xv, kv):
             ad.reset_tape()
-            y = ad.conv1d_lookahead(t64(xv), t64(kv), stride, lookahead, lengths=lengths)
+            y = ad.conv1d_lookahead(t64(xv), t64(kv), stride, lookahead, lengths=lengths)[0]
             return float((y.data * weights).sum())
 
         expected = central_difference(f, [x, kernel])
         ad.reset_tape()
         xt, kt = t64(x, requires_grad=True), t64(kernel, requires_grad=True)
-        y = ad.conv1d_lookahead(xt, kt, stride, lookahead, lengths=lengths)
+        y = ad.conv1d_lookahead(xt, kt, stride, lookahead, lengths=lengths)[0]
         ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
         assert relative_error(kt.grad, expected[1]) < 1e-6
@@ -186,25 +189,27 @@ class TestConv1dLookahead:
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1), (2, 0)])
     def test_longer_context_equals_one_call(self, stride, lookahead, extra, end):
         full, kernel, context, rest = self._held_split(stride, lookahead, extra, np.random.default_rng(4))
-        whole = ad.conv1d_lookahead(t64(full), t64(kernel), stride, lookahead, end=end).data
-        held = ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context, end).data
+        whole = ad.conv1d_lookahead(t64(full), t64(kernel), stride, lookahead, end=end)[0].data
+        held, held_lengths = ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context, end)
+        held = held.data
         np.testing.assert_array_equal(held, whole[2:])
+        assert held_lengths.tolist() == [held.shape[0]]  # a stream is one sequence
 
     @pytest.mark.parametrize("stride,lookahead", [(1, 2), (2, 1), (2, 0)])
     def test_longer_context_gradcheck(self, stride, lookahead):
         rng = np.random.default_rng(5)
         _, kernel, context, rest = self._held_split(stride, lookahead, 2, rng)
-        weights = rng.normal(size=ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context).shape)
+        weights = rng.normal(size=ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context)[0].shape)
 
         def f(xv):
             ad.reset_tape()
-            y = ad.conv1d_lookahead(t64(xv), t64(kernel), stride, lookahead, context)
+            y = ad.conv1d_lookahead(t64(xv), t64(kernel), stride, lookahead, context)[0]
             return float((y.data * weights).sum())
 
         expected = central_difference(f, [rest.copy()])
         ad.reset_tape()
         xt = t64(rest, requires_grad=True)
-        y = ad.conv1d_lookahead(xt, t64(kernel), stride, lookahead, context)
+        y = ad.conv1d_lookahead(xt, t64(kernel), stride, lookahead, context)[0]
         ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
 
@@ -337,6 +342,73 @@ class TestMultiHeadAttention:
             ad.masked_attention(q, k, v, np.ones((2, 2), dtype=bool), n_heads=4)
 
 
+def packed_at(lengths):
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def qkv(n_q, n_k, seed, width=16, v_width=8):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n_q, width)), rng.normal(size=(n_k, width)), rng.normal(size=(n_k, v_width))
+
+
+class TestBlockAttention:
+    """A ``Blocks`` layout against the dense op over its block-diagonal mask."""
+
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_self_attention_blocks_equal_the_dense_op(self, causal, n_heads):
+        lengths = np.array([5, 1, 8, 3])  # unequal, one of a single row
+        counts = packed_at(lengths) + 1 if causal else np.repeat(lengths, lengths)
+        q, k, v = qkv(lengths.sum(), lengths.sum(), seed=n_heads)
+        with ad.using_dtype(np.float64):
+            blocks, dense = attention_runs([(ad.masked_attention, ad.Blocks(lengths, lengths, counts)),
+                                            (dense_attention, dense_mask(lengths, lengths, counts))],
+                                           q, k, v, n_heads, np.float64)
+        for got, want in zip(blocks, dense):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_queries_and_keys_in_blocks_of_their_own_lengths(self):
+        q_lengths, k_lengths = np.array([2, 6, 3]), np.array([4, 1, 5])
+        counts = np.minimum(packed_at(q_lengths) + 2, np.repeat(k_lengths, q_lengths))
+        q, k, v = qkv(q_lengths.sum(), k_lengths.sum(), seed=3)
+        with ad.using_dtype(np.float64):
+            blocks, dense = attention_runs([(ad.masked_attention, ad.Blocks(q_lengths, k_lengths, counts)),
+                                            (dense_attention, dense_mask(q_lengths, k_lengths, counts))],
+                                           q, k, v, 2, np.float64)
+        for got, want in zip(blocks, dense):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mask", [
+        np.ones((1, 7), dtype=bool),  # a streamed row over its cache
+        np.tri(3, 7, 4, dtype=bool),  # new causal rows over a cached past
+        np.hstack([np.ones((6, 3), dtype=bool),  # hypothesis blocks over a shared prefix
+                   np.kron(np.eye(3, dtype=bool), np.tri(2, dtype=bool))]),
+    ])
+    def test_one_block_is_the_dense_op_bit_for_bit(self, mask):
+        q, k, v = (a.astype(np.float32) for a in qkv(*mask.shape, seed=mask.shape[0]))
+        one, dense = attention_runs([(ad.masked_attention, mask), (dense_attention, mask)], q, k, v, 4, np.float32)
+        for got, want in zip(one, dense):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_counts_must_lie_within_the_block(self):
+        with pytest.raises(ValueError, match="row 3"):
+            ad.Blocks([2, 2], [3, 1], [1, 3, 1, 2])
+        with pytest.raises(ValueError, match="row 0"):
+            ad.Blocks([1, 1], [2, 2], [0, 1])
+        with pytest.raises(ad.ShapeError):
+            ad.Blocks([2, 2], [3, 1], [1, 1, 1])
+        with pytest.raises(ad.ShapeError):
+            ad.Blocks([2, 0], [3, 1], [1, 1])
+
+    def test_layout_must_match_the_rows(self):
+        blocks = ad.Blocks([2, 1], [2, 1], [1, 2, 1])
+        q = ad.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError, match="Blocks"):
+            ad.masked_attention(q, ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros((4, 4))), blocks)
+
+
 class TestLayerNorm:
     def test_constant_row_zeros(self):
         x = ad.Tensor([[3.0, 3.0, 3.0]])
@@ -416,7 +488,7 @@ class TestBackward:
     def test_accumulation_doubles_exactly(self):
         x = t64([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         w = t64([[0.2], [0.7]], requires_grad=True)
-        loss = ad.reduce_sum(ad.relu(ad.matmul(x, w)))
+        loss = ad.reduce_sum(ad.relu(matmul(x, w)))
         ad.backward(loss)
         once = (x.grad.copy(), w.grad.copy())
         ad.backward(loss)
@@ -433,7 +505,7 @@ class TestBackward:
         def f(xa, wa, ga, ba):
             with ad.using_dtype(np.float64):
                 ad.reset_tape()
-                h = ad.matmul(ad.Tensor(xa), ad.Tensor(wa))
+                h = matmul(ad.Tensor(xa), ad.Tensor(wa))
                 h = ad.layer_norm(h, ad.Tensor(ga), ad.Tensor(ba))
                 h = ad.softmax(h, axis=-1)
                 return ad.reduce_sum(ad.mul(h, h)).item()
@@ -445,7 +517,7 @@ class TestBackward:
             w = ad.Tensor(wv, requires_grad=True)
             g = ad.Tensor(gv, requires_grad=True)
             b = ad.Tensor(bv, requires_grad=True)
-            h = ad.softmax(ad.layer_norm(ad.matmul(x, w), g, b), axis=-1)
+            h = ad.softmax(ad.layer_norm(matmul(x, w), g, b), axis=-1)
             ad.backward(ad.reduce_sum(ad.mul(h, h)))
         for got, exp in zip([x.grad, w.grad, g.grad, b.grad], expected):
             assert relative_error(got, exp) < 1e-4
@@ -458,34 +530,101 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         params = self._params()
         before = params["w"].data.copy()
-        ad.adam_step(params, ad.OptimizerState(), lr=0.1)
+        ad.adam_step(params["w"], *zero_moments(params["w"]), ad.OptimizerState(), lr=0.1)
         np.testing.assert_array_equal(params["w"].data, before)
 
     def test_first_step_magnitude_is_lr(self):
         params = self._params()
         params["w"].grad[...] = [0.3, -7.0]
-        ad.adam_step(params, ad.OptimizerState(), lr=0.05)
+        ad.adam_step(params["w"], *zero_moments(params["w"]), ad.OptimizerState(), lr=0.05)
         np.testing.assert_allclose(params["w"].data, [1.0 - 0.05, -1.0 + 0.05], rtol=1e-5)
 
     def test_step_counter(self):
         params = self._params()
         state = ad.OptimizerState()
+        moments = zero_moments(params["w"])
         params["w"].grad[...] = 1.0
-        ad.adam_step(params, state, lr=0.01)
+        ad.adam_step(params["w"], *moments, state, lr=0.01)
         params["w"].grad[...] = 1.0
-        ad.adam_step(params, state, lr=0.01)
+        ad.adam_step(params["w"], *moments, state, lr=0.01)
         assert state.step == 2
 
     def test_grads_zeroed_after_step(self):
         params = self._params()
         params["w"].grad[...] = 2.0
-        ad.adam_step(params, ad.OptimizerState(), lr=0.01)
+        ad.adam_step(params["w"], *zero_moments(params["w"]), ad.OptimizerState(), lr=0.01)
         np.testing.assert_array_equal(params["w"].grad, 0.0)
 
     def test_missing_grad_errors(self):
         p = ad.Tensor([1.0])
         with pytest.raises(ValueError, match="no gradient"):
-            ad.adam_step({"p": p}, ad.OptimizerState(), lr=0.01)
+            ad.adam_step(p, *zero_moments(p), ad.OptimizerState(), lr=0.01)
+
+    def test_moments_must_fit_the_parameter(self):
+        p = ad.Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(ad.ShapeError):
+            ad.adam_step(p, np.zeros(4), np.zeros(4), ad.OptimizerState(), lr=0.01)
+
+
+SHAPES = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5), "b.g": (7,)}
+
+
+class TestFlatAdam:
+    """The flat store's one in-place pass against the per-tensor loop."""
+
+    def _stores(self, rng):
+        flat, params = ad.flat_parameters(SHAPES)
+        for p in params.values():
+            p.data[...] = rng.normal(size=p.shape)
+        alone = {k: ad.Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        return flat, params, alone
+
+    def test_parameters_are_views_of_the_store(self):
+        flat, params = ad.flat_parameters(SHAPES)
+        assert flat.data.dtype == np.float32 and flat.shape == (sum(math.prod(s) for s in SHAPES.values()),)
+        assert list(params) == list(SHAPES) and all(p.shape == SHAPES[k] for k, p in params.items())
+        params["b.w"].data[...] = 2.0
+        params["b.w"].grad[...] = 3.0
+        np.testing.assert_array_equal(flat.data[16:46], 2.0)
+        np.testing.assert_array_equal(flat.grad[16:46], 3.0)
+        assert not flat.grad[:16].any() and not flat.grad[46:].any()
+
+    def test_steps_equal_the_per_tensor_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        flat, params, alone = self._stores(rng)
+        m, v = zero_moments(flat)
+        flat_state, loop_state = ad.OptimizerState(), ad.OptimizerState()
+        for step in range(6):
+            for name, p in params.items():
+                p.grad[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 2)
+                alone[name].grad[...] = p.grad
+            lr = ad.inverse_sqrt_lr(step + 1, 2e-3, 3)
+            ad.adam_step(flat, m, v, flat_state, lr)
+            per_tensor_adam_step(alone, loop_state, lr)
+        assert flat_state.step == loop_state.step == 6
+        named_m, named_v = ad.unflatten(m, SHAPES), ad.unflatten(v, SHAPES)
+        for name, p in params.items():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == alone[name].data.tobytes(), name
+            assert named_m[name].tobytes() == loop_state.m[name].tobytes(), name
+            assert named_v[name].tobytes() == loop_state.v[name].tobytes(), name
+            assert not p.grad.any()
+
+    def test_a_leading_slice_updates_only_its_parameters(self):
+        rng = np.random.default_rng(9)
+        flat, params, alone = self._stores(rng)
+        flat.grad[...] = rng.normal(size=flat.shape)
+        lead = {k: alone[k] for k in ("a.w", "a.b")}
+        for name, p in lead.items():
+            p.grad[...] = params[name].grad
+        rest = flat.data[16:].copy(), flat.grad[16:].copy()
+        m, v = np.zeros(16, dtype=np.float32), np.zeros(16, dtype=np.float32)
+        ad.adam_step(flat, m, v, ad.OptimizerState(), 1e-2)
+        per_tensor_adam_step(lead, ad.OptimizerState(), 1e-2)
+        for name, p in lead.items():
+            assert params[name].data.tobytes() == p.data.tobytes()
+        assert flat.data[16:].tobytes() == rest[0].tobytes() and flat.grad[16:].tobytes() == rest[1].tobytes()
+        assert not flat.grad[:16].any()
 
 
 class TestSchedule:
@@ -516,7 +655,7 @@ def test_gradcheck_random_graphs(seed):
         with ad.using_dtype(np.float64):
             x = ad.Tensor(xa, requires_grad=True)
             w = ad.Tensor(wa, requires_grad=True)
-            h = ad.relu(ad.matmul(x, w))
+            h = ad.relu(matmul(x, w))
             h = ad.add(h, x)
             p = ad.log_softmax(h, axis=-1)
             loss = ad.scale(ad.reduce_sum(ad.mul(p, p)), 0.5)

@@ -8,6 +8,7 @@ import pytest
 
 from simulst import autodiff as ad
 from simulst import ctc, data, model
+from oracles import attention_runs, dense_attention, zero_moments
 
 
 def tiny_cfg(**kw):
@@ -260,7 +261,7 @@ class TestAblationVariants:
         loss_st, loss_ctc, _ = m.forward_train(batch)
         total = m.total_loss(loss_st, loss_ctc)
         ad.backward(total)
-        ad.adam_step(m.parameters(), ad.OptimizerState(), lr=1e-3)
+        ad.adam_step(m.flat, *zero_moments(m.flat), ad.OptimizerState(), lr=1e-3)
         assert np.isfinite(total.item())
 
     def test_minus_gd_same_lookahead_and_length(self):
@@ -279,6 +280,7 @@ def test_loss_decreases_under_training():
     m = model.Model(cfg, seed=9)
     batch = data.make_batches(corpus, max_frames=200)[0]
     state = ad.OptimizerState(base_lr=2e-3, warmup=50)
+    moments = zero_moments(m.flat)
     first = None
     last = None
     for step in range(200):
@@ -287,7 +289,7 @@ def test_loss_decreases_under_training():
         total = m.total_loss(loss_st, loss_ctc)
         ad.backward(total)
         lr = ad.inverse_sqrt_lr(state.step + 1, state.base_lr, state.warmup)
-        ad.adam_step(m.parameters(), state, lr)
+        ad.adam_step(m.flat, *moments, state, lr)
         if first is None:
             first = total.item()
         last = total.item()
@@ -562,3 +564,42 @@ class TestPackedBatch:
         np.testing.assert_array_equal(mask[:3, :4], model.build_cross_attention_mask(2, 2, 3, 4))
         np.testing.assert_array_equal(mask[3:, 4:], model.build_cross_attention_mask(2, 2, 5, 2))
         assert not mask[:3, 4:].any() and not mask[3:, :4].any()
+
+
+class TestAttentionLayouts:
+    """The model's masks as layouts: a batch's sequences are ``ad.Blocks``,
+    which attend as the dense block-diagonal rule does; a stream's rows
+    and one utterance are one block."""
+
+    def _against_dense(self, layout, dense, n_heads=4, seed=0):
+        rng = np.random.default_rng(seed)
+        q, k, v = (rng.normal(size=(n, 16)) for n in (dense.shape[0], dense.shape[1], dense.shape[1]))
+        with ad.using_dtype(np.float64):
+            blocks, ref = attention_runs([(ad.masked_attention, layout), (dense_attention, dense)],
+                                         q, k, v, n_heads, np.float64)
+        for got, want in zip(blocks, ref):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cross_blocks_follow_the_wait_k_stride_n_rule(self):
+        # wait-3 shows the first target of utterance 0 three units, more than its two
+        rows, units = np.array([4, 6, 3]), np.array([2, 7, 5])
+        counts = model.visible_counts(3, 2, rows, units)
+        assert counts[:4].tolist() == [2, 2, 2, 2] and counts[4:10].tolist() == [3, 3, 5, 5, 7, 7]
+        dense = model.build_cross_attention_mask(3, 2, rows, units)
+        np.testing.assert_array_equal(dense.sum(axis=1), counts)
+        self._against_dense(ad.Blocks(rows, units, counts), dense)
+
+    @pytest.mark.parametrize("unidirectional", [True, False])
+    def test_self_mask_of_a_batch_is_the_block_diagonal_rule(self, unidirectional):
+        m = model.Model(tiny_cfg(unidirectional=unidirectional), seed=0)
+        lengths = np.array([3, 1, 5])
+        layout = m._self_mask(lengths)
+        assert isinstance(layout, ad.Blocks)
+        n = lengths.sum()
+        dense = model.same_sequence(lengths, lengths) & (np.tri(n, n, dtype=bool) if unidirectional else True)
+        self._against_dense(layout, dense, seed=1)
+
+    def test_a_stream_and_one_utterance_are_one_block(self):
+        m = model.Model(tiny_cfg(), seed=0)
+        for mask in (m._self_mask(4), m._self_mask([2, 2], past=3, causal=True), m._self_mask(1, past=5)):
+            assert isinstance(mask, np.ndarray) and mask.ndim == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from simulst import autodiff as ad
 from simulst import ctc, shrink
 from conftest import central_difference, relative_error
+from oracles import matmul, reshape, sub
 
 
 def seg(*edges):
@@ -201,12 +202,12 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
                 if not keep.any():
                     keep = np.ones(stop - start, dtype=bool)
                 w = (keep / keep.sum()).astype(dtype).reshape(1, -1)
-            out_rows.append(ad.matmul(ad.Tensor(w, dtype=dtype), seg))
+            out_rows.append(matmul(ad.Tensor(w, dtype=dtype), seg))
             continue
         mu = 0.0 if cfg.mode == "average" else cfg.temperature
-        conf = ad.scale(ad.sub(ad.Tensor(1.0, dtype=dtype), ad.rows(blank_probs, start, stop)), mu)
-        w = ad.reshape(ad.softmax(conf, axis=-1), (1, stop - start))
-        out_rows.append(ad.matmul(w, seg))
+        conf = ad.scale(sub(ad.Tensor(1.0, dtype=dtype), ad.rows(blank_probs, start, stop)), mu)
+        w = reshape(ad.softmax(conf, axis=-1), (1, stop - start))
+        out_rows.append(matmul(w, seg))
     return ad.concat_rows(out_rows)
 
 

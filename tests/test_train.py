@@ -9,6 +9,7 @@ import pytest
 
 from simulst import autodiff as ad
 from simulst import data, metrics, model, train
+from oracles import zero_moments
 
 
 def small_cfg(vocab, **kw):
@@ -212,7 +213,7 @@ class TestGradientFlow:
         ad.reset_tape()
         loss_st, loss_ctc, _ = m.forward_train(batch)
         ad.backward(m.total_loss(loss_st, loss_ctc))
-        ad.adam_step(m.parameters(), ad.OptimizerState(), lr=1e-3)
+        ad.adam_step(m.flat, *zero_moments(m.flat), ad.OptimizerState(), lr=1e-3)
         changed = {k: not np.array_equal(before[k], v.data) for k, v in m.parameters().items()}
         return changed
 
@@ -386,3 +387,32 @@ def test_underflowing_ctc_posteriors_give_a_finite_loss():
     assert (posteriors.data == 0).sum() > 0
     assert len(diag["skipped_ids"]) == 0
     assert np.isfinite(loss_ctc.item()) and np.isfinite(m.total_loss(loss_st, loss_ctc).item())
+
+
+class TestFlatStore:
+    def test_pretraining_updates_only_the_encoder_prefix(self):
+        corpus = small_corpus(8)
+        cfg = small_cfg(vocab_sizes(corpus))
+        before = train.model_from_checkpoint(train.pretrain_ctc(corpus, cfg, 0, settings()))
+        ckpt = train.pretrain_ctc(corpus, cfg, 1, settings())
+        after = train.model_from_checkpoint(ckpt)
+        encoder = after.encoder_parameters()
+        assert list(encoder) == list(after.parameters())[:len(encoder)]
+        n = sum(p.data.size for p in encoder.values())
+        assert (before.flat.data[:n] != after.flat.data[:n]).any()
+        assert before.flat.data[n:].tobytes() == after.flat.data[n:].tobytes()
+        assert list(ckpt.opt.m) == list(ckpt.opt.v) == list(encoder)
+
+    def test_a_checkpoint_does_not_alias_the_model(self):
+        corpus = small_corpus(8)
+        m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=3)
+        ckpt = train.snapshot(m, ad.OptimizerState(), 0, np.random.default_rng(0), "init")
+        kept = copy.deepcopy(ckpt.params)
+        assert not any(np.shares_memory(a, m.flat.data) for a in ckpt.params.values())
+        ad.reset_tape()
+        loss_st, loss_ctc, _ = m.forward_train(data.make_batches(corpus, 300)[0])
+        ad.backward(m.total_loss(loss_st, loss_ctc))
+        ad.adam_step(m.flat, *zero_moments(m.flat), ad.OptimizerState(), lr=1e-3)
+        assert any(not np.array_equal(kept[k], p.data) for k, p in m.parameters().items())
+        for name, arr in kept.items():
+            np.testing.assert_array_equal(ckpt.params[name], arr)
