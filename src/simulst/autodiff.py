@@ -9,11 +9,13 @@ high-precision gradient checks (there is no global dtype setter).
 Training and streaming run the same ops, so an op's fixed Python cost is
 paid once per layer and call. The model's dense layers are one ``affine``
 op each (``x @ w + b``), and multi-head attention is one
-``masked_attention`` op. Its mask is one block (a 2-D array: a stream's
-rows over their cache, or one utterance), or a ``Blocks`` layout of
-consecutive sequences, each attending only within itself, which the op
-runs as one batch of blocks padded to the longest instead of the dense
-grid of all rows.
+``masked_attention`` op. Its one kind of mask is a ``Blocks`` layout:
+consecutive blocks of queries, each seeing a prefix of its own block of
+keys after any shared past keys. That covers a stream's rows over their
+cache, one utterance, beam hypotheses over their shared prefix and a
+training batch of sequences; the layout, not an option, picks whether
+the op runs on the dense grid of all rows or on a batch of blocks padded
+to the longest.
 
 A model's parameters live in one flat buffer (``flat_parameters``), and
 their gradients in another: each named parameter is a view of both. So
@@ -336,84 +338,100 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
     return record_op(out, (x, kernel), vjp), out_lengths
 
 
-class Blocks:
-    """The layout of block-diagonal attention over consecutive sequences.
+def packed_offsets(lengths) -> np.ndarray:
+    """Index of each row of consecutive sequences of ``lengths`` rows
+    within its own sequence."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) == 1:
+        return np.arange(lengths[0])
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
-    Query block i, the next ``q_lengths[i]`` rows of the queries, attends
-    only key block i, the next ``k_lengths[i]`` rows of the keys, and
-    query row r (in packed order) the first ``counts[r]`` keys of its
+
+class Blocks:
+    """The layout of an attention op's queries over its keys.
+
+    The keys are ``past`` leading keys, which every query row sees, then
+    consecutive key blocks. Query block i, the next ``q_lengths[i]`` rows
+    of the queries, attends key block i, the next ``k_lengths[i]`` keys,
+    and query row r (in packed order) the first ``counts[r]`` keys of its
     block: a prefix, as causal self-attention and the wait-k-stride-n
-    cross rule allow. ``masked_attention`` runs the blocks as one batch
-    padded to the longest; the gather indices and the padded mask are
-    built here once, for every layer that shares the layout.
+    cross rule allow. The counts are checked here once, for every layer
+    that shares the layout.
+
+    One block, or blocks over a past (beam hypotheses over their shared
+    prefix), run on the dense grid of all query and key rows, with a bias
+    on disallowed keys unless every row sees all its keys. Several blocks
+    without a past run as one batch padded to the longest block, whose
+    gather indices and padded bias are built here.
     """
 
-    def __init__(self, q_lengths, k_lengths, counts):
+    def __init__(self, q_lengths, k_lengths, counts, past: int = 0):
         q_lengths, k_lengths, counts = (np.asarray(a, dtype=np.int64) for a in (q_lengths, k_lengths, counts))
-        if (q_lengths.ndim != 1 or q_lengths.shape != k_lengths.shape or not len(q_lengths)
-                or min(q_lengths.min(), k_lengths.min()) < 1 or counts.shape != (q_lengths.sum(),)):
-            raise ShapeError(f"Blocks: {counts.shape} counts for query lengths {q_lengths.tolist()} "
+        q_list = q_lengths.tolist()  # a few blocks: Python's sum and min are the cheap ones
+        if (q_lengths.ndim != 1 or q_lengths.shape != k_lengths.shape or not q_list
+                or min(q_list) < 1 or counts.shape != (sum(q_list),)):
+            raise ShapeError(f"Blocks: {counts.shape} counts for query lengths {q_list} "
                              f"and key lengths {k_lengths.tolist()}")
-        self.n_queries, self.n_keys = int(q_lengths.sum()), int(k_lengths.sum())
-        # (block, position in block) of every packed query and key row
-        q_at, k_at = ((np.repeat(np.arange(len(n)), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
-                      for n in (q_lengths, k_lengths))
-        bad = (counts < 1) | (counts > k_lengths[q_at[0]])
-        if bad.any():
-            r = int(np.flatnonzero(bad)[0])
+        if past < 0:
+            raise ValueError(f"Blocks: past must be >= 0, got {past}")
+        one = len(q_list) == 1
+        limit = k_lengths[0] if one else np.repeat(k_lengths, q_lengths)  # each row's block length
+        least = counts.min()
+        if least < 1 or (counts > limit).any():
+            r = int(np.flatnonzero((counts < 1) | (counts > limit))[0])
             raise ValueError(f"attention mask row {r} allows {counts[r]} of its block's "
-                             f"{k_lengths[q_at[0][r]]} keys")
-        # [B, T_max]: the packed row in each padded slot (padding repeats row 0);
-        # [T]: each packed row's slot in the flattened [B * T_max] layout
-        self.q_index, self.k_index = (np.zeros((len(n), n.max()), dtype=np.int64) for n in (q_lengths, k_lengths))
-        self.q_index[q_at] = np.arange(self.n_queries)
-        self.k_index[k_at] = np.arange(self.n_keys)
-        self.q_slot = q_at[0] * self.q_index.shape[1] + q_at[1]
-        self.k_slot = k_at[0] * self.k_index.shape[1] + k_at[1]
-        allowed = np.zeros(self.q_index.shape, dtype=np.int64)  # padded query rows see no key
-        allowed[q_at] = counts
-        # float32 holds 0 and -1e9 exactly, so this bias serves float64 scores too
-        self.bias = np.where(np.arange(k_lengths.max()) < allowed[..., None], 0.0, -1e9
-                             ).astype(np.float32)  # [B, Tq_max, Tk_max]
+                             f"{np.repeat(k_lengths, q_lengths)[r]} keys")
+        self.n_queries, self.n_keys = sum(q_list), past + sum(k_lengths.tolist())
+        self.q_index = self.k_index = self.q_slot = self.k_slot = None
+        # float32 holds 0 and -1e9 exactly, so a bias serves float64 scores too
+        if one:  # [Tq, Tk], or none when every row sees all its keys
+            self.bias = None if least == limit else np.where(
+                np.arange(self.n_keys) < past + counts[:, None], 0.0, -1e9).astype(np.float32)
+        elif past:  # [Tq, Tk]: the past, then the row's own block
+            blocks = np.arange(len(q_lengths))
+            seen = ((np.repeat(blocks, q_lengths)[:, None] == np.repeat(blocks, k_lengths))
+                    & (packed_offsets(k_lengths) < counts[:, None]))
+            self.bias = np.where(np.hstack([np.ones((self.n_queries, past), dtype=bool), seen]), 0.0, -1e9
+                                 ).astype(np.float32)
+        else:
+            # (block, position in block) of every packed query and key row
+            q_at, k_at = ((np.repeat(np.arange(len(n)), n), packed_offsets(n)) for n in (q_lengths, k_lengths))
+            # [B, T_max]: the packed row in each padded slot (padding repeats row 0);
+            # [T]: each packed row's slot in the flattened [B * T_max] layout
+            self.q_index, self.k_index = (np.zeros((len(n), n.max()), dtype=np.int64) for n in (q_lengths, k_lengths))
+            self.q_index[q_at] = np.arange(self.n_queries)
+            self.k_index[k_at] = np.arange(self.n_keys)
+            self.q_slot = q_at[0] * self.q_index.shape[1] + q_at[1]
+            self.k_slot = k_at[0] * self.k_index.shape[1] + k_at[1]
+            allowed = np.zeros(self.q_index.shape, dtype=np.int64)  # padded query rows see no key
+            allowed[q_at] = counts
+            self.bias = np.where(np.arange(k_lengths.max()) < allowed[..., None], 0.0, -1e9
+                                 ).astype(np.float32)  # [B, Tq_max, Tk_max]
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) -> Tensor:
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Blocks, n_heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
     ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
     ``n_heads`` column blocks; head h attends with block h and writes
-    output columns h*dv:(h+1)*dv. Disallowed scores get an additive -1e9
-    before the softmax.
-
-    ``mask`` is either one block, a boolean [Tq, Tk] array in which
-    mask[i, j]=True lets query i see key j, or a ``Blocks`` layout of
-    consecutive sequences. One block runs on views of q, k and v, and
-    every query row must have at least one allowed key; a full mask
-    (every key allowed, and at least one key), as a streamed causal row
-    over its cache has, adds no bias. ``Blocks`` gathers each sequence's
-    rows into a batch padded to the longest block, so the work grows with
-    the sum of squared block lengths rather than the square of their sum;
-    padded keys get the bias and padded queries are dropped.
+    output columns h*dv:(h+1)*dv. The ``Blocks`` layout says which keys
+    each query row sees; disallowed scores get an additive -1e9 before
+    the softmax. A layout on the dense grid runs on views of q, k and v;
+    a padded one gathers each block's rows into a batch padded to the
+    longest block, so the work grows with the sum of squared block
+    lengths rather than the square of their sum; padded keys get the bias
+    and padded queries are dropped.
     """
-    blocks = mask if isinstance(mask, Blocks) else None
-    if blocks is None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[0], k.shape[0]):
-            raise ShapeError(f"mask shape {mask.shape} != (queries {q.shape[0]}, keys {k.shape[0]})")
-        full = mask.shape[1] > 0 and mask.all()
-        if not full and not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise ValueError(f"attention mask row {bad} allows no keys")
-    elif (blocks.n_queries, blocks.n_keys) != (q.shape[0], k.shape[0]):
+    if not isinstance(blocks, Blocks):
+        raise TypeError(f"masked_attention takes an ad.Blocks layout, got {type(blocks).__name__}")
+    if (blocks.n_queries, blocks.n_keys) != (q.shape[0], k.shape[0]):
         raise ShapeError(f"Blocks of {blocks.n_queries} queries and {blocks.n_keys} keys "
                          f"for {q.shape[0]} queries and {k.shape[0]} keys")
     if q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
         raise ShapeError(f"masked_attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     if q.shape[1] % n_heads or v.shape[1] % n_heads:
         raise ShapeError(f"masked_attention: {n_heads} heads do not divide widths {q.shape[1]}, {v.shape[1]}")
-
-    q_index, k_index, q_slot, k_slot = (None,) * 4 if blocks is None else (
-        blocks.q_index, blocks.k_index, blocks.q_slot, blocks.k_slot)
+    q_slot, k_slot = blocks.q_slot, blocks.k_slot
 
     def heads(x: np.ndarray, index) -> np.ndarray:  # [T, H*d] -> [H, T, d], or [H, B, T_max, d] blocks
         x = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
@@ -424,16 +442,14 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
             x = x.reshape(x.shape[0], -1, x.shape[-1]).take(slot, axis=1)
         return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
 
-    qh, kh, vh = heads(q.data, q_index), heads(k.data, k_index), heads(v.data, k_index)
+    qh, kh, vh = heads(q.data, blocks.q_index), heads(k.data, blocks.k_index), heads(v.data, blocks.k_index)
     # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
-    # one block's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
+    # a dense grid's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
     kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
     s = 1.0 / math.sqrt(q.shape[1] // n_heads)
     scores = (qh @ kt) * s
-    if blocks is not None:
+    if blocks.bias is not None:
         scores += blocks.bias
-    elif not full:
-        scores += np.where(mask, 0.0, -1e9).astype(scores.dtype)
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)  # [H, (B,) Tq, Tk]
@@ -441,7 +457,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
 
     def vjp(g):
         gh = heads(g, None)
-        if blocks is not None:  # into the padded blocks; padded query rows get no gradient
+        if q_slot is not None:  # into the padded blocks; padded query rows get no gradient
             gh, rows = np.zeros(w.shape[:-1] + (vh.shape[-1],), dtype=g.dtype), gh
             gh.reshape(n_heads, -1, gh.shape[-1])[:, q_slot] = rows
         gs = gh @ vh.swapaxes(-1, -2)  # the gradient of w, then in place that of the scores

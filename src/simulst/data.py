@@ -15,6 +15,13 @@ EOS = 1
 RESERVED = ("<pad>", "</s>", "<unk>")
 
 
+def check_integers(name: str, value) -> None:
+    """Raise ValueError unless ``value``, a count or a sequence of them,
+    holds only integers (a bool is not one)."""
+    if not all(isinstance(v, numbers.Integral) for v in np.ravel(value)):
+        raise ValueError(f"{name} must hold integers, got {value!r}")
+
+
 class Vocab:
     """Token/id bijection with pad, end-of-sentence, and unk reserved."""
 
@@ -77,9 +84,7 @@ class SyntheticTaskConfig:
     def __post_init__(self):
         for name in ("vocab_size", "feature_dim", "reorder_window", "frames_per_token", "length_range",
                      "seed"):
-            value = getattr(self, name)
-            if not all(isinstance(v, numbers.Integral) for v in np.ravel(value)):
-                raise ValueError(f"{name} must hold integers, got {value!r}")
+            check_integers(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("vocab_size", "feature_dim"):
@@ -106,6 +111,7 @@ def synthetic_assets(cfg: SyntheticTaskConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_synthetic_corpus(cfg: SyntheticTaskConfig, size: int) -> Corpus:
+    check_integers("size", size)
     if size < 1:
         raise ValueError(f"corpus size must be >= 1, got {size}")
     # separate streams: assets (child 0), content (child 1), reorder (child 2),

@@ -6,11 +6,12 @@ wait-k-stride-n schedule.
 A training batch is a list of utterances, packed: they are laid end to
 end as one sequence of rows per stage, so each layer runs once per
 batch. Convolutions pad each utterance on its own and report each one's
-output length, attention runs block by block (an ``ad.Blocks`` layout:
-causal blocks for self-attention, the wait-k-stride-n rule for
-cross-attention) and positions restart with each utterance; only the CTC
-forward algorithm runs per utterance, on its rows. One utterance is the
-packed case with one sequence.
+output length, attention runs block by block and positions restart with
+each utterance; only the CTC forward algorithm runs per utterance, on its
+rows. One utterance is the packed case with one sequence. Every attention
+mask is an ``ad.Blocks`` layout: causal blocks for self-attention, the
+wait-k-stride-n rule for cross-attention, and for a stream's rows the
+cached rows before them as the layout's past.
 
 The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
 and the CTC grid, ``semantic_encode`` turns shrunk segment states into
@@ -26,7 +27,6 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -36,7 +36,7 @@ from . import autodiff as ad
 from . import ctc as ctc_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
-from .data import EOS, Utterance
+from .data import EOS, Utterance, check_integers
 from .shrink import ShrinkConfig
 
 log = logging.getLogger(__name__)
@@ -95,8 +95,7 @@ class ModelConfig:
         for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "conv_lookahead",
                      "transformer_layers_per_block", "d_model", "n_heads", "ffn_dim", "semantic_layers",
                      "decoder_layers", "src_vocab_size", "tgt_vocab_size"):  # each sizes arrays or loops
-            if not all(isinstance(v, numbers.Integral) for v in np.ravel(getattr(self, name))):
-                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
+            check_integers(name, getattr(self, name))
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -205,22 +204,6 @@ def skip_reason(cfg: ModelConfig, frames: int, transcript) -> Optional[str]:
     return None
 
 
-def packed_offsets(lengths) -> np.ndarray:
-    """Index of each row of consecutive sequences of ``lengths`` rows
-    within its own sequence."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
-def same_sequence(row_lengths, col_lengths) -> np.ndarray:
-    """Boolean [sum(row_lengths), sum(col_lengths)]: True where the row and
-    the column belong to the same one of consecutive sequences (row
-    sequence i pairs with column sequence i)."""
-    row_seq = np.repeat(np.arange(len(row_lengths)), row_lengths)
-    col_seq = np.repeat(np.arange(len(col_lengths)), col_lengths)
-    return row_seq[:, None] == col_seq[None, :]
-
-
 def visible_units(wait_k, stride_n: int, written):
     """Source units the wait-k-stride-n schedule shows the decoder once
     ``written`` target tokens are out (an int or an array of them):
@@ -238,17 +221,8 @@ def visible_counts(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
     if (n_source < 1).any():
         raise ValueError("mask needs at least one source unit")
     check_schedule(wait_k, stride_n)
-    budget = visible_units(wait_k, stride_n, packed_offsets(n_targets))
+    budget = visible_units(wait_k, stride_n, ad.packed_offsets(n_targets))
     return np.minimum(budget, np.repeat(n_source, n_targets)).astype(np.int64)
-
-
-def build_cross_attention_mask(wait_k, stride_n: int, n_targets, n_source) -> np.ndarray:
-    """Boolean [n_targets, n_source] form of ``visible_counts``: target
-    row i may attend source unit j. For several utterances it is
-    block-diagonal: each utterance's targets see only its own units."""
-    counts = visible_counts(wait_k, stride_n, n_targets, n_source)
-    n_targets, n_source = np.atleast_1d(n_targets), np.atleast_1d(n_source)
-    return same_sequence(n_targets, n_source) & (packed_offsets(n_source)[None, :] < counts[:, None])
 
 
 def sinusoidal_positions(n: int, d: int, dtype, start: int = 0) -> np.ndarray:
@@ -266,7 +240,7 @@ def packed_positions(lengths, d: int, dtype, start: int = 0) -> np.ndarray:
     """Encodings of consecutive sequences' rows; each sequence's positions
     run from ``start``."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    return sinusoidal_positions(int(lengths.max(initial=0)), d, dtype, start)[packed_offsets(lengths)]
+    return sinusoidal_positions(int(lengths.max(initial=0)), d, dtype, start)[ad.packed_offsets(lengths)]
 
 
 @dataclass
@@ -390,7 +364,7 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: np.ndarray | ad.Blocks,
+    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: ad.Blocks,
                    kv_cache: dict) -> Tensor:
         """Multi-head attention, all ``cfg.n_heads`` heads in one op: the keys
         and values ``kv_cache`` holds under ``prefix`` (none in a fresh cache)
@@ -413,8 +387,8 @@ class Model:
     def _norm_of(self, name: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _tf_forward(self, prefix: str, x: Tensor, self_mask: np.ndarray | ad.Blocks, rng, kv_cache: dict,
-                    cross_kv: Tensor | None = None, cross_mask: np.ndarray | ad.Blocks | None = None) -> Tensor:
+    def _tf_forward(self, prefix: str, x: Tensor, self_mask: ad.Blocks, rng, kv_cache: dict,
+                    cross_kv: Tensor | None = None, cross_mask: ad.Blocks | None = None) -> Tensor:
         p = self.cfg.dropout
         normed = self._norm_of(f"{prefix}.ln1", x)
         h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
@@ -426,25 +400,15 @@ class Model:
         h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
         return ad.add(x, ad.dropout(h, p, rng))
 
-    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None):
-        """The mask of N rows in consecutive sequences of ``lengths``: each
-        row sees the ``past`` cached rows and the rows of its own sequence,
-        only those up to itself when ``causal`` (by default
-        ``cfg.unidirectional``; the decoder is always causal). Several
-        sequences without a past are ``ad.Blocks``; otherwise it is one
-        [N, past+N] block, as a stream's rows over their cache are."""
+    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None) -> ad.Blocks:
+        """The self-attention layout of rows in consecutive sequences of
+        ``lengths``: each row sees the ``past`` cached rows and the rows of
+        its own sequence, only those up to itself when ``causal`` (by
+        default ``cfg.unidirectional``; the decoder is always causal)."""
         lengths = np.atleast_1d(lengths)
         causal = self.cfg.unidirectional if causal is None else causal
-        if past == 0 and len(lengths) > 1:
-            return ad.Blocks(lengths, lengths, packed_offsets(lengths) + 1 if causal else np.repeat(lengths, lengths))
-        n = int(lengths.sum())
-        if causal:
-            mask = np.tri(n, past + n, past, dtype=bool)
-        else:
-            mask = np.ones((n, past + n), dtype=bool)
-        if len(lengths) > 1:
-            mask[:, past:] &= same_sequence(lengths, lengths)
-        return mask
+        return ad.Blocks(lengths, lengths, ad.packed_offsets(lengths) + 1 if causal else np.repeat(lengths, lengths),
+                         past)
 
     def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[StreamState],
               end: bool) -> tuple[Tensor, np.ndarray]:
@@ -551,11 +515,12 @@ class Model:
         state.rows += x.shape[0]
         return x
 
-    def decode_logits(self, prefix_ids: np.ndarray, units: Tensor, cross_mask: np.ndarray | ad.Blocks,
+    def decode_logits(self, prefix_ids: np.ndarray, units: Tensor, cross_mask: ad.Blocks,
                       rng=None, state: StreamState | None = None, lengths=None) -> Tensor:
-        """Decoder logits, one row per input row; ``cross_mask[i, j]`` lets
-        row i see source unit j (or an ``ad.Blocks`` layout pairs each
-        block of rows with its own units).
+        """Decoder logits, one row per input row; ``cross_mask`` is the
+        ``ad.Blocks`` layout of the rows over the source units, those the
+        state holds followed by ``units``: one block of rows over all of
+        them, or one block of rows per utterance over its own units.
 
         The rows are consecutive blocks of ``lengths`` rows (one block by
         default), each with its own positions and attending causally

@@ -194,6 +194,8 @@ class StreamSession:
         frames = np.asarray(frames, dtype=np.float32)
         if frames.ndim != 2 or frames.shape[1] != cfg.d_feat:
             raise ValueError(f"push_frames takes [n, {cfg.d_feat}] frames, got shape {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise ValueError("push_frames takes finite frames, got NaN or inf")
         rows = np.concatenate([self._unencoded, frames])
         first = self._n_fed - self._unencoded.shape[0]  # stream index of rows[0]
         self._n_fed += frames.shape[0]
@@ -250,10 +252,12 @@ class StreamSession:
                state: model_mod.StreamState, hyps: int = 1) -> list[np.ndarray]:
         """Log-probabilities of the next token after each of ``hyps`` equal
         blocks of ``rows``, which continue the rows ``state`` holds, given
-        the ``units`` it has not seen; row j sees the first ``vis_rows[j]``."""
-        mask = np.arange(vis_rows[-1])[None, :] < np.array(vis_rows)[:, None]
+        the ``units`` it has not seen. The rows are one block over every
+        unit, the state's and then ``units``; row j sees the first
+        ``vis_rows[j]``."""
+        cross = ad.Blocks([len(rows)], [vis_rows[-1]], vis_rows)
         with ad.no_grad():
-            logits = self.model.decode_logits(np.array(rows, dtype=np.int64), units, mask,
+            logits = self.model.decode_logits(np.array(rows, dtype=np.int64), units, cross,
                                               state=state, lengths=[len(rows) // hyps] * hyps)
         self.stats.decode_logits_calls += 1
         self.stats.hypotheses_scored += hyps

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ from . import ctc as ctc_mod
 from . import metrics as metrics_mod
 from . import streaming
 from .autodiff import OptimizerState
-from .data import Corpus, make_batches
+from .data import Corpus, check_integers, make_batches
 from .model import Model, ModelConfig, skip_reason
 
 log = logging.getLogger(__name__)
@@ -183,15 +182,18 @@ class TrainSettings:
     def __post_init__(self):
         if not (np.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        for name in ("warmup", "max_frames", "seed"):
+            check_integers(name, getattr(self, name))
         for name in ("warmup", "max_frames"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
            settings: TrainSettings, start: Optional[Checkpoint]) -> Checkpoint:
+    check_integers("epochs", epochs)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     finetuning = stage == "finetune"  # all parameters on the total loss; else the encoder's on CTC

@@ -6,6 +6,8 @@ multi-head attention over the dense grid of all query and key rows, the
 op that ``ad.masked_attention`` computes block by block, and
 ``per_tensor_adam_step`` the Adam update of one named tensor at a time,
 which the flat in-place ``ad.adam_step`` must reproduce bit for bit.
+``dense_mask`` and ``build_cross_attention_mask`` spell out an
+``ad.Blocks`` layout and the wait-k-stride-n rule as boolean grids.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from simulst import autodiff as ad
+from simulst import model
 
 
 def sub(a, b):
@@ -95,15 +98,26 @@ def zero_moments(param):
     return np.zeros_like(param.data), np.zeros_like(param.data)
 
 
-def dense_mask(q_lengths, k_lengths, counts):
-    """The [sum(q_lengths), sum(k_lengths)] mask of ``ad.Blocks(q_lengths,
-    k_lengths, counts)``: block-diagonal, each row seeing the first
+def dense_mask(q_lengths, k_lengths, counts, past=0):
+    """The [sum(q_lengths), past + sum(k_lengths)] mask of
+    ``ad.Blocks(q_lengths, k_lengths, counts, past)``: every row sees the
+    ``past`` leading keys, then, block-diagonally, the first
     ``counts[row]`` keys of its block."""
     q_lengths, k_lengths = np.asarray(q_lengths), np.asarray(k_lengths)
     row_block = np.repeat(np.arange(len(q_lengths)), q_lengths)
     col_block = np.repeat(np.arange(len(k_lengths)), k_lengths)
     col_at = np.arange(k_lengths.sum()) - np.repeat(np.cumsum(k_lengths) - k_lengths, k_lengths)
-    return (row_block[:, None] == col_block[None, :]) & (col_at[None, :] < np.asarray(counts)[:, None])
+    seen = (row_block[:, None] == col_block[None, :]) & (col_at[None, :] < np.asarray(counts)[:, None])
+    return np.hstack([np.ones((len(row_block), past), dtype=bool), seen])
+
+
+def build_cross_attention_mask(wait_k, stride_n, n_targets, n_source):
+    """The boolean [sum(n_targets), sum(n_source)] form of
+    ``model.visible_counts``: target row i may attend source unit j. For
+    several utterances it is block-diagonal: each utterance's targets see
+    only its own units."""
+    counts = model.visible_counts(wait_k, stride_n, n_targets, n_source)
+    return dense_mask(np.atleast_1d(n_targets), np.atleast_1d(n_source), counts)
 
 
 def attention_runs(ops_and_masks, q, k, v, n_heads, dtype):

@@ -227,14 +227,14 @@ class TestMaskedAttention:
         q = ad.Tensor([[1.0, 0.0]])
         k = ad.Tensor([[0.3, -0.2]])
         v = ad.Tensor([[5.0, 6.0, 7.0]])
-        out = ad.masked_attention(q, k, v, np.array([[True]]))
+        out = ad.masked_attention(q, k, v, ad.Blocks([1], [1], [1]))
         np.testing.assert_allclose(out.data, v.data)
 
     def test_equal_scores_average_values(self):
         q = ad.Tensor([[1.0, 1.0]])
         k = ad.Tensor([[0.0, 0.0], [0.0, 0.0]])
         v = ad.Tensor([[2.0, 0.0], [0.0, 2.0]])
-        out = ad.masked_attention(q, k, v, np.ones((1, 2), dtype=bool))
+        out = ad.masked_attention(q, k, v, ad.Blocks([1], [2], [2]))
         np.testing.assert_allclose(out.data, [[1.0, 1.0]], atol=1e-6)
 
     def test_mask_blocks_other_keys(self):
@@ -242,22 +242,26 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 4)))
         k = ad.Tensor(rng.normal(size=(3, 4)))
         v = ad.Tensor(rng.normal(size=(3, 2)))
-        out = ad.masked_attention(q, k, v, np.array([[True, False, False]]))
+        out = ad.masked_attention(q, k, v, ad.Blocks([1], [3], [1]))
         np.testing.assert_allclose(out.data, v.data[0:1], atol=1e-5)
 
     def test_all_false_row_rejected(self):
         q = ad.Tensor(np.zeros((2, 2)))
         k = ad.Tensor(np.zeros((2, 2)))
         v = ad.Tensor(np.zeros((2, 2)))
-        mask = np.array([[True, True], [False, False]])
         with pytest.raises(ValueError, match="row 1"):
-            ad.masked_attention(q, k, v, mask)
+            ad.masked_attention(q, k, v, ad.Blocks([2], [2], [2, 0]))
+
+    def test_boolean_mask_rejected(self):
+        q = ad.Tensor(np.zeros((1, 2)))
+        with pytest.raises(TypeError, match="Blocks"):
+            ad.masked_attention(q, q, q, np.array([[True]]))
 
     def test_no_keys_rejected(self):
-        # an empty mask row is all True, yet it allows no key
+        # a block of no keys leaves its rows none to see
         q, kv = ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((0, 2)))
         with pytest.raises(ValueError, match="row 0"):
-            ad.masked_attention(q, kv, kv, np.ones((2, 0), dtype=bool))
+            ad.masked_attention(q, kv, kv, ad.Blocks([2], [0], [0, 0]))
 
 
 def biased_attention(q, k, v, mask, n_heads):
@@ -287,28 +291,29 @@ def per_head_attention(q, k, v, mask, n_heads):
 
 
 def cached_past_inputs(seed, n=3, past=2, width=8, v_width=4):
-    """q, k, v and the mask of n new rows over ``past`` cached ones."""
+    """q, k, v, the causal layout of n new rows over ``past`` cached ones
+    and its dense mask."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(n, width)), rng.normal(size=(past + n, width)),
               rng.normal(size=(past + n, v_width))]
-    return arrays, np.tri(n, past + n, past, dtype=bool)
+    return arrays, ad.Blocks([n], [n], np.arange(n) + 1, past), np.tri(n, past + n, past, dtype=bool)
 
 
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_matches_per_head_reference(self, n_heads):
-        (q, k, v), mask = cached_past_inputs(n_heads)
+        (q, k, v), blocks, mask = cached_past_inputs(n_heads)
         with ad.using_dtype(np.float64):
-            out = ad.masked_attention(t64(q), t64(k), t64(v), mask, n_heads)
+            out = ad.masked_attention(t64(q), t64(k), t64(v), blocks, n_heads)
         np.testing.assert_allclose(out.data, per_head_attention(q, k, v, mask, n_heads), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_gradcheck_cached_past_mask(self, n_heads):
-        arrays, mask = cached_past_inputs(10 + n_heads)
-        weights = np.random.default_rng(n_heads).normal(size=(mask.shape[0], arrays[2].shape[1]))
+        arrays, blocks, _ = cached_past_inputs(10 + n_heads)
+        weights = np.random.default_rng(n_heads).normal(size=(blocks.n_queries, arrays[2].shape[1]))
 
         def loss(q, k, v):
-            out = ad.masked_attention(q, k, v, mask, n_heads)
+            out = ad.masked_attention(q, k, v, blocks, n_heads)
             return ad.reduce_sum(ad.mul(out, t64(weights)))
 
         def f(*arrs):
@@ -329,7 +334,8 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(n_keys)
         q, k, v = (rng.normal(size=(n, 16)).astype(np.float32) for n in (n_queries, n_keys, n_keys))
         mask = np.ones((n_queries, n_keys), dtype=bool)
-        out = ad.masked_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), mask, n_heads=4)
+        blocks = ad.Blocks([n_queries], [n_keys], [n_keys] * n_queries)
+        out = ad.masked_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), blocks, n_heads=4)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, biased_attention(q, k, v, mask, 4))
 
@@ -339,7 +345,7 @@ class TestMultiHeadAttention:
         q, k = ad.Tensor(np.zeros((2, qk_width))), ad.Tensor(np.zeros((2, qk_width)))
         v = ad.Tensor(np.zeros((2, v_width)))
         with pytest.raises(ad.ShapeError, match="heads"):
-            ad.masked_attention(q, k, v, np.ones((2, 2), dtype=bool), n_heads=4)
+            ad.masked_attention(q, k, v, ad.Blocks([2], [2], [2, 2]), n_heads=4)
 
 
 def packed_at(lengths):
@@ -380,17 +386,30 @@ class TestBlockAttention:
         for got, want in zip(blocks, dense):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mask", [
-        np.ones((1, 7), dtype=bool),  # a streamed row over its cache
-        np.tri(3, 7, 4, dtype=bool),  # new causal rows over a cached past
-        np.hstack([np.ones((6, 3), dtype=bool),  # hypothesis blocks over a shared prefix
-                   np.kron(np.eye(3, dtype=bool), np.tri(2, dtype=bool))]),
+    @pytest.mark.parametrize("mask", [  # (block lengths, counts, past)
+        ([1], [1], 6),  # a streamed row over its cache
+        ([3], [1, 2, 3], 4),  # new causal rows over a cached past
+        ([2, 2, 2], [1, 2] * 3, 3),  # hypothesis blocks over a shared prefix
     ])
     def test_one_block_is_the_dense_op_bit_for_bit(self, mask):
+        lengths, counts, past = mask
+        layout, mask = ad.Blocks(lengths, lengths, counts, past), dense_mask(lengths, lengths, counts, past)
         q, k, v = (a.astype(np.float32) for a in qkv(*mask.shape, seed=mask.shape[0]))
-        one, dense = attention_runs([(ad.masked_attention, mask), (dense_attention, mask)], q, k, v, 4, np.float32)
+        one, dense = attention_runs([(ad.masked_attention, layout), (dense_attention, mask)], q, k, v, 4, np.float32)
         for got, want in zip(one, dense):
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_unequal_blocks_over_a_past_equal_the_dense_op(self):
+        q_lengths, k_lengths, past = np.array([2, 4, 1]), np.array([3, 1, 5]), 4
+        counts = np.minimum(packed_at(q_lengths) + 1, np.repeat(k_lengths, q_lengths))
+        q, k, v = qkv(q_lengths.sum(), past + k_lengths.sum(), seed=5)
+        with ad.using_dtype(np.float64):
+            blocks, dense = attention_runs(
+                [(ad.masked_attention, ad.Blocks(q_lengths, k_lengths, counts, past)),
+                 (dense_attention, dense_mask(q_lengths, k_lengths, counts, past))], q, k, v, 2, np.float64)
+        for got, want in zip(blocks, dense):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_counts_must_lie_within_the_block(self):
         with pytest.raises(ValueError, match="row 3"):
@@ -401,6 +420,8 @@ class TestBlockAttention:
             ad.Blocks([2, 2], [3, 1], [1, 1, 1])
         with pytest.raises(ad.ShapeError):
             ad.Blocks([2, 0], [3, 1], [1, 1])
+        with pytest.raises(ValueError, match="past"):
+            ad.Blocks([2], [2], [1, 2], past=-1)
 
     def test_layout_must_match_the_rows(self):
         blocks = ad.Blocks([2, 1], [2, 1], [1, 2, 1])

@@ -64,6 +64,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 0)
 
+    @pytest.mark.parametrize("size", [1.5, True])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValueError, match="size"):
+            data.generate_synthetic_corpus(data.SyntheticTaskConfig(), size)
+
     @pytest.mark.parametrize("name,value", [
         ("vocab_size", 0), ("feature_dim", 0),
         ("length_range", (0, 2)), ("length_range", (5, 3)),

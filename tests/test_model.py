@@ -8,7 +8,7 @@ import pytest
 
 from simulst import autodiff as ad
 from simulst import ctc, data, model
-from oracles import attention_runs, dense_attention, zero_moments
+from oracles import attention_runs, build_cross_attention_mask, dense_attention, zero_moments
 
 
 def tiny_cfg(**kw):
@@ -155,24 +155,24 @@ class TestCausality:
 
 class TestCrossAttentionMask:
     def test_first_token_sees_k(self):
-        mask = model.build_cross_attention_mask(3, 2, 1, 10)
+        mask = build_cross_attention_mask(3, 2, 1, 10)
         assert mask[0].sum() == 3
 
     def test_hand_case_counts(self):
-        mask = model.build_cross_attention_mask(2, 2, 5, 6)
+        mask = build_cross_attention_mask(2, 2, 5, 6)
         np.testing.assert_array_equal(mask.sum(axis=1), [2, 2, 4, 4, 6])
 
     def test_wait_one_degenerate(self):
-        mask = model.build_cross_attention_mask(1, 1, 4, 10)
+        mask = build_cross_attention_mask(1, 1, 4, 10)
         np.testing.assert_array_equal(mask.sum(axis=1), [1, 2, 3, 4])
 
     def test_infinite_k_saturates(self):
-        mask = model.build_cross_attention_mask(model.WAIT_INF, 2, 3, 5)
+        mask = build_cross_attention_mask(model.WAIT_INF, 2, 3, 5)
         assert mask.all()
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            model.build_cross_attention_mask(1, 1, 3, 0)
+            build_cross_attention_mask(1, 1, 3, 0)
 
     def test_visible_units_of_ints_arrays_and_inf(self):
         written = np.arange(6)
@@ -188,7 +188,7 @@ class TestCrossAttentionMask:
             n = int(rng.integers(1, 4))
             t_y = int(rng.integers(1, 12))
             s = int(rng.integers(1, 12))
-            counts = model.build_cross_attention_mask(k, n, t_y, s).sum(axis=1)
+            counts = build_cross_attention_mask(k, n, t_y, s).sum(axis=1)
             assert (np.diff(counts) >= 0).all()
             for t in range(t_y):
                 assert counts[t] == min(n * (t // n) + k, s)
@@ -389,7 +389,7 @@ def test_bad_numbers_rejected_at_construction(kw):
 @pytest.mark.parametrize("wait_k, stride_n", [(1.5, 2), (0, 2), (2, 0), (2, 1.5)])
 def test_mask_rejects_a_bad_schedule(wait_k, stride_n):
     with pytest.raises(ValueError, match="wait_k|stride_n"):
-        model.build_cross_attention_mask(wait_k, stride_n, 4, 5)
+        build_cross_attention_mask(wait_k, stride_n, 4, 5)
 
 
 class TestStreamingDecode:
@@ -404,7 +404,7 @@ class TestStreamingDecode:
         shrunk = ad.Tensor(np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32))
         source = self._source(m, 5)
         ids = np.array([data.EOS, 3, 4, 5])
-        mask = model.build_cross_attention_mask(2, 2, 4, 5)
+        mask = ad.Blocks([4], [5], model.visible_counts(2, 2, 4, 5))
         runs = []
         for sem_state, dec_state in ((None, None), (model.StreamState(), model.StreamState())):
             ad.reset_tape()
@@ -442,16 +442,15 @@ class TestStreamingDecode:
                 return ad.Tensor(source.data[lo:hi])
 
             def whole(ids, rows_vis):
-                mask = np.arange(6)[None, :] < np.array(rows_vis)[:, None]
-                return m.decode_logits(np.array(ids), source, mask).data
+                return m.decode_logits(np.array(ids), source, ad.Blocks([len(ids)], [6], rows_vis)).data
 
             with ad.no_grad():
                 state = model.StreamState()
-                first = m.decode_logits(np.array([data.EOS, 3]), unseen(0, 2), np.ones((2, 2), dtype=bool),
+                first = m.decode_logits(np.array([data.EOS, 3]), unseen(0, 2), ad.Blocks([2], [2], [2, 2]),
                                         state=state).data
-                second = m.decode_logits(np.array([4]), unseen(2, 6), np.arange(6)[None, :] < 4,
+                second = m.decode_logits(np.array([4]), unseen(2, 6), ad.Blocks([1], [6], [4]),
                                          state=state).data
-                stacked = m.decode_logits(np.array(sum(blocks, [])), unseen(6, 6), np.ones((6, 6), dtype=bool),
+                stacked = m.decode_logits(np.array(sum(blocks, [])), unseen(6, 6), ad.Blocks([6], [6], [6] * 6),
                                           state=state.fork(), lengths=[2, 2, 2]).data
                 expect = whole([data.EOS, 3, 4], vis)
                 expect_blocks = [whole([data.EOS, 3, 4] + b, vis + [6, 6])[3:] for b in blocks]
@@ -464,7 +463,7 @@ class TestStreamingDecode:
         m = model.Model(tiny_cfg(), seed=0)
         for lengths in ([2, 2], [3, 0], [4]):
             with pytest.raises(ValueError, match="blocks"):
-                m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), np.ones((3, 2), dtype=bool),
+                m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), ad.Blocks([3], [2], [2] * 3),
                                 state=model.StreamState(), lengths=lengths)
 
     def test_semantic_state_rejected_when_bidirectional(self):
@@ -559,10 +558,10 @@ class TestPackedBatch:
                     ctc.ctc_nll(ad.Tensor(np.zeros((2, m.cfg.src_vocab_size + 1))), utt.source)
 
     def test_cross_attention_mask_of_a_batch_is_block_diagonal(self):
-        mask = model.build_cross_attention_mask(2, 2, [3, 5], [4, 2])
+        mask = build_cross_attention_mask(2, 2, [3, 5], [4, 2])
         assert mask.shape == (8, 6)
-        np.testing.assert_array_equal(mask[:3, :4], model.build_cross_attention_mask(2, 2, 3, 4))
-        np.testing.assert_array_equal(mask[3:, 4:], model.build_cross_attention_mask(2, 2, 5, 2))
+        np.testing.assert_array_equal(mask[:3, :4], build_cross_attention_mask(2, 2, 3, 4))
+        np.testing.assert_array_equal(mask[3:, 4:], build_cross_attention_mask(2, 2, 5, 2))
         assert not mask[:3, 4:].any() and not mask[3:, :4].any()
 
 
@@ -585,7 +584,7 @@ class TestAttentionLayouts:
         rows, units = np.array([4, 6, 3]), np.array([2, 7, 5])
         counts = model.visible_counts(3, 2, rows, units)
         assert counts[:4].tolist() == [2, 2, 2, 2] and counts[4:10].tolist() == [3, 3, 5, 5, 7, 7]
-        dense = model.build_cross_attention_mask(3, 2, rows, units)
+        dense = build_cross_attention_mask(3, 2, rows, units)
         np.testing.assert_array_equal(dense.sum(axis=1), counts)
         self._against_dense(ad.Blocks(rows, units, counts), dense)
 
@@ -595,11 +594,21 @@ class TestAttentionLayouts:
         lengths = np.array([3, 1, 5])
         layout = m._self_mask(lengths)
         assert isinstance(layout, ad.Blocks)
-        n = lengths.sum()
-        dense = model.same_sequence(lengths, lengths) & (np.tri(n, n, dtype=bool) if unidirectional else True)
+        n, block = lengths.sum(), np.repeat(np.arange(len(lengths)), lengths)
+        dense = (block[:, None] == block) & (np.tri(n, n, dtype=bool) if unidirectional else True)
         self._against_dense(layout, dense, seed=1)
 
     def test_a_stream_and_one_utterance_are_one_block(self):
+        # one block, or blocks over a past, run on the dense grid (no gather
+        # indices), bit for bit the dense op; a row that sees every key adds no bias
         m = model.Model(tiny_cfg(), seed=0)
-        for mask in (m._self_mask(4), m._self_mask([2, 2], past=3, causal=True), m._self_mask(1, past=5)):
-            assert isinstance(mask, np.ndarray) and mask.ndim == 2
+        hypotheses = np.hstack([np.ones((4, 3), dtype=bool), np.kron(np.eye(2, dtype=bool), np.tri(2, dtype=bool))])
+        for layout, dense in ((m._self_mask(4), np.tri(4, dtype=bool)),
+                              (m._self_mask([2, 2], past=3, causal=True), hypotheses),
+                              (m._self_mask(1, past=5), np.ones((1, 6), dtype=bool))):
+            assert layout.q_index is None and (layout.bias is None) == dense.all()
+            rng, (n_q, n_k) = np.random.default_rng(0), dense.shape
+            q, k, v = (rng.normal(size=(n, 16)).astype(np.float32) for n in (n_q, n_k, n_k))
+            one, ref = attention_runs([(ad.masked_attention, layout), (dense_attention, dense)], q, k, v, 4, np.float32)
+            for got, want in zip(one, ref):
+                assert got.tobytes() == want.tobytes()

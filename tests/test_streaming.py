@@ -233,6 +233,15 @@ class TestPolicySchedule:
             session.push_frames(np.zeros(shape, dtype=np.float32))
         session.push_frames(np.zeros((0, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_frames_rejected(self, value):
+        feats = np.zeros((40, 4), dtype=np.float32)
+        feats[7, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            streaming.translate_stream(ScriptedModel(frame_cfg()), feats, beam_size=1)
+        with pytest.raises(ValueError, match="finite"):
+            streaming.StreamSession(ScriptedModel(frame_cfg())).push_frames(np.full((40, 4), value, dtype=np.float32))
+
     def test_push_after_end_rejected(self):
         cfg = frame_cfg()
         session = streaming.StreamSession(ScriptedModel(cfg))
@@ -559,7 +568,7 @@ def reference_translate(m, feats, wait_k, stride_n, beam):
                 ids = np.array([EOS] + committed + list(tokens))
                 vis_rows = np.array(visibility + [visible] * (len(tokens) + 1))
                 with ad.no_grad():
-                    logits = m.decode_logits(ids, units, np.arange(visible)[None, :] < vis_rows[:, None])
+                    logits = m.decode_logits(ids, units, ad.Blocks([len(ids)], [visible], vis_rows))
                 row = logits.data[-1] - logits.data[-1].max()
                 logp = row - np.log(np.exp(row).sum())
                 for tok in np.argsort(-logp, kind="stable")[:beam]:

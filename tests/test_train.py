@@ -124,6 +124,12 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="epochs"):
             train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), -3, settings())
 
+    @pytest.mark.parametrize("epochs", [1.5, True])
+    def test_non_integer_epochs_rejected(self, epochs):
+        corpus = small_corpus(4)
+        with pytest.raises(ValueError, match="epochs"):
+            train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), epochs, settings())
+
     def test_pretraining_without_ctc_rejected(self):
         corpus = small_corpus(4)
         cfg = small_cfg(vocab_sizes(corpus), use_ctc=False, use_shrink=False)
@@ -309,6 +315,8 @@ class TestEvaluate:
     dict(max_frames=0),
     dict(seed=-1),
     dict(seed=1.5),
+    dict(warmup=2.5),
+    dict(max_frames=300.5),
 ])
 def test_bad_settings_rejected_at_construction(kw):
     with pytest.raises(ValueError):
