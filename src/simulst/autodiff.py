@@ -7,15 +7,27 @@ the working precision; the ``using_dtype`` context selects float64 for
 high-precision gradient checks (there is no global dtype setter).
 
 Training and streaming run the same ops, so an op's fixed Python cost is
-paid once per layer and call. The model's dense layers are one ``affine``
-op each (``x @ w + b``), and multi-head attention is one
-``masked_attention`` op. Its one kind of mask is a ``Blocks`` layout:
-consecutive blocks of queries, each seeing a prefix of its own block of
-keys after any shared past keys. That covers a stream's rows over their
-cache, one utterance, beam hypotheses over their shared prefix and a
-training batch of sequences; the layout, not an option, picks whether
-the op runs on the dense grid of all rows or on a batch of blocks padded
-to the longest.
+paid once per op and call, and a Transformer sub-layer is one op. An
+``attention_sublayer`` is a pre-norm, the q, k and v projections, keys
+and values after a cache's past ones, multi-head attention, the output
+projection, dropout and the residual, for self- and cross-attention; a
+``feedforward_sublayer`` is a pre-norm, affine, ReLU, affine, dropout
+and the residual. A convolution carries its bias and ReLU. Each such op
+has one hand-written VJP, built from the same array kernels
+(``_affine``, ``_layer_norm``, ``_relu``, ``_attention``) as the
+primitive ops, and adds up each input's gradient in the order the
+primitive chain's tape entries would, so outputs and gradients are those
+of the chain bit for bit. A VJP is a module function bound with
+``MethodType`` to the arrays its op saved: no closure cells to fill on
+every call, and a tape entry still names its function.
+
+Attention's one kind of mask is a ``Blocks`` layout: consecutive blocks
+of queries, each seeing a prefix of its own block of keys after any
+shared past keys. That covers a stream's rows over their cache, one
+utterance, beam hypotheses over their shared prefix and a training batch
+of sequences; the layout, not an option, picks whether attention runs on
+the dense grid of all rows or on a batch of blocks padded to the
+longest.
 
 A model's parameters live in one flat buffer (``flat_parameters``), and
 their gradients in another: each named parameter is a view of both. So
@@ -28,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +133,9 @@ def record_op(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> 
     """Create an op output and, if any input requires grad, record it.
 
     ``vjp(grad_out)`` must return one gradient (or None) per input, in order.
-    This is the extension hook custom ops (e.g. the CTC loss) use.
+    An input may be listed more than once; ``backward`` adds its gradients
+    in that order. This is the extension hook custom ops (e.g. the CTC
+    loss) use.
     """
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -161,6 +176,10 @@ def backward(loss: Tensor) -> None:
 # Primitive operations
 # ---------------------------------------------------------------------------
 
+# zero, and the bias of a score attention masks: float32 holds both exactly,
+# and as 0-d arrays they leave a float64 operand's dtype as it is
+_ZERO, _MASKED = np.zeros((), np.float32), np.full((), -1e9, np.float32)
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to ``shape``."""
@@ -196,22 +215,39 @@ def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} @ {b.shape}")
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)``: the same reduction, with positional
+    arguments, which numpy parses faster than keywords."""
+    return np.add.reduce(x, -1, None, None, True)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` on arrays: ``out = x @ w``, then ``out += b``."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _affine_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple:
+    """The gradients of ``_affine``'s x, w and b."""
+    return g @ w.T, x.T @ g, _unbroadcast(g, b.shape)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for 2-D ``x`` and ``w`` as one op: ``out = x @ w``,
-    then ``out += b``, in one tape entry."""
+    """``x @ w + b`` for 2-D ``x`` and ``w`` as one op."""
     _check_matmul("affine", x, w)
-    out = x.data @ w.data
-    out += b.data
+    return record_op(_affine(x.data, w.data, b.data), (x, w, b), lambda g: _affine_vjp(g, x.data, w.data, b.data))
 
-    def vjp(g):
-        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.shape)
 
-    return record_op(out, (x, w, b), vjp)
+def _relu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max(a, 0)`` on an array, and the mask its gradient is multiplied by."""
+    mask = a > 0
+    return np.where(mask, a, _ZERO), mask
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return record_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out, mask = _relu(a.data)
+    return record_op(out, (a,), lambda g: (g * mask,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -242,37 +278,47 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm of the rows of an array: the output, the normalized rows
+    ``y`` and their inverse deviations ``inv``, which its VJP reads."""
+    d = x.shape[-1]
+    # np.mean's and np.var's own reductions without their Python wrappers: the same bits, less overhead
+    dev = x - _row_sums(x) / d
+    inv = 1.0 / np.sqrt(_row_sums(dev * dev) / d + eps)
+    y = dev * inv
+    return y * gain + bias, y, inv
+
+
+def _layer_norm_vjp(g: np.ndarray, y: np.ndarray, inv: np.ndarray, gain: np.ndarray) -> tuple:
+    """The gradients of ``_layer_norm``'s x, gain and bias."""
+    d = y.shape[-1]
+    gy = g * gain
+    gx = inv * (gy - _row_sums(gy) / d - y * (_row_sums(gy * y) / d))
+    axes = tuple(range(y.ndim - 1))
+    return gx, (g * y).sum(axis=axes), g.sum(axis=axes)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row zero-mean/unit-variance over the last axis, then affine."""
-    d = x.shape[-1]
-    if d < 2:
+    if x.shape[-1] < 2:
         raise ShapeError("layer_norm needs at least 2 features per row")
-    # np.mean's and np.var's own reductions without their Python wrappers: the same bits, less overhead
-    dev = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / d + eps)
-    y = dev * inv
-    out = y * gain.data + bias.data
-
-    def vjp(g):
-        gy = g * gain.data
-        gx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
-                    - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / d))
-        axes = tuple(range(x.ndim - 1))
-        return gx, (g * y).sum(axis=axes), g.sum(axis=axes)
-
-    return record_op(out, (x, gain, bias), vjp)
+    out, y, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    return record_op(out, (x, gain, bias), lambda g: _layer_norm_vjp(g, y, inv, gain.data))
 
 
-def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
+def conv1d_lookahead(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, lookahead: int,
                      context: np.ndarray | None = None, end: bool = True,
                      lengths=None) -> tuple[Tensor, np.ndarray]:
-    """Causal 1-D convolution with a bounded right-context window.
+    """Causal 1-D convolution with a bounded right-context window, plus a
+    bias and a ReLU, as one op.
 
-    ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out]. Each sequence is
-    padded with K-1-lookahead rows on the left and ``lookahead`` zeros on
-    the right, so output frame t depends only on inputs <= t*stride + lookahead.
-    There is one output per full K-row window, windows starting every
-    ``stride`` rows of the padded sequence: ceil(T / stride) for a whole one.
+    ``x`` is [T, c_in], ``kernel`` is [K, c_in, c_out], ``bias`` [c_out].
+    Each sequence is padded with K-1-lookahead rows on the left and
+    ``lookahead`` zeros on the right, so output frame t depends only on
+    inputs <= t*stride + lookahead. There is one output per full K-row
+    window, windows starting every ``stride`` rows of the padded sequence:
+    ceil(T / stride) for a whole one. Each output row is
+    ``max(window . kernel + bias, 0)``.
 
     ``lengths`` splits the rows of ``x`` into consecutive sequences (one
     sequence by default). Each is padded on its own and gives its outputs
@@ -288,12 +334,14 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     if lookahead < 0:
         raise ValueError(f"lookahead must be >= 0, got {lookahead}")
-    K, c_in, _ = kernel.shape
+    K, c_in, c_out = kernel.shape
     T = x.shape[0]
     if T < 1 and context is None:
         raise ShapeError("conv1d_lookahead: empty input")
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_lookahead: input channels {x.shape[1]} != kernel {c_in}")
+    if bias.shape != (c_out,):
+        raise ShapeError(f"conv1d_lookahead: bias {bias.shape} for {c_out} output channels")
     if lookahead > K - 1:
         raise ShapeError(f"lookahead {lookahead} exceeds kernel window {K}; kernel wider than padded input")
     lengths = [T] if lengths is None else [int(n) for n in lengths]
@@ -301,41 +349,49 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, stride: int, lookahead: int,
         raise ShapeError(f"conv1d_lookahead: sequence lengths {lengths} do not split {T} rows")
     if len(lengths) > 1 and (context is not None or not end):
         raise ValueError("conv1d_lookahead: a stream's context and end apply to one sequence")
-    zeros_left = np.zeros((K - 1 - lookahead, c_in), dtype=x.data.dtype)
-    if context is None:
-        context = zeros_left
-    elif context.ndim != 2 or context.shape[1] != c_in:
+    if context is not None and (context.ndim != 2 or context.shape[1] != c_in):
         raise ShapeError(f"conv1d_lookahead: context shape {context.shape} does not have {c_in} columns")
-    right = lookahead if end else 0
-    # padded sequences laid end to end; x_at[i] is where sequence i's rows start in xp
-    pieces, firsts, x_at = [], [], []
-    zeros_right = np.zeros((right, c_in), dtype=x.data.dtype)
-    at = row = 0
-    for i, n in enumerate(lengths):
-        left = context if i == 0 else zeros_left
-        pieces += [left, x.data[row:row + n], zeros_right]
-        span = left.shape[0] + n + right
-        firsts.append(np.arange(at, at + span - K + 1, stride))  # every start of a full window
-        x_at.append(at + left.shape[0])
-        at += span
-        row += n
-    xp = np.concatenate(pieces)
-    first = np.concatenate(firsts)
-    idx = first[:, None] + np.arange(K)[None, :]
-    win = xp[idx]  # [sum t_out, K, c_in]
+    left = np.zeros((K - 1 - lookahead, c_in), dtype=x.data.dtype) if context is None else context
+    right = [np.zeros((lookahead, c_in), dtype=x.data.dtype)] if end and lookahead else []
+    if len(lengths) == 1:
+        xp = np.concatenate([left, x.data] + right)
+        first = np.arange(0, xp.shape[0] - K + 1, stride)  # every start of a full window
+        x_at = [left.shape[0]]  # where each sequence's rows start in xp
+        out_lengths = np.array([first.size], dtype=np.int64)
+    else:  # padded sequences laid end to end; the left rows are zeros
+        pieces, firsts, x_at = [], [], []
+        at = row = 0
+        for n in lengths:
+            pieces += [left, x.data[row:row + n]] + right
+            span = left.shape[0] + n + lookahead * len(right)
+            firsts.append(np.arange(at, at + span - K + 1, stride))
+            x_at.append(at + left.shape[0])
+            at += span
+            row += n
+        xp = np.concatenate(pieces)
+        first = np.concatenate(firsts)
+        out_lengths = np.array([len(f) for f in firsts], dtype=np.int64)
+    win = xp[first[:, None] + np.arange(K)]  # [sum t_out, K, c_in]
     out = np.einsum("tkc,kco->to", win, kernel.data)
-    out_lengths = np.array([len(f) for f in firsts], dtype=np.int64)
+    out += bias.data
+    out, mask = _relu(out)
+    saved = (win, mask, first, xp.shape, xp.dtype, x_at, lengths, kernel.data, bias.shape)
+    return record_op(out, (x, kernel, bias), MethodType(_conv1d_lookahead_vjp, saved)), out_lengths
 
-    def vjp(g):
-        flat = win.reshape(win.shape[0], -1)  # [sum t_out, K*c_in]
-        gk = (flat.T @ g).reshape(kernel.shape)
-        gwin = (g @ kernel.data.reshape(flat.shape[1], -1).T).reshape(win.shape)
-        gxp = np.zeros_like(xp)
-        for k in range(K):  # windows start at distinct rows, so each k adds to distinct rows
-            gxp[first + k] += gwin[:, k]
-        return np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)]), gk
 
-    return record_op(out, (x, kernel), vjp), out_lengths
+def _conv1d_lookahead_vjp(saved: tuple, g: np.ndarray) -> tuple:
+    """The gradients of ``conv1d_lookahead``'s x, kernel and bias."""
+    win, mask, first, xp_shape, dtype, x_at, lengths, kernel, bias_shape = saved
+    g = g * mask
+    flat = win.reshape(win.shape[0], -1)  # [sum t_out, K*c_in]
+    gk = (flat.T @ g).reshape(kernel.shape)
+    gwin = (g @ kernel.reshape(flat.shape[1], -1).T).reshape(win.shape)
+    gxp = np.zeros(xp_shape, dtype=dtype)
+    for k in range(kernel.shape[0]):  # windows start at distinct rows, so each k adds to distinct rows
+        gxp[first + k] += gwin[:, k]
+    gx = np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)]) if len(lengths) > 1 else \
+        gxp[x_at[0]:x_at[0] + lengths[0]]
+    return gx, gk, _unbroadcast(g, bias_shape)
 
 
 def packed_offsets(lengths) -> np.ndarray:
@@ -366,27 +422,33 @@ class Blocks:
     """
 
     def __init__(self, q_lengths, k_lengths, counts, past: int = 0):
-        q_lengths, k_lengths, counts = (np.asarray(a, dtype=np.int64) for a in (q_lengths, k_lengths, counts))
-        q_list = q_lengths.tolist()  # a few blocks: Python's sum and min are the cheap ones
+        q_lengths, k_lengths, counts = (np.asarray(q_lengths, dtype=np.int64), np.asarray(k_lengths, dtype=np.int64),
+                                        np.asarray(counts, dtype=np.int64))
+        q_list, k_list = q_lengths.tolist(), k_lengths.tolist()  # a few blocks: Python's sum and min are the cheap ones
         if (q_lengths.ndim != 1 or q_lengths.shape != k_lengths.shape or not q_list
                 or min(q_list) < 1 or counts.shape != (sum(q_list),)):
             raise ShapeError(f"Blocks: {counts.shape} counts for query lengths {q_list} "
-                             f"and key lengths {k_lengths.tolist()}")
+                             f"and key lengths {k_list}")
         if past < 0:
             raise ValueError(f"Blocks: past must be >= 0, got {past}")
         one = len(q_list) == 1
-        limit = k_lengths[0] if one else np.repeat(k_lengths, q_lengths)  # each row's block length
-        least = counts.min()
-        if least < 1 or (counts > limit).any():
+        if one:  # a stream's few rows: Python's min and max over a list are the cheap ones
+            limit = k_list[0]
+            c_list = counts.tolist()
+            fits = min(c_list) >= 1 and max(c_list) <= limit
+        else:
+            limit = np.repeat(k_lengths, q_lengths)  # each row's block length
+            fits = counts.min() >= 1 and not (counts > limit).any()
+        if not fits:
             r = int(np.flatnonzero((counts < 1) | (counts > limit))[0])
             raise ValueError(f"attention mask row {r} allows {counts[r]} of its block's "
                              f"{np.repeat(k_lengths, q_lengths)[r]} keys")
-        self.n_queries, self.n_keys = sum(q_list), past + sum(k_lengths.tolist())
+        self.n_queries, self.n_keys = sum(q_list), past + sum(k_list)
         self.q_index = self.k_index = self.q_slot = self.k_slot = None
         # float32 holds 0 and -1e9 exactly, so a bias serves float64 scores too
         if one:  # [Tq, Tk], or none when every row sees all its keys
-            self.bias = None if least == limit else np.where(
-                np.arange(self.n_keys) < past + counts[:, None], 0.0, -1e9).astype(np.float32)
+            self.bias = None if min(c_list) == limit else np.where(
+                np.arange(-past, self.n_keys - past) < counts[:, None], _ZERO, _MASKED)
         elif past:  # [Tq, Tk]: the past, then the row's own block
             blocks = np.arange(len(q_lengths))
             seen = ((np.repeat(blocks, q_lengths)[:, None] == np.repeat(blocks, k_lengths))
@@ -409,8 +471,34 @@ class Blocks:
                                  ).astype(np.float32)  # [B, Tq_max, Tk_max]
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Blocks, n_heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention as one op.
+def _check_attention(name: str, q_shape, k_shape, v_shape, blocks: Blocks, n_heads: int) -> None:
+    if not isinstance(blocks, Blocks):
+        raise TypeError(f"{name} takes an ad.Blocks layout, got {type(blocks).__name__}")
+    if (blocks.n_queries, blocks.n_keys) != (q_shape[0], k_shape[0]):
+        raise ShapeError(f"Blocks of {blocks.n_queries} queries and {blocks.n_keys} keys "
+                         f"for {q_shape[0]} queries and {k_shape[0]} keys")
+    if q_shape[1] != k_shape[1] or v_shape[0] != k_shape[0]:
+        raise ShapeError(f"{name}: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
+    if q_shape[1] % n_heads or v_shape[1] % n_heads:
+        raise ShapeError(f"{name}: {n_heads} heads do not divide widths {q_shape[1]}, {v_shape[1]}")
+
+
+def _heads(x: np.ndarray, n_heads: int, index=None) -> np.ndarray:
+    """[T, H*d] -> [H, T, d], or the [H, B, T_max, d] blocks ``index`` gathers."""
+    x = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+    return x if index is None else x.take(index, axis=1)
+
+
+def _packed(x: np.ndarray, slot) -> np.ndarray:
+    """``_heads``' inverse: back to [T, H*d], the rows of ``slot`` for blocks."""
+    if slot is not None:
+        x = x.reshape(x.shape[0], -1, x.shape[-1]).take(slot, axis=1)
+    return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: Blocks, n_heads: int) -> tuple:
+    """Multi-head scaled dot-product attention on arrays: the output, and
+    what ``_attention_vjp`` reads.
 
     ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
     ``n_heads`` column blocks; head h attends with block h and writes
@@ -422,27 +510,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Blocks, n_heads: i
     lengths rather than the square of their sum; padded keys get the bias
     and padded queries are dropped.
     """
-    if not isinstance(blocks, Blocks):
-        raise TypeError(f"masked_attention takes an ad.Blocks layout, got {type(blocks).__name__}")
-    if (blocks.n_queries, blocks.n_keys) != (q.shape[0], k.shape[0]):
-        raise ShapeError(f"Blocks of {blocks.n_queries} queries and {blocks.n_keys} keys "
-                         f"for {q.shape[0]} queries and {k.shape[0]} keys")
-    if q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
-        raise ShapeError(f"masked_attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
-    if q.shape[1] % n_heads or v.shape[1] % n_heads:
-        raise ShapeError(f"masked_attention: {n_heads} heads do not divide widths {q.shape[1]}, {v.shape[1]}")
-    q_slot, k_slot = blocks.q_slot, blocks.k_slot
-
-    def heads(x: np.ndarray, index) -> np.ndarray:  # [T, H*d] -> [H, T, d], or [H, B, T_max, d] blocks
-        x = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
-        return x if index is None else x.take(index, axis=1)
-
-    def packed(x: np.ndarray, slot) -> np.ndarray:  # back to [T, H*d]
-        if slot is not None:
-            x = x.reshape(x.shape[0], -1, x.shape[-1]).take(slot, axis=1)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
-
-    qh, kh, vh = heads(q.data, blocks.q_index), heads(k.data, blocks.k_index), heads(v.data, blocks.k_index)
+    qh, kh, vh = _heads(q, n_heads, blocks.q_index), _heads(k, n_heads, blocks.k_index), \
+        _heads(v, n_heads, blocks.k_index)
     # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
     # a dense grid's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
     kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
@@ -450,26 +519,141 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Blocks, n_heads: i
     scores = (qh @ kt) * s
     if blocks.bias is not None:
         scores += blocks.bias
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, -1, None, None, True)  # scores.max(axis=-1, keepdims=True), as _row_sums
     w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)  # [H, (B,) Tq, Tk]
-    out = packed(w @ vh, q_slot)
+    w /= _row_sums(w)  # [H, (B,) Tq, Tk]
+    return _packed(w @ vh, blocks.q_slot), (w, qh, kt, vh, s, blocks, n_heads)
 
-    def vjp(g):
-        gh = heads(g, None)
-        if q_slot is not None:  # into the padded blocks; padded query rows get no gradient
-            gh, rows = np.zeros(w.shape[:-1] + (vh.shape[-1],), dtype=g.dtype), gh
-            gh.reshape(n_heads, -1, gh.shape[-1])[:, q_slot] = rows
-        gs = gh @ vh.swapaxes(-1, -2)  # the gradient of w, then in place that of the scores
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
-        gs *= w
-        gs *= s
-        gq = gs @ kt.swapaxes(-1, -2)
-        gk = gs.swapaxes(-1, -2) @ qh
-        gv = w.swapaxes(-1, -2) @ gh
-        return packed(gq, q_slot), packed(gk, k_slot), packed(gv, k_slot)
 
-    return record_op(out, (q, k, v), vjp)
+def _attention_vjp(saved: tuple, g: np.ndarray) -> tuple:
+    """The gradients of ``_attention``'s q, k and v."""
+    w, qh, kt, vh, s, blocks, n_heads = saved
+    gh = _heads(g, n_heads)
+    if blocks.q_slot is not None:  # into the padded blocks; padded query rows get no gradient
+        gh, rows = np.zeros(w.shape[:-1] + (vh.shape[-1],), dtype=g.dtype), gh
+        gh.reshape(n_heads, -1, gh.shape[-1])[:, blocks.q_slot] = rows
+    gs = gh @ vh.swapaxes(-1, -2)  # the gradient of w, then in place that of the scores
+    gs -= _row_sums(gs * w)
+    gs *= w
+    gs *= s
+    gq = gs @ kt.swapaxes(-1, -2)
+    gk = gs.swapaxes(-1, -2) @ qh
+    gv = w.swapaxes(-1, -2) @ gh
+    return _packed(gq, blocks.q_slot), _packed(gk, blocks.k_slot), _packed(gv, blocks.k_slot)
+
+
+def _dropout_keep(shape, rate: float, rng: np.random.Generator | None, dtype):
+    """Inverted dropout's scaled keep mask, or None when rate is 0 or rng is None."""
+    if rate <= 0.0 or rng is None:
+        return None
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_heads: int = 1,
+                       source: Tensor | None = None, past: tuple | None = None,
+                       rate: float = 0.0, rng: np.random.Generator | None = None) -> tuple[Tensor, tuple]:
+    """A pre-norm attention sub-layer, ``x + dropout(attend(norm(x)))``, as one op.
+
+    ``weights`` are the norm's gain and bias, then the weight and bias of
+    the q, k, v and output projections. The queries are the normed rows of
+    ``x``; the keys and values are the ``past`` ones, a pair of arrays
+    (constants to the tape; none by default), then those of ``source``'s
+    rows, or of the normed rows of ``x`` when ``source`` is None
+    (self-attention). A ``source`` of no rows after a past adds none.
+    The queries attend the keys over the ``blocks`` layout with
+    ``n_heads`` heads (see ``_attention``), the output projection follows,
+    and inverted dropout at ``rate`` draws its mask from ``rng``.
+
+    Returns the output and the (keys, values) arrays, past rows first, for
+    a key/value cache. The op computes what the chain of primitive ops
+    would, in the same arithmetic, and adds up each input's gradient in
+    the order their tape entries would.
+    """
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = [p.data for p in weights]
+    shape, src_shape = x.data.shape, (x if source is None else source).data.shape
+    if not (len(shape) == len(src_shape) == wq.ndim == wk.ndim == wv.ndim == wo.ndim == 2 and shape[1] >= 2
+            and gain.shape == (shape[1],) == (wq.shape[0],) and wk.shape[0] == wv.shape[0] == src_shape[1]
+            and wo.shape == (wv.shape[1], shape[1])):
+        raise ShapeError(f"attention_sublayer: rows {shape} (at least 2 features for the norm), source rows "
+                         f"{src_shape}, norm gain {gain.shape} and projections "
+                         f"{[w.shape for w in (wq, wk, wv, wo)]} do not fit")
+    normed, y, inv = _layer_norm(x.data, gain, bias)
+    q = _affine(normed, wq, bq)
+    src = normed if source is None else source.data
+    fresh = past is None or src.shape[0] > 0  # keys and values of new rows
+    if fresh:
+        k, v = _affine(src, wk, bk), _affine(src, wv, bv)
+        keys, values = (k, v) if past is None else (np.concatenate((past[0], k)), np.concatenate((past[1], v)))
+    else:
+        keys, values = past
+    _check_attention("attention_sublayer", q.shape, keys.shape, values.shape, blocks, n_heads)
+    att, att_saved = _attention(q, keys, values, blocks, n_heads)
+    h = _affine(att, wo, bo)
+    keep = _dropout_keep(h.shape, rate, rng, h.dtype)
+    if keep is not None:
+        h = h * keep
+    new_rows = slice(keys.shape[0] - src.shape[0], None) if fresh else None  # of the keys and values
+    saved = (normed, y, inv, src, new_rows, source is None, att, att_saved, keep,
+             (gain, wq, bq, wk, bk, wv, bv, wo, bo))
+    inputs = (x, x) + (() if source is None else (source, source)) + tuple(weights)
+    return record_op(x.data + h, inputs, MethodType(_attention_sublayer_vjp, saved)), (keys, values)
+
+
+def _attention_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:
+    """The gradients of ``attention_sublayer``'s inputs, each term added in
+    the order the primitive chain's tape entries would add it."""
+    normed, y, inv, src, new_rows, self_attention, att, att_saved, keep, arrays = saved
+    gain, wq, bq, wk, bk, wv, bv, wo, bo = arrays
+    gh = g if keep is None else g * keep
+    g_att, g_wo, g_bo = _affine_vjp(gh, att, wo, bo)
+    gq, gk, gv = _attention_vjp(att_saved, g_att)
+    g_src = g_wk = g_bk = g_wv = g_bv = None
+    if new_rows is not None:
+        g_src_v, g_wv, g_bv = _affine_vjp(gv[new_rows], src, wv, bv)
+        g_src_k, g_wk, g_bk = _affine_vjp(gk[new_rows], src, wk, bk)
+        g_src = (g_src_v, g_src_k)
+    g_normed, g_wq, g_bq = _affine_vjp(gq, normed, wq, bq)
+    if self_attention:  # the normed rows fed the v, k and q projections
+        g_normed = g_src[0] + g_src[1] + g_normed
+    g_x, g_gain, g_bias = _layer_norm_vjp(g_normed, y, inv, gain)
+    # x's residual gradient, then its norm's; a source's from v, then from k
+    sources = () if self_attention else (g_src or (None, None))
+    return (g, g_x) + sources + (g_gain, g_bias, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo)
+
+
+def feedforward_sublayer(x: Tensor, weights: Sequence[Tensor], rate: float = 0.0,
+                         rng: np.random.Generator | None = None) -> Tensor:
+    """A pre-norm feed-forward sub-layer, ``x + dropout(relu(norm(x) @ w1 +
+    b1) @ w2 + b2)``, as one op. ``weights`` are the norm's gain and bias,
+    then w1, b1, w2 and b2; inverted dropout at ``rate`` draws its mask
+    from ``rng``. The op computes what the chain of primitive ops would,
+    in the same arithmetic, and adds up each input's gradient in the order
+    their tape entries would.
+    """
+    gain, bias, w1, b1, w2, b2 = arrays = [p.data for p in weights]
+    shape = x.data.shape
+    if not (len(shape) == w1.ndim == w2.ndim == 2 and shape[1] >= 2 and gain.shape == (shape[1],) == (w1.shape[0],)
+            and w2.shape == (w1.shape[1], shape[1])):
+        raise ShapeError(f"feedforward_sublayer: rows {shape} (at least 2 features for the norm), norm gain "
+                         f"{gain.shape} and weights {w1.shape}, {w2.shape} do not fit")
+    normed, y, inv = _layer_norm(x.data, gain, bias)
+    hidden, mask = _relu(_affine(normed, w1, b1))
+    h = _affine(hidden, w2, b2)
+    keep = _dropout_keep(h.shape, rate, rng, h.dtype)
+    if keep is not None:
+        h = h * keep
+    saved = (normed, y, inv, hidden, mask, keep, arrays)
+    return record_op(x.data + h, (x, x) + tuple(weights), MethodType(_feedforward_sublayer_vjp, saved))
+
+
+def _feedforward_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:
+    """The gradients of ``feedforward_sublayer``'s inputs."""
+    normed, y, inv, hidden, mask, keep, (gain, _, w1, b1, w2, b2) = saved
+    gh = g if keep is None else g * keep
+    g_hidden, g_w2, g_b2 = _affine_vjp(gh, hidden, w2, b2)
+    g_normed, g_w1, g_b1 = _affine_vjp(g_hidden * mask, normed, w1, b1)
+    g_x, g_gain, g_bias = _layer_norm_vjp(g_normed, y, inv, gain)
+    return g, g_x, g_gain, g_bias, g_w1, g_b1, g_w2, g_b2  # x's residual gradient, then its norm's
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -535,17 +719,6 @@ def col(x: Tensor, j: int) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    out = np.concatenate([p.data for p in parts], axis=0)
-
-    def vjp(g):
-        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return record_op(out, tuple(parts), vjp)
-
-
 def reduce_sum(x: Tensor) -> Tensor:
     return record_op(np.asarray(x.data.sum()), (x,),
                      lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
@@ -553,10 +726,8 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rate is 0 or rng is None."""
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, Tensor(keep, dtype=x.data.dtype))
+    keep = _dropout_keep(x.shape, rate, rng, x.data.dtype)
+    return x if keep is None else mul(x, Tensor(keep, dtype=x.data.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@ head, weighted shrinking into segment states, a semantic encoder, and a
 prefix-to-prefix decoder whose cross-attention follows the
 wait-k-stride-n schedule.
 
+Every Transformer layer is one attention sub-layer op per attention
+(self-attention, and cross-attention in the decoder) and one
+feed-forward sub-layer op (``ad.attention_sublayer``,
+``ad.feedforward_sublayer``), and every conv, with its bias and ReLU, is
+one op: training and streaming record the same ops, and a streamed
+acoustic layer makes two op calls.
+
 A training batch is a list of utterances, packed: they are laid end to
 end as one sequence of rows per stage, so each layer runs once per
 batch. Convolutions pad each utterance on its own and report each one's
@@ -54,11 +61,13 @@ class NoLossError(ValueError):
 
 def check_schedule(wait_k, stride_n) -> None:
     """The wait-k-stride-n rule: wait_k is a positive integer or inf and
-    stride_n a positive integer; anything else raises ValueError."""
-    if wait_k != WAIT_INF and not (wait_k >= 1 and float(wait_k).is_integer()):
-        raise ValueError(f"wait_k must be a positive integer or inf, got {wait_k}")
-    if not (stride_n >= 1 and float(stride_n).is_integer()):
-        raise ValueError(f"stride_n must be a positive integer, got {stride_n}")
+    stride_n a positive integer, where an integer-valued float counts and
+    a bool does not; anything else raises ValueError."""
+    if isinstance(wait_k, (bool, np.bool_)) or (
+            wait_k != WAIT_INF and not (wait_k >= 1 and float(wait_k).is_integer())):
+        raise ValueError(f"wait_k must be a positive integer or inf, got {wait_k!r}")
+    if isinstance(stride_n, (bool, np.bool_)) or not (stride_n >= 1 and float(stride_n).is_integer()):
+        raise ValueError(f"stride_n must be a positive integer, got {stride_n!r}")
 
 
 @dataclass(frozen=True)
@@ -252,8 +261,9 @@ class StreamState:
     computed so far, source units or decoder rows; the next rows take the
     positions after them. (The acoustic encoder's blocks, each of its own
     length, read their counts off ``kv``.) ``kv`` holds, per attention
-    layer, the keys and values of those rows, and for the decoder's
-    cross-attention those of the source units seen so far. ``conv`` holds,
+    sub-layer, the keys and values of those rows as a pair of arrays, and
+    for the decoder's cross-attention those of the source units seen so
+    far. ``conv`` holds,
     per conv of the acoustic encoder, the input rows its next outputs still
     read: the left context of the next output's window and any rows after
     it. A fresh state is the start of a stream: zero left context and empty
@@ -263,11 +273,16 @@ class StreamState:
     """
 
     rows: int = 0
-    kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    kv: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     conv: dict[str, np.ndarray] = field(default_factory=dict)
 
     def fork(self) -> "StreamState":
         return StreamState(self.rows, dict(self.kv), dict(self.conv))
+
+
+# the parameter names of an attention sub-layer's projections and a feed-forward net's layers
+_ATTENTION_WEIGHTS = tuple(f".{p}.{t}" for p in ("q", "k", "v", "o") for t in ("w", "b"))
+_FFN_WEIGHTS = (".1.w", ".1.b", ".2.w", ".2.b")
 
 
 def _cached_rows(kv: dict, prefix: str) -> int:
@@ -364,41 +379,32 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _multihead(self, prefix: str, q_in: Tensor, kv_in: Tensor, mask: ad.Blocks,
+    def _weights(self, norm: str, prefix: str, linears: Sequence[str]) -> list[Tensor]:
+        """The gain and bias of the norm ``norm``, then the parameter named
+        ``prefix`` plus each suffix of ``linears``."""
+        p = self.params
+        return [p[norm + ".g"], p[norm + ".b"]] + [p[prefix + name] for name in linears]
+
+    def _attention(self, prefix: str, norm: str, x: Tensor, source: Tensor | None, mask: ad.Blocks, rng,
                    kv_cache: dict) -> Tensor:
-        """Multi-head attention, all ``cfg.n_heads`` heads in one op: the keys
-        and values ``kv_cache`` holds under ``prefix`` (none in a fresh cache)
-        precede those of ``kv_in``'s rows, and the cache is extended by them."""
-        q = self._affine(f"{prefix}.q", q_in)
-        past = kv_cache.get(prefix)
-        if past is not None and kv_in.shape[0] == 0:
-            k, v = past
-        else:
-            k = self._affine(f"{prefix}.k", kv_in)
-            v = self._affine(f"{prefix}.v", kv_in)
-            if past is not None:
-                k, v = ad.concat_rows([past[0], k]), ad.concat_rows([past[1], v])
-            kv_cache[prefix] = (k, v)
-        return self._affine(f"{prefix}.o", ad.masked_attention(q, k, v, mask, self.cfg.n_heads))
-
-    def _ffn(self, prefix: str, x: Tensor) -> Tensor:
-        return self._affine(f"{prefix}.2", ad.relu(self._affine(f"{prefix}.1", x)))
-
-    def _norm_of(self, name: str, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
+        """One attention sub-layer: the keys and values ``kv_cache`` holds
+        under ``prefix`` (none in a fresh cache) precede those of the new
+        rows, of ``source`` or, for self-attention, of ``x``, and the cache
+        is extended by them."""
+        weights = self._weights(norm, prefix, _ATTENTION_WEIGHTS)
+        x, kv_cache[prefix] = ad.attention_sublayer(x, weights, mask, self.cfg.n_heads, source,
+                                                    kv_cache.get(prefix), self.cfg.dropout, rng)
+        return x
 
     def _tf_forward(self, prefix: str, x: Tensor, self_mask: ad.Blocks, rng, kv_cache: dict,
                     cross_kv: Tensor | None = None, cross_mask: ad.Blocks | None = None) -> Tensor:
-        p = self.cfg.dropout
-        normed = self._norm_of(f"{prefix}.ln1", x)
-        h = self._multihead(f"{prefix}.attn", normed, normed, self_mask, kv_cache)
-        x = ad.add(x, ad.dropout(h, p, rng))
+        """One Transformer layer: self-attention, cross-attention over
+        ``cross_kv`` when given, and the feed-forward net, one op each."""
+        x = self._attention(prefix + ".attn", prefix + ".ln1", x, None, self_mask, rng, kv_cache)
         if cross_kv is not None:
-            h = self._multihead(f"{prefix}.xattn", self._norm_of(f"{prefix}.lnx", x), cross_kv,
-                                cross_mask, kv_cache)
-            x = ad.add(x, ad.dropout(h, p, rng))
-        h = self._ffn(f"{prefix}.ffn", self._norm_of(f"{prefix}.ln2", x))
-        return ad.add(x, ad.dropout(h, p, rng))
+            x = self._attention(prefix + ".xattn", prefix + ".lnx", x, cross_kv, cross_mask, rng, kv_cache)
+        weights = self._weights(prefix + ".ln2", prefix + ".ffn", _FFN_WEIGHTS)
+        return ad.feedforward_sublayer(x, weights, self.cfg.dropout, rng)
 
     def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None) -> ad.Blocks:
         """The self-attention layout of rows in consecutive sequences of
@@ -412,21 +418,20 @@ class Model:
 
     def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[StreamState],
               end: bool) -> tuple[Tensor, np.ndarray]:
-        """One conv plus ReLU over packed sequences of ``lengths`` rows, or
-        over a stream's new rows when ``state`` is given; returns the
-        output and its sequence lengths."""
+        """One conv with its bias and ReLU, one op, over packed sequences of
+        ``lengths`` rows, or over a stream's new rows when ``state`` is
+        given; returns the output and its sequence lengths."""
         name = f"acoustic.conv{b}.{i}"
-        kernel = self.params[f"{name}.w"]
+        kernel, bias = self.params[f"{name}.w"], self.params[f"{name}.b"]
         stride, lookahead = (2 if i == 1 else 1), self.cfg.conv_lookahead[i]
         if state is None:
-            y, lengths = ad.conv1d_lookahead(x, kernel, stride, lookahead, lengths=lengths)
-        else:
-            held = state.conv.get(name)
-            if held is None:  # a stream starts with a zero left context
-                held = np.zeros((kernel.shape[0] - 1 - lookahead, x.shape[1]), dtype=x.data.dtype)
-            y, lengths = ad.conv1d_lookahead(x, kernel, stride, lookahead, held, end)
-            state.conv[name] = np.concatenate([held, x.data])[y.shape[0] * stride:]
-        return ad.relu(ad.add(y, self.params[f"{name}.b"])), lengths
+            return ad.conv1d_lookahead(x, kernel, bias, stride, lookahead, lengths=lengths)
+        held = state.conv.get(name)
+        if held is None:  # a stream starts with a zero left context
+            held = np.zeros((kernel.shape[0] - 1 - lookahead, x.shape[1]), dtype=x.data.dtype)
+        y, lengths = ad.conv1d_lookahead(x, kernel, bias, stride, lookahead, held, end)
+        state.conv[name] = np.concatenate([held, x.data])[y.shape[0] * stride:]
+        return y, lengths
 
     def _acoustic_stack(self, features: np.ndarray, rng, state: Optional[StreamState], end: bool,
                         lengths) -> tuple[Tensor, np.ndarray]:
@@ -547,7 +552,8 @@ class Model:
             x = self._tf_forward(f"decoder.tf{l}", x, self_mask, rng,
                                  cross_kv=units, cross_mask=cross_mask, kv_cache=state.kv)
         state.rows += n_rows
-        return self._affine("decoder.out", self._norm_of("decoder.ln_out", x))
+        normed = ad.layer_norm(x, self.params["decoder.ln_out.g"], self.params["decoder.ln_out.b"])
+        return self._affine("decoder.out", normed)
 
     # -- training objective -------------------------------------------------
 

@@ -41,7 +41,6 @@ the caller chunks the audio; ``StreamSession.step`` decides each write.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +52,7 @@ from . import metrics
 from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
-from .data import EOS
+from .data import EOS, check_integers
 from .model import Model, NonCausalEncoderError, visible_units
 
 READ, WRITE, FINISH = "read", "write", "finish"
@@ -96,6 +95,13 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
     return chunks[0]
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is one positive integer (a bool is not one)."""
+    check_integers(name, value)
+    if np.ndim(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _log_softmax_row(row: np.ndarray) -> np.ndarray:
     shifted = row - row.max()
     return shifted - math.log(np.exp(shifted).sum())
@@ -116,8 +122,7 @@ class StreamSession:
         self.wait_k = cfg.wait_k if wait_k is None else wait_k
         self.stride_n = cfg.stride_n if stride_n is None else stride_n
         model_mod.check_schedule(self.wait_k, self.stride_n)
-        if not isinstance(beam_size, numbers.Integral) or beam_size < 1:
-            raise ValueError(f"beam_size must be a positive integer, got {beam_size!r}")
+        _check_count("beam_size", beam_size)
         self.beam_size = beam_size
         self.tgt_vocab = tgt_vocab
         self.unit_kind = "segment" if cfg.use_shrink else "frame"
@@ -365,8 +370,8 @@ class StreamSession:
         is the encoder's frame count, which only ``end_stream`` makes final."""
         if not (self._finished and self._ended):
             raise RuntimeError("finalize needs a finished session and an ended stream")
-        if reference_length is not None and not reference_length >= 1:
-            raise ValueError(f"reference_length must be >= 1, got {reference_length}")
+        if reference_length is not None:
+            _check_count("reference_length", reference_length)
         cfg = self.model.cfg
         record = metrics.LatencyRecord(
             token_listen_ms=tuple(self._listen_ms),
@@ -386,8 +391,7 @@ def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_
                      reference_length: Optional[int] = None, tgt_vocab=None) -> SessionResult:
     """Drive one utterance through a session, pushing fixed-size chunks."""
     chunk = model.cfg.downsample if chunk_frames is None else chunk_frames
-    if not isinstance(chunk, numbers.Integral) or chunk < 1:
-        raise ValueError(f"chunk_frames must be a positive integer, got {chunk_frames!r}")
+    _check_count("chunk_frames", chunk)
     session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size, tgt_vocab=tgt_vocab)
     feats = np.asarray(features, dtype=np.float32)
     pos = 0

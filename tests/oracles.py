@@ -1,12 +1,16 @@
 """Reference ops the package does not use, kept as oracles for its tests.
 
-``matmul``, ``sub`` and ``reshape`` are plain recorded ops that spell out
-op chains (shrinking, ``affine``) step by step. ``dense_attention`` is
-multi-head attention over the dense grid of all query and key rows, the
-op that ``ad.masked_attention`` computes block by block, and
-``per_tensor_adam_step`` the Adam update of one named tensor at a time,
-which the flat in-place ``ad.adam_step`` must reproduce bit for bit.
-``dense_mask`` and ``build_cross_attention_mask`` spell out an
+``matmul``, ``sub``, ``reshape`` and ``concat_rows`` are plain recorded
+ops that spell out op chains (shrinking, ``affine``, a growing key/value
+cache) step by step. ``masked_attention`` is the package's attention
+kernel as an op of its own, and ``dense_attention`` multi-head attention
+over the dense grid of all query and key rows, which that kernel computes
+block by block. ``attention_chain`` and ``feedforward_chain`` are the
+primitive op chains that ``ad.attention_sublayer`` and
+``ad.feedforward_sublayer`` each compute as one op, bit for bit.
+``per_tensor_adam_step`` is the Adam update of one named tensor at a
+time, which the flat in-place ``ad.adam_step`` must reproduce bit for
+bit. ``dense_mask`` and ``build_cross_attention_mask`` spell out an
 ``ad.Blocks`` layout and the wait-k-stride-n rule as boolean grids.
 """
 
@@ -37,6 +41,55 @@ def matmul(a, b):
 def reshape(a, shape):
     old = a.shape
     return ad.record_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
+def concat_rows(parts):
+    """The rows of the tensors ``parts``, one after another."""
+    parts = list(parts)
+    out = np.concatenate([p.data for p in parts], axis=0)
+
+    def vjp(g):
+        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+
+    return ad.record_op(out, tuple(parts), vjp)
+
+
+def masked_attention(q, k, v, blocks, n_heads=1):
+    """Multi-head attention of ``q`` over ``k`` and ``v`` on the
+    ``ad.Blocks`` layout ``blocks``, as one op: the attention kernel of
+    ``ad.attention_sublayer``, with its checks."""
+    ad._check_attention("masked_attention", q.shape, k.shape, v.shape, blocks, n_heads)
+    out, saved = ad._attention(q.data, k.data, v.data, blocks, n_heads)
+    return ad.record_op(out, (q, k, v), lambda g: ad._attention_vjp(saved, g))
+
+
+def attention_chain(x, weights, blocks, n_heads=1, source=None, past=None, rate=0.0, rng=None):
+    """``ad.attention_sublayer`` as the chain of primitive ops it stands
+    for: a norm, the q, k and v projections, a cache's past keys and
+    values (constants) before the new ones, attention, the output
+    projection, dropout and the residual. Returns the output and the
+    (keys, values) arrays."""
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = weights
+    normed = ad.layer_norm(x, gain, bias)
+    q = ad.affine(normed, wq, bq)
+    kv_in = normed if source is None else source
+    if past is not None and kv_in.shape[0] == 0:
+        k, v = (ad.Tensor(a, dtype=a.dtype) for a in past)
+    else:
+        k, v = ad.affine(kv_in, wk, bk), ad.affine(kv_in, wv, bv)
+        if past is not None:
+            k, v = (concat_rows([ad.Tensor(a, dtype=a.dtype), new]) for a, new in zip(past, (k, v)))
+    h = ad.affine(masked_attention(q, k, v, blocks, n_heads), wo, bo)
+    return ad.add(x, ad.dropout(h, rate, rng)), (k.data, v.data)
+
+
+def feedforward_chain(x, weights, rate=0.0, rng=None):
+    """``ad.feedforward_sublayer`` as the chain of primitive ops it stands
+    for: a norm, affine, ReLU, affine, dropout and the residual."""
+    gain, bias, w1, b1, w2, b2 = weights
+    h = ad.affine(ad.relu(ad.affine(ad.layer_norm(x, gain, bias), w1, b1)), w2, b2)
+    return ad.add(x, ad.dropout(h, rate, rng))
 
 
 def dense_attention(q, k, v, mask, n_heads=1):

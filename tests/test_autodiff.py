@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from simulst import autodiff as ad
 from conftest import central_difference, relative_error
-from oracles import attention_runs, dense_attention, dense_mask, matmul, per_tensor_adam_step, zero_moments
+from oracles import (attention_runs, dense_attention, dense_mask, masked_attention, matmul, per_tensor_adam_step,
+                     zero_moments)
 
 
 def t64(data, requires_grad=False):
@@ -107,13 +108,13 @@ class TestConv1dLookahead:
     def test_identity_kernel(self):
         x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(6, 1))
         k = ad.Tensor(np.ones((1, 1, 1)))
-        y = ad.conv1d_lookahead(x, k, stride=1, lookahead=0)[0]
+        y = ad.conv1d_lookahead(x, k, ad.Tensor(np.zeros(1)), stride=1, lookahead=0)[0]
         np.testing.assert_allclose(y.data, x.data)
 
     def test_output_length_ceil(self):
         x = ad.Tensor(np.zeros((5, 2)))
         k = ad.Tensor(np.zeros((3, 2, 4)))
-        y = ad.conv1d_lookahead(x, k, stride=2, lookahead=1)[0]
+        y = ad.conv1d_lookahead(x, k, ad.Tensor(np.zeros(4)), stride=2, lookahead=1)[0]
         assert y.shape == (3, 4)
 
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1)])
@@ -122,32 +123,32 @@ class TestConv1dLookahead:
         T = 12
         x = rng.normal(size=(T, 3))
         k = ad.Tensor(rng.normal(size=(3, 3, 2)), dtype=np.float64)
-        base = ad.conv1d_lookahead(t64(x), k, stride, lookahead)[0].data
+        base = ad.conv1d_lookahead(t64(x), k, t64(np.zeros(2)), stride, lookahead)[0].data
         for t_out in range(base.shape[0]):
             horizon = t_out * stride + lookahead
             if horizon + 1 >= T:
                 continue
             x2 = x.copy()
             x2[horizon + 1:] += 100.0
-            pert = ad.conv1d_lookahead(t64(x2), k, stride, lookahead)[0].data
+            pert = ad.conv1d_lookahead(t64(x2), k, t64(np.zeros(2)), stride, lookahead)[0].data
             np.testing.assert_array_equal(base[t_out], pert[t_out])
 
     def test_lookahead_wider_than_kernel_errors(self):
         x = ad.Tensor(np.zeros((4, 1)))
         k = ad.Tensor(np.zeros((2, 1, 1)))
         with pytest.raises(ad.ShapeError):
-            ad.conv1d_lookahead(x, k, stride=1, lookahead=2)
+            ad.conv1d_lookahead(x, k, ad.Tensor(np.zeros(1)), stride=1, lookahead=2)
 
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1), (2, 0)])
     def test_packed_sequences_match_separate_calls(self, stride, lookahead):
         lengths = [3, 1, 6, 2]
         rng = np.random.default_rng(2)
         x = rng.normal(size=(sum(lengths), 3))
-        k = t64(rng.normal(size=(3, 3, 2)))
-        packed, out_lengths = ad.conv1d_lookahead(t64(x), k, stride, lookahead, lengths=lengths)
+        k, b = t64(rng.normal(size=(3, 3, 2))), t64(rng.normal(size=2))
+        packed, out_lengths = ad.conv1d_lookahead(t64(x), k, b, stride, lookahead, lengths=lengths)
         packed = packed.data
         ends = np.cumsum(lengths)
-        alone = [ad.conv1d_lookahead(t64(x[e - n:e]), k, stride, lookahead)[0].data for n, e in zip(lengths, ends)]
+        alone = [ad.conv1d_lookahead(t64(x[e - n:e]), k, b, stride, lookahead)[0].data for n, e in zip(lengths, ends)]
         assert [a.shape[0] for a in alone] == [-(-n // stride) for n in lengths]
         assert out_lengths.tolist() == [a.shape[0] for a in alone]
         np.testing.assert_allclose(packed, np.concatenate(alone), rtol=0, atol=1e-12)
@@ -157,21 +158,23 @@ class TestConv1dLookahead:
         lengths = [3, 1, 4]
         rng = np.random.default_rng(3)
         x = rng.normal(size=(sum(lengths), 2))
-        kernel = rng.normal(size=(3, 2, 2))
+        kernel, bias = rng.normal(size=(3, 2, 2)), rng.normal(size=2)
         weights = rng.normal(size=(sum(-(-n // stride) for n in lengths), 2))
 
-        def f(xv, kv):
+        def f(xv, kv, bv):
             ad.reset_tape()
-            y = ad.conv1d_lookahead(t64(xv), t64(kv), stride, lookahead, lengths=lengths)[0]
+            y = ad.conv1d_lookahead(t64(xv), t64(kv), t64(bv), stride, lookahead, lengths=lengths)[0]
             return float((y.data * weights).sum())
 
-        expected = central_difference(f, [x, kernel])
+        expected = central_difference(f, [x, kernel, bias])
         ad.reset_tape()
-        xt, kt = t64(x, requires_grad=True), t64(kernel, requires_grad=True)
-        y = ad.conv1d_lookahead(xt, kt, stride, lookahead, lengths=lengths)[0]
+        xt, kt, bt = t64(x, requires_grad=True), t64(kernel, requires_grad=True), t64(bias, requires_grad=True)
+        y = ad.conv1d_lookahead(xt, kt, bt, stride, lookahead, lengths=lengths)[0]
+        assert (y.data == 0).any() and (y.data > 0).any()  # the ReLU cuts some outputs
         ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
         assert relative_error(kt.grad, expected[1]) < 1e-6
+        assert relative_error(bt.grad, expected[2]) < 1e-6
 
     @staticmethod
     def _held_split(stride, lookahead, extra, rng):
@@ -189,8 +192,9 @@ class TestConv1dLookahead:
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (1, 2), (2, 1), (2, 0)])
     def test_longer_context_equals_one_call(self, stride, lookahead, extra, end):
         full, kernel, context, rest = self._held_split(stride, lookahead, extra, np.random.default_rng(4))
-        whole = ad.conv1d_lookahead(t64(full), t64(kernel), stride, lookahead, end=end)[0].data
-        held, held_lengths = ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context, end)
+        bias = t64(np.zeros(3))
+        whole = ad.conv1d_lookahead(t64(full), t64(kernel), bias, stride, lookahead, end=end)[0].data
+        held, held_lengths = ad.conv1d_lookahead(t64(rest), t64(kernel), bias, stride, lookahead, context, end)
         held = held.data
         np.testing.assert_array_equal(held, whole[2:])
         assert held_lengths.tolist() == [held.shape[0]]  # a stream is one sequence
@@ -199,27 +203,51 @@ class TestConv1dLookahead:
     def test_longer_context_gradcheck(self, stride, lookahead):
         rng = np.random.default_rng(5)
         _, kernel, context, rest = self._held_split(stride, lookahead, 2, rng)
-        weights = rng.normal(size=ad.conv1d_lookahead(t64(rest), t64(kernel), stride, lookahead, context)[0].shape)
+        bias = t64(np.zeros(3))
+        shape = ad.conv1d_lookahead(t64(rest), t64(kernel), bias, stride, lookahead, context)[0].shape
+        weights = rng.normal(size=shape)
 
         def f(xv):
             ad.reset_tape()
-            y = ad.conv1d_lookahead(t64(xv), t64(kernel), stride, lookahead, context)[0]
+            y = ad.conv1d_lookahead(t64(xv), t64(kernel), bias, stride, lookahead, context)[0]
             return float((y.data * weights).sum())
 
         expected = central_difference(f, [rest.copy()])
         ad.reset_tape()
         xt = t64(rest, requires_grad=True)
-        y = ad.conv1d_lookahead(xt, t64(kernel), stride, lookahead, context)[0]
+        y = ad.conv1d_lookahead(xt, t64(kernel), bias, stride, lookahead, context)[0]
         ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
 
     def test_lengths_must_split_the_rows(self):
-        x, k = ad.Tensor(np.zeros((5, 1))), ad.Tensor(np.zeros((2, 1, 1)))
-        for lengths in ([2, 2], [5, 0]):
+        x, k, b = ad.Tensor(np.zeros((5, 1))), ad.Tensor(np.zeros((2, 1, 1))), ad.Tensor(np.zeros(1))
+        for lengths in ([2, 2], [5, 0], [4]):
             with pytest.raises(ad.ShapeError):
-                ad.conv1d_lookahead(x, k, 1, 0, lengths=lengths)
+                ad.conv1d_lookahead(x, k, b, 1, 0, lengths=lengths)
         with pytest.raises(ValueError, match="one sequence"):
-            ad.conv1d_lookahead(x, k, 1, 0, end=False, lengths=[2, 3])
+            ad.conv1d_lookahead(x, k, b, 1, 0, end=False, lengths=[2, 3])
+        with pytest.raises(ad.ShapeError, match="bias"):
+            ad.conv1d_lookahead(x, k, ad.Tensor(np.zeros(2)), 1, 0)
+
+    @pytest.mark.parametrize("lengths", [None, [4, 1, 6]])
+    @pytest.mark.parametrize("stride,lookahead", [(1, 0), (2, 1)])
+    def test_bias_and_relu_follow_the_convolution(self, stride, lookahead, lengths):
+        # float32, bit for bit: max(window . kernel + bias, 0) per output row,
+        # with each window taken from the sequence's own padded rows
+        rng = np.random.default_rng(6)
+        x, kernel, bias = (rng.normal(size=s).astype(np.float32) for s in ((11, 3), (3, 3, 4), (4,)))
+        out, out_lengths = ad.conv1d_lookahead(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias), stride, lookahead,
+                                               lengths=lengths)
+        windows, at = [], 0
+        for n in lengths or [11]:
+            padded = np.concatenate([np.zeros((2 - lookahead, 3), np.float32), x[at:at + n],
+                                     np.zeros((lookahead, 3), np.float32)])
+            windows += [padded[t:t + 3] for t in range(0, len(padded) - 2, stride)]
+            at += n
+        pre = np.einsum("tkc,kco->to", np.array(windows), kernel) + bias
+        assert out.data.dtype == np.float32 and out_lengths.sum() == len(windows)
+        assert out.data.tobytes() == np.where(pre > 0, pre, np.float32(0)).tobytes()
+        assert (out.data == 0).any() and (out.data > 0).any()
 
 
 class TestMaskedAttention:
@@ -227,14 +255,14 @@ class TestMaskedAttention:
         q = ad.Tensor([[1.0, 0.0]])
         k = ad.Tensor([[0.3, -0.2]])
         v = ad.Tensor([[5.0, 6.0, 7.0]])
-        out = ad.masked_attention(q, k, v, ad.Blocks([1], [1], [1]))
+        out = masked_attention(q, k, v, ad.Blocks([1], [1], [1]))
         np.testing.assert_allclose(out.data, v.data)
 
     def test_equal_scores_average_values(self):
         q = ad.Tensor([[1.0, 1.0]])
         k = ad.Tensor([[0.0, 0.0], [0.0, 0.0]])
         v = ad.Tensor([[2.0, 0.0], [0.0, 2.0]])
-        out = ad.masked_attention(q, k, v, ad.Blocks([1], [2], [2]))
+        out = masked_attention(q, k, v, ad.Blocks([1], [2], [2]))
         np.testing.assert_allclose(out.data, [[1.0, 1.0]], atol=1e-6)
 
     def test_mask_blocks_other_keys(self):
@@ -242,7 +270,7 @@ class TestMaskedAttention:
         q = ad.Tensor(rng.normal(size=(1, 4)))
         k = ad.Tensor(rng.normal(size=(3, 4)))
         v = ad.Tensor(rng.normal(size=(3, 2)))
-        out = ad.masked_attention(q, k, v, ad.Blocks([1], [3], [1]))
+        out = masked_attention(q, k, v, ad.Blocks([1], [3], [1]))
         np.testing.assert_allclose(out.data, v.data[0:1], atol=1e-5)
 
     def test_all_false_row_rejected(self):
@@ -250,18 +278,18 @@ class TestMaskedAttention:
         k = ad.Tensor(np.zeros((2, 2)))
         v = ad.Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="row 1"):
-            ad.masked_attention(q, k, v, ad.Blocks([2], [2], [2, 0]))
+            masked_attention(q, k, v, ad.Blocks([2], [2], [2, 0]))
 
     def test_boolean_mask_rejected(self):
         q = ad.Tensor(np.zeros((1, 2)))
         with pytest.raises(TypeError, match="Blocks"):
-            ad.masked_attention(q, q, q, np.array([[True]]))
+            masked_attention(q, q, q, np.array([[True]]))
 
     def test_no_keys_rejected(self):
         # a block of no keys leaves its rows none to see
         q, kv = ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((0, 2)))
         with pytest.raises(ValueError, match="row 0"):
-            ad.masked_attention(q, kv, kv, ad.Blocks([2], [0], [0, 0]))
+            masked_attention(q, kv, kv, ad.Blocks([2], [0], [0, 0]))
 
 
 def biased_attention(q, k, v, mask, n_heads):
@@ -304,7 +332,7 @@ class TestMultiHeadAttention:
     def test_matches_per_head_reference(self, n_heads):
         (q, k, v), blocks, mask = cached_past_inputs(n_heads)
         with ad.using_dtype(np.float64):
-            out = ad.masked_attention(t64(q), t64(k), t64(v), blocks, n_heads)
+            out = masked_attention(t64(q), t64(k), t64(v), blocks, n_heads)
         np.testing.assert_allclose(out.data, per_head_attention(q, k, v, mask, n_heads), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -313,7 +341,7 @@ class TestMultiHeadAttention:
         weights = np.random.default_rng(n_heads).normal(size=(blocks.n_queries, arrays[2].shape[1]))
 
         def loss(q, k, v):
-            out = ad.masked_attention(q, k, v, blocks, n_heads)
+            out = masked_attention(q, k, v, blocks, n_heads)
             return ad.reduce_sum(ad.mul(out, t64(weights)))
 
         def f(*arrs):
@@ -335,7 +363,7 @@ class TestMultiHeadAttention:
         q, k, v = (rng.normal(size=(n, 16)).astype(np.float32) for n in (n_queries, n_keys, n_keys))
         mask = np.ones((n_queries, n_keys), dtype=bool)
         blocks = ad.Blocks([n_queries], [n_keys], [n_keys] * n_queries)
-        out = ad.masked_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), blocks, n_heads=4)
+        out = masked_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), blocks, n_heads=4)
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, biased_attention(q, k, v, mask, 4))
 
@@ -345,7 +373,7 @@ class TestMultiHeadAttention:
         q, k = ad.Tensor(np.zeros((2, qk_width))), ad.Tensor(np.zeros((2, qk_width)))
         v = ad.Tensor(np.zeros((2, v_width)))
         with pytest.raises(ad.ShapeError, match="heads"):
-            ad.masked_attention(q, k, v, ad.Blocks([2], [2], [2, 2]), n_heads=4)
+            masked_attention(q, k, v, ad.Blocks([2], [2], [2, 2]), n_heads=4)
 
 
 def packed_at(lengths):
@@ -368,7 +396,7 @@ class TestBlockAttention:
         counts = packed_at(lengths) + 1 if causal else np.repeat(lengths, lengths)
         q, k, v = qkv(lengths.sum(), lengths.sum(), seed=n_heads)
         with ad.using_dtype(np.float64):
-            blocks, dense = attention_runs([(ad.masked_attention, ad.Blocks(lengths, lengths, counts)),
+            blocks, dense = attention_runs([(masked_attention, ad.Blocks(lengths, lengths, counts)),
                                             (dense_attention, dense_mask(lengths, lengths, counts))],
                                            q, k, v, n_heads, np.float64)
         for got, want in zip(blocks, dense):
@@ -380,7 +408,7 @@ class TestBlockAttention:
         counts = np.minimum(packed_at(q_lengths) + 2, np.repeat(k_lengths, q_lengths))
         q, k, v = qkv(q_lengths.sum(), k_lengths.sum(), seed=3)
         with ad.using_dtype(np.float64):
-            blocks, dense = attention_runs([(ad.masked_attention, ad.Blocks(q_lengths, k_lengths, counts)),
+            blocks, dense = attention_runs([(masked_attention, ad.Blocks(q_lengths, k_lengths, counts)),
                                             (dense_attention, dense_mask(q_lengths, k_lengths, counts))],
                                            q, k, v, 2, np.float64)
         for got, want in zip(blocks, dense):
@@ -395,7 +423,7 @@ class TestBlockAttention:
         lengths, counts, past = mask
         layout, mask = ad.Blocks(lengths, lengths, counts, past), dense_mask(lengths, lengths, counts, past)
         q, k, v = (a.astype(np.float32) for a in qkv(*mask.shape, seed=mask.shape[0]))
-        one, dense = attention_runs([(ad.masked_attention, layout), (dense_attention, mask)], q, k, v, 4, np.float32)
+        one, dense = attention_runs([(masked_attention, layout), (dense_attention, mask)], q, k, v, 4, np.float32)
         for got, want in zip(one, dense):
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
@@ -405,7 +433,7 @@ class TestBlockAttention:
         q, k, v = qkv(q_lengths.sum(), past + k_lengths.sum(), seed=5)
         with ad.using_dtype(np.float64):
             blocks, dense = attention_runs(
-                [(ad.masked_attention, ad.Blocks(q_lengths, k_lengths, counts, past)),
+                [(masked_attention, ad.Blocks(q_lengths, k_lengths, counts, past)),
                  (dense_attention, dense_mask(q_lengths, k_lengths, counts, past))], q, k, v, 2, np.float64)
         for got, want in zip(blocks, dense):
             assert got.dtype == np.float64
@@ -427,7 +455,7 @@ class TestBlockAttention:
         blocks = ad.Blocks([2, 1], [2, 1], [1, 2, 1])
         q = ad.Tensor(np.zeros((3, 4)))
         with pytest.raises(ad.ShapeError, match="Blocks"):
-            ad.masked_attention(q, ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros((4, 4))), blocks)
+            masked_attention(q, ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros((4, 4))), blocks)
 
 
 class TestLayerNorm:

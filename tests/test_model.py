@@ -8,7 +8,7 @@ import pytest
 
 from simulst import autodiff as ad
 from simulst import ctc, data, model
-from oracles import attention_runs, build_cross_attention_mask, dense_attention, zero_moments
+from oracles import attention_runs, build_cross_attention_mask, dense_attention, masked_attention, zero_moments
 
 
 def tiny_cfg(**kw):
@@ -305,7 +305,33 @@ def test_attention_records_one_op_for_any_head_count():
         m._tf_forward("semantic.tf0", x, m._self_mask(5), None, {})
         tapes.append([(vjp.__qualname__, out.shape) for out, _, vjp in ad._tape])
     assert tapes[0] == tapes[1]
-    assert sum(name.startswith("masked_attention") for name, _ in tapes[1]) == 1
+    # one attention sub-layer op, then one feed-forward sub-layer op
+    assert [name for name, _ in tapes[1]] == ["_attention_sublayer_vjp", "_feedforward_sublayer_vjp"]
+
+
+def test_a_streamed_layer_makes_one_op_call_per_sub_layer(monkeypatch):
+    # under no_grad nothing is recorded, but every op still makes one record_op call
+    m = model.Model(tiny_cfg(n_blocks=1, decoder_layers=1), seed=0)
+    calls = []
+    record = ad.record_op
+    monkeypatch.setattr(ad, "record_op", lambda *a: calls.append(a) or record(*a))
+    rng = np.random.default_rng(0)
+    x, units = (ad.Tensor(rng.normal(size=(n, 16)).astype(np.float32)) for n in (3, 4))
+    state = model.StreamState()
+    with ad.no_grad():
+        m._tf_forward("acoustic.block0.tf0", x, m._self_mask(3), None, state.kv)
+        m._tf_forward("acoustic.block0.tf0", x, m._self_mask(3, past=3), None, state.kv)
+        assert len(calls) == 4
+        m._tf_forward("decoder.tf0", x, m._self_mask(3, causal=True), None, state.kv, units,
+                      ad.Blocks([3], [4], [2, 3, 4]))
+        assert len(calls) == 7
+        m._conv(0, 1, ad.Tensor(rng.normal(size=(5, 16)).astype(np.float32)), None, state, False)
+        assert len(calls) == 8
+    assert ad.tape_length() == 0
+    # the caches hold plain arrays: past rows first, then the new ones
+    keys, values = state.kv["acoustic.block0.tf0.attn"]
+    assert type(keys) is type(values) is np.ndarray and keys.shape == values.shape == (6, 16)
+    assert all(type(a) is np.ndarray for pair in state.kv.values() for a in pair)
 
 
 class TestStreamingEncode:
@@ -380,13 +406,15 @@ class TestStreamingEncode:
     dict(conv_kernel=3.0),
     dict(ffn_dim=128.5),
     dict(conv_lookahead=(0, 0, 1.0)),
+    dict(wait_k=True),
+    dict(stride_n=True),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError):
         model.ModelConfig(**kw)
 
 
-@pytest.mark.parametrize("wait_k, stride_n", [(1.5, 2), (0, 2), (2, 0), (2, 1.5)])
+@pytest.mark.parametrize("wait_k, stride_n", [(1.5, 2), (0, 2), (2, 0), (2, 1.5), (True, 2), (2, True)])
 def test_mask_rejects_a_bad_schedule(wait_k, stride_n):
     with pytest.raises(ValueError, match="wait_k|stride_n"):
         build_cross_attention_mask(wait_k, stride_n, 4, 5)
@@ -574,7 +602,7 @@ class TestAttentionLayouts:
         rng = np.random.default_rng(seed)
         q, k, v = (rng.normal(size=(n, 16)) for n in (dense.shape[0], dense.shape[1], dense.shape[1]))
         with ad.using_dtype(np.float64):
-            blocks, ref = attention_runs([(ad.masked_attention, layout), (dense_attention, dense)],
+            blocks, ref = attention_runs([(masked_attention, layout), (dense_attention, dense)],
                                          q, k, v, n_heads, np.float64)
         for got, want in zip(blocks, ref):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -609,6 +637,6 @@ class TestAttentionLayouts:
             assert layout.q_index is None and (layout.bias is None) == dense.all()
             rng, (n_q, n_k) = np.random.default_rng(0), dense.shape
             q, k, v = (rng.normal(size=(n, 16)).astype(np.float32) for n in (n_q, n_k, n_k))
-            one, ref = attention_runs([(ad.masked_attention, layout), (dense_attention, dense)], q, k, v, 4, np.float32)
+            one, ref = attention_runs([(masked_attention, layout), (dense_attention, dense)], q, k, v, 4, np.float32)
             for got, want in zip(one, ref):
                 assert got.tobytes() == want.tobytes()

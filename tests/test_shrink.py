@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from simulst import autodiff as ad
 from simulst import ctc, shrink
 from conftest import central_difference, relative_error
-from oracles import matmul, reshape, sub
+from oracles import concat_rows, matmul, reshape, sub
 
 
 def seg(*edges):
@@ -208,7 +208,7 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
         conf = ad.scale(sub(ad.Tensor(1.0, dtype=dtype), ad.rows(blank_probs, start, stop)), mu)
         w = reshape(ad.softmax(conf, axis=-1), (1, stop - start))
         out_rows.append(matmul(w, seg))
-    return ad.concat_rows(out_rows)
+    return concat_rows(out_rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

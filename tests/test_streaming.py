@@ -210,7 +210,7 @@ class TestPolicySchedule:
         while session.step()[0] != streaming.FINISH:
             pass
         assert session.finalize().record.reference_length == 2  # None: the hypothesis length
-        for bad in (0, -1):
+        for bad in (0, -1, True):
             with pytest.raises(ValueError, match="reference_length"):
                 session.finalize(reference_length=bad)
 
@@ -266,7 +266,7 @@ class TestPolicySchedule:
         res = streaming.translate_stream(ScriptedModel(cfg), feats)  # never writes EOS
         assert len(res.tokens) == 2 * res.n_units + 10
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5, 8.0, "8"])
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, 8.0, "8", True, [8]])
     def test_chunk_below_one_rejected_before_streaming(self, monkeypatch, chunk):
         # -1 would otherwise push empty chunks forever; a non-integer fails late in slicing
         def no_session(*args, **kwargs):
@@ -610,13 +610,14 @@ class TestCachedDecoding:
 
 
 class TestSessionArguments:
-    @pytest.mark.parametrize("beam_size", [0, -1, 1.5])
+    @pytest.mark.parametrize("beam_size", [0, -1, 1.5, True, [5]])
     def test_bad_beam_size_rejected(self, beam_size):
         with pytest.raises(ValueError, match="beam_size"):
             streaming.StreamSession(ScriptedModel(frame_cfg()), beam_size=beam_size)
 
     @pytest.mark.parametrize("schedule", [dict(stride_n=0), dict(wait_k=0), dict(wait_k=1.5),
-                                          dict(stride_n=1.5), dict(wait_k=-2)])
+                                          dict(stride_n=1.5), dict(wait_k=-2), dict(wait_k=True),
+                                          dict(stride_n=True)])
     def test_bad_schedule_override_rejected(self, schedule):
         with pytest.raises(ValueError, match="wait_k|stride_n"):
             streaming.StreamSession(ScriptedModel(frame_cfg()), **schedule)
