@@ -17,9 +17,7 @@ has one hand-written VJP, built from the same array kernels
 (``_affine``, ``_layer_norm``, ``_relu``, ``_attention``) as the
 primitive ops, and adds up each input's gradient in the order the
 primitive chain's tape entries would, so outputs and gradients are those
-of the chain bit for bit. A VJP is a module function bound with
-``MethodType`` to the arrays its op saved: no closure cells to fill on
-every call, and a tape entry still names its function.
+of the chain bit for bit.
 
 Attention's one kind of mask is a ``Blocks`` layout: consecutive blocks
 of queries, each seeing a prefix of its own block of keys after any
@@ -40,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from types import MethodType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,12 +212,6 @@ def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} @ {b.shape}")
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)``: the same reduction, with positional
-    arguments, which numpy parses faster than keywords."""
-    return np.add.reduce(x, -1, None, None, True)
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w + b`` on arrays: ``out = x @ w``, then ``out += b``."""
     out = x @ w
@@ -283,8 +274,8 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 
     ``y`` and their inverse deviations ``inv``, which its VJP reads."""
     d = x.shape[-1]
     # np.mean's and np.var's own reductions without their Python wrappers: the same bits, less overhead
-    dev = x - _row_sums(x) / d
-    inv = 1.0 / np.sqrt(_row_sums(dev * dev) / d + eps)
+    dev = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / d + eps)
     y = dev * inv
     return y * gain + bias, y, inv
 
@@ -293,7 +284,8 @@ def _layer_norm_vjp(g: np.ndarray, y: np.ndarray, inv: np.ndarray, gain: np.ndar
     """The gradients of ``_layer_norm``'s x, gain and bias."""
     d = y.shape[-1]
     gy = g * gain
-    gx = inv * (gy - _row_sums(gy) / d - y * (_row_sums(gy * y) / d))
+    gx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+                - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / d))
     axes = tuple(range(y.ndim - 1))
     return gx, (g * y).sum(axis=axes), g.sum(axis=axes)
 
@@ -376,7 +368,7 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, looka
     out += bias.data
     out, mask = _relu(out)
     saved = (win, mask, first, xp.shape, xp.dtype, x_at, lengths, kernel.data, bias.shape)
-    return record_op(out, (x, kernel, bias), MethodType(_conv1d_lookahead_vjp, saved)), out_lengths
+    return record_op(out, (x, kernel, bias), lambda g: _conv1d_lookahead_vjp(saved, g)), out_lengths
 
 
 def _conv1d_lookahead_vjp(saved: tuple, g: np.ndarray) -> tuple:
@@ -389,8 +381,7 @@ def _conv1d_lookahead_vjp(saved: tuple, g: np.ndarray) -> tuple:
     gxp = np.zeros(xp_shape, dtype=dtype)
     for k in range(kernel.shape[0]):  # windows start at distinct rows, so each k adds to distinct rows
         gxp[first + k] += gwin[:, k]
-    gx = np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)]) if len(lengths) > 1 else \
-        gxp[x_at[0]:x_at[0] + lengths[0]]
+    gx = np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)])
     return gx, gk, _unbroadcast(g, bias_shape)
 
 
@@ -519,9 +510,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: Blocks, n_he
     scores = (qh @ kt) * s
     if blocks.bias is not None:
         scores += blocks.bias
-    scores -= np.maximum.reduce(scores, -1, None, None, True)  # scores.max(axis=-1, keepdims=True), as _row_sums
+    scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
-    w /= _row_sums(w)  # [H, (B,) Tq, Tk]
+    w /= w.sum(axis=-1, keepdims=True)  # [H, (B,) Tq, Tk]
     return _packed(w @ vh, blocks.q_slot), (w, qh, kt, vh, s, blocks, n_heads)
 
 
@@ -533,7 +524,7 @@ def _attention_vjp(saved: tuple, g: np.ndarray) -> tuple:
         gh, rows = np.zeros(w.shape[:-1] + (vh.shape[-1],), dtype=g.dtype), gh
         gh.reshape(n_heads, -1, gh.shape[-1])[:, blocks.q_slot] = rows
     gs = gh @ vh.swapaxes(-1, -2)  # the gradient of w, then in place that of the scores
-    gs -= _row_sums(gs * w)
+    gs -= (gs * w).sum(axis=-1, keepdims=True)
     gs *= w
     gs *= s
     gq = gs @ kt.swapaxes(-1, -2)
@@ -596,7 +587,7 @@ def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_h
     saved = (normed, y, inv, src, new_rows, source is None, att, att_saved, keep,
              (gain, wq, bq, wk, bk, wv, bv, wo, bo))
     inputs = (x, x) + (() if source is None else (source, source)) + tuple(weights)
-    return record_op(x.data + h, inputs, MethodType(_attention_sublayer_vjp, saved)), (keys, values)
+    return record_op(x.data + h, inputs, lambda g: _attention_sublayer_vjp(saved, g)), (keys, values)
 
 
 def _attention_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:
@@ -643,7 +634,7 @@ def feedforward_sublayer(x: Tensor, weights: Sequence[Tensor], rate: float = 0.0
     if keep is not None:
         h = h * keep
     saved = (normed, y, inv, hidden, mask, keep, arrays)
-    return record_op(x.data + h, (x, x) + tuple(weights), MethodType(_feedforward_sublayer_vjp, saved))
+    return record_op(x.data + h, (x, x) + tuple(weights), lambda g: _feedforward_sublayer_vjp(saved, g))
 
 
 def _feedforward_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:
