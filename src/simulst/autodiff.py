@@ -255,18 +255,22 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return record_op(y, (x,), vjp)
 
 
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Log-softmax along ``axis`` of an array, with max-subtraction."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def _log_softmax_vjp(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of ``_log_softmax``'s input, from its output ``out``."""
+    return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if x.ndim == 0 or x.shape[axis] == 0:
         raise ShapeError(f"log_softmax over empty axis {axis} of shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    sm = np.exp(out)
-
-    def vjp(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return record_op(out, (x,), vjp)
+    out = _log_softmax(x.data, axis)
+    return record_op(out, (x,), lambda g: (_log_softmax_vjp(g, out, axis),))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -434,18 +438,17 @@ class Blocks:
             r = int(np.flatnonzero((counts < 1) | (counts > limit))[0])
             raise ValueError(f"attention mask row {r} allows {counts[r]} of its block's "
                              f"{np.repeat(k_lengths, q_lengths)[r]} keys")
-        self.n_queries, self.n_keys = sum(q_list), past + sum(k_list)
+        self.n_queries, self.n_keys, self.past = sum(q_list), past + sum(k_list), past
         self.q_index = self.k_index = self.q_slot = self.k_slot = None
         # float32 holds 0 and -1e9 exactly, so a bias serves float64 scores too
-        if one:  # [Tq, Tk], or none when every row sees all its keys
+        if one:  # [Tq, Tk] over the block's keys, or none when every row sees all its keys
             self.bias = None if min(c_list) == limit else np.where(
-                np.arange(-past, self.n_keys - past) < counts[:, None], _ZERO, _MASKED)
-        elif past:  # [Tq, Tk]: the past, then the row's own block
+                np.arange(limit) < counts[:, None], _ZERO, _MASKED)
+        elif past:  # [Tq, sum Tk] over the blocks' keys: each row sees a prefix of its own block
             blocks = np.arange(len(q_lengths))
             seen = ((np.repeat(blocks, q_lengths)[:, None] == np.repeat(blocks, k_lengths))
                     & (packed_offsets(k_lengths) < counts[:, None]))
-            self.bias = np.where(np.hstack([np.ones((self.n_queries, past), dtype=bool), seen]), 0.0, -1e9
-                                 ).astype(np.float32)
+            self.bias = np.where(seen, _ZERO, _MASKED)
         else:
             # (block, position in block) of every packed query and key row
             q_at, k_at = ((np.repeat(np.arange(len(n)), n), packed_offsets(n)) for n in (q_lengths, k_lengths))
@@ -509,7 +512,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: Blocks, n_he
     s = 1.0 / math.sqrt(q.shape[1] // n_heads)
     scores = (qh @ kt) * s
     if blocks.bias is not None:
-        scores += blocks.bias
+        scores[..., blocks.past:] += blocks.bias
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)  # [H, (B,) Tq, Tk]
@@ -647,22 +650,8 @@ def _feedforward_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:
     return g, g_x, g_gain, g_bias, g_w1, g_b1, g_w2, g_b2  # x's residual gradient, then its norm's
 
 
-def pick(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = x[i, idx[i]] for a 2-D tensor."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows_ix = np.arange(x.shape[0])
-    out = x.data[rows_ix, idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows_ix, idx), g)
-        return (gx,)
-
-    return record_op(out, (x,), vjp)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of one target per logit row."""
+    """Mean negative log-likelihood of one target per logit row, as one op."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.shape != logits.shape[:1] or not len(targets):
         raise ShapeError(f"cross_entropy needs one target per logit row and at least one row, "
@@ -671,7 +660,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     bad = (targets < 0) | (targets >= n_classes)
     if bad.any():
         raise ValueError(f"cross_entropy: target {int(targets[bad][0])} outside [0, {n_classes})")
-    return scale(reduce_sum(pick(log_softmax(logits, axis=-1), targets)), -1.0 / n)
+    out = _log_softmax(logits.data, -1)
+    at = (np.arange(n), targets)
+
+    def vjp(g):
+        picked = np.zeros_like(out)  # the gradient of the targets' log-probabilities
+        picked[at] += np.broadcast_to(g * (-1.0 / n), (n,)).astype(out.dtype)
+        return (_log_softmax_vjp(picked, out, -1),)
+
+    return record_op(np.asarray(out[at].sum()) * (-1.0 / n), (logits,), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -687,17 +684,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return record_op(out, (table,), vjp)
 
 
-def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out = x.data[start:stop].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return (gx,)
-
-    return record_op(out, (x,), vjp)
-
-
 def col(x: Tensor, j: int) -> Tensor:
     """Select one column of a 2-D tensor as a 1-D tensor."""
     out = x.data[:, j].copy()
@@ -708,11 +694,6 @@ def col(x: Tensor, j: int) -> Tensor:
         return (gx,)
 
     return record_op(out, (x,), vjp)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    return record_op(np.asarray(x.data.sum()), (x,),
-                     lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -1,16 +1,14 @@
 """CTC alignment machinery over per-frame posterior grids.
 
-A posterior grid is a Tensor of shape [T', |V|+1]: one distribution per
-downsampled frame, blank fixed as the LAST column. The negative
-log-likelihood runs the forward algorithm in log space (float64), its
-backward variable being the same recursion over the reversed lattice
-(Graves et al., 2006), with a hand-written gradient w.r.t. the grid that
-composes with the autodiff tape through the upstream log-softmax.
+A posterior grid has shape [T', |V|+1]: one distribution per downsampled
+frame, blank fixed as the LAST column. The negative log-likelihood runs
+the forward algorithm in log space (float64), its backward variable being
+the same recursion over the reversed lattice (Graves et al., 2006). The
+blank-limited loss over a packed grid of utterances is one op whatever
+their number, with a hand-written gradient w.r.t. the log and linear grids.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -58,42 +56,40 @@ def _forward(lab: np.ndarray, ext: np.ndarray, blank: int) -> np.ndarray:
     return before
 
 
-def ctc_nll(log_posteriors: Tensor, labels) -> Tensor:
+def _nll(log_posteriors: np.ndarray, labels) -> tuple:
     """-ln of the total probability of all paths collapsing to ``labels``,
-    from a grid of log posteriors (a log-softmax stays finite where a
-    float32 softmax underflows to zero)."""
+    from an array of log posteriors [T, |V|+1] (a log-softmax stays finite
+    where a float32 softmax underflows to zero), in float64; and a function
+    that gives its float64 gradient w.r.t. the log posteriors."""
     labels = np.asarray(labels, dtype=np.int64)
     t_frames, width = log_posteriors.shape
     blank = width - 1
     if labels.size == 0:
-        raise ValueError("ctc_nll: empty label sequence")
+        raise ValueError("CTC: empty label sequence")
     if ((labels < 0) | (labels >= blank)).any():
-        raise ValueError(f"ctc_nll: labels must lie in [0, {blank})")
+        raise ValueError(f"CTC: labels must lie in [0, {blank})")
     need = min_path_length(labels)
     if t_frames < need:
-        raise InfeasibleAlignmentError(
-            f"{t_frames} frames cannot align {labels.size} labels (need >= {need})"
-        )
+        raise InfeasibleAlignmentError(f"{t_frames} frames cannot align {labels.size} labels (need >= {need})")
 
     ext = _extended_labels(labels, blank)
-    lab = log_posteriors.data.astype(np.float64)[:, ext]  # [T, S] emission log-probs per extended state
+    lab = log_posteriors.astype(np.float64)[:, ext]  # [T, S] emission log-probs per extended state
     alpha = _forward(lab, ext, blank) + lab
     log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
     # beta excludes the emission at its own frame: the forward pass over the reversed lattice
     beta = _forward(lab[::-1, ::-1], ext[::-1], blank)[::-1, ::-1]
     occupancy = alpha + beta  # log path mass through each (frame, state)
 
-    def vjp(g):
+    def gradient() -> np.ndarray:
         # d(-ln Z)/d(ln p[t, k]) is minus the posterior occupancy of label k at frame t
-        grad = np.zeros_like(log_posteriors.data, dtype=np.float64)
+        grad = np.zeros(log_posteriors.shape)
         with np.errstate(invalid="ignore"):
             contrib = np.exp(occupancy - log_z)
         contrib[~np.isfinite(contrib)] = 0.0
         np.subtract.at(grad.T, ext, contrib.T)  # unbuffered: states sharing a label all count
-        return (float(g) * grad.astype(log_posteriors.data.dtype),)
+        return grad
 
-    value = np.asarray(-log_z, dtype=log_posteriors.data.dtype)
-    return ad.record_op(value, (log_posteriors,), vjp)
+    return -log_z, gradient
 
 
 def greedy_path(posteriors) -> np.ndarray:
@@ -133,23 +129,6 @@ def detect_boundaries(path, lengths=None) -> np.ndarray:
     return np.union1d(np.cumsum(lengths), boundary_cuts(path))
 
 
-def blank_penalty(posteriors: Tensor, mode: str = "argmax_blank_frames") -> Tensor:
-    """Accumulated blank posterior mass, per the blank-limited loss.
-
-    ``argmax_blank_frames`` sums p(blank) over frames whose argmax label is
-    blank (the argmax selection is held constant for gradients);
-    ``all_frames`` sums p(blank) over every frame.
-    """
-    if mode not in BLANK_PENALTY_MODES:
-        raise ValueError(f"blank_penalty_mode must be one of {BLANK_PENALTY_MODES}, got {mode!r}")
-    blank = posteriors.shape[1] - 1
-    if mode == "argmax_blank_frames":
-        sel = (posteriors.data.argmax(axis=1) == blank).astype(posteriors.data.dtype)
-    else:
-        sel = np.ones(posteriors.shape[0], dtype=posteriors.data.dtype)
-    return ad.reduce_sum(ad.mul(ad.col(posteriors, blank), Tensor(sel, dtype=posteriors.data.dtype)))
-
-
 def blank_limited_ctc_loss(
     log_posteriors: Tensor,
     posteriors: Tensor,
@@ -158,25 +137,54 @@ def blank_limited_ctc_loss(
     lam: float,
     mode: str = "argmax_blank_frames",
 ) -> Tensor:
-    """Mean over utterances of ctc_nll plus ``lam`` times the blank penalty.
+    """Mean over utterances of the CTC NLL plus ``lam`` times the blank
+    penalty, as one op.
 
     ``log_posteriors`` and ``posteriors`` are one grid of consecutive
     utterances, ``lengths[i]`` frames each, in log and linear form;
     ``transcripts[i]`` are utterance i's labels. The NLL runs per
-    utterance on its rows of the log grid; the penalty is a sum over
-    frames, so the whole grid's penalty is the sum of the utterances'.
+    utterance on its rows of the log grid. The penalty is the accumulated
+    blank posterior mass: ``argmax_blank_frames`` sums p(blank) over frames
+    whose argmax label is blank (the selection is held constant for
+    gradients), ``all_frames`` over every frame. The terms add up in the
+    grid's dtype, the NLLs in order, then the penalty: the arithmetic,
+    gradients included, of a chain of one op per term.
     """
     if lam < 0:
         raise ValueError(f"blank penalty weight must be >= 0, got {lam}")
-    if len(transcripts) != len(lengths) or sum(lengths) != log_posteriors.shape[0]:
+    if mode not in BLANK_PENALTY_MODES:
+        raise ValueError(f"blank_penalty_mode must be one of {BLANK_PENALTY_MODES}, got {mode!r}")
+    if not len(transcripts) or len(transcripts) != len(lengths) or sum(lengths) != log_posteriors.shape[0]:
         raise ValueError(f"{len(transcripts)} transcripts and lengths {list(lengths)} do not "
                          f"split {log_posteriors.shape[0]} frames")
-    ends = np.cumsum(lengths)
-    terms = [ctc_nll(ad.rows(log_posteriors, end - n, end), labels)
-             for labels, n, end in zip(transcripts, lengths, ends)]
+    grid, probs = log_posteriors.data, posteriors.data
+    spans, total, end = [], None, 0
+    for labels, n in zip(transcripts, lengths):
+        nll, gradient = _nll(grid[end:end + n], labels)
+        spans.append((end, end + n, gradient))
+        end += n
+        term = np.asarray(nll, dtype=grid.dtype)
+        total = term if total is None else total + term
     if lam != 0.0:
-        terms.append(ad.scale(blank_penalty(posteriors, mode), lam))
-    return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(transcripts))
+        blank = probs.shape[1] - 1
+        sel = (probs.argmax(axis=1) == blank if mode == "argmax_blank_frames"
+               else np.ones(probs.shape[0], dtype=bool)).astype(probs.dtype)
+        total = total + np.asarray((probs[:, blank] * sel).sum()) * lam
+    mean = 1.0 / len(transcripts)
+
+    def vjp(g):
+        # each utterance's NLL gradient on its rows, the penalty's on the blank column
+        g = g * mean
+        g_log = np.zeros_like(grid)
+        for start, stop, gradient in spans:
+            g_log[start:stop] = float(g) * gradient().astype(grid.dtype)
+        if lam == 0.0:
+            return g_log, None
+        g_probs = np.zeros_like(probs)
+        g_probs[:, blank] = np.broadcast_to(g * lam, sel.shape).astype(probs.dtype) * sel
+        return g_log, g_probs
+
+    return ad.record_op(total * mean, (log_posteriors, posteriors), vjp)
 
 
 def shrink_quality(segment_counts, transcript_lengths) -> dict[int, float]:

@@ -15,11 +15,12 @@ EOS = 1
 RESERVED = ("<pad>", "</s>", "<unk>")
 
 
-def check_integers(name: str, value) -> None:
-    """Raise ValueError unless ``value``, a count or a sequence of them,
-    holds only integers (a bool is not one)."""
-    if not all(isinstance(v, numbers.Integral) for v in np.ravel(value)):
-        raise ValueError(f"{name} must hold integers, got {value!r}")
+def check_integers(name: str, value, ndim: int = 0) -> None:
+    """Raise ValueError unless ``value`` is one integer (``ndim=0``) or one
+    flat sequence of them (``ndim=1``); a bool is not one."""
+    items = np.asarray(value, dtype=object)  # a ragged sequence too, its items as they are
+    if items.ndim != ndim or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items.flat):
+        raise ValueError(f"{name} must be {'a flat sequence of integers' if ndim else 'one integer'}, got {value!r}")
 
 
 class Vocab:
@@ -82,9 +83,10 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "feature_dim", "reorder_window", "frames_per_token", "length_range",
-                     "seed"):
+        for name in ("vocab_size", "feature_dim", "reorder_window", "seed"):
             check_integers(name, getattr(self, name))
+        for name in ("frames_per_token", "length_range"):
+            check_integers(name, getattr(self, name), ndim=1)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("vocab_size", "feature_dim"):

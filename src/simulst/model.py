@@ -14,11 +14,12 @@ A training batch is a list of utterances, packed: they are laid end to
 end as one sequence of rows per stage, so each layer runs once per
 batch. Convolutions pad each utterance on its own and report each one's
 output length, attention runs block by block and positions restart with
-each utterance; only the CTC forward algorithm runs per utterance, on its
-rows. One utterance is the packed case with one sequence. Every attention
-mask is an ``ad.Blocks`` layout: causal blocks for self-attention, the
-wait-k-stride-n rule for cross-attention, and for a stream's rows the
-cached rows before them as the layout's past.
+each utterance. Each loss term is one op: the CTC loss runs its forward
+algorithm per utterance inside its op. One utterance is the packed case
+with one sequence. Every attention mask is an ``ad.Blocks`` layout:
+causal blocks for self-attention, the wait-k-stride-n rule for
+cross-attention, and for a stream's rows the cached rows before them as
+the layout's past.
 
 The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
 and the CTC grid, ``semantic_encode`` turns shrunk segment states into
@@ -100,11 +101,12 @@ class ModelConfig:
     frame_ms: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
-        for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "conv_lookahead",
-                     "transformer_layers_per_block", "d_model", "n_heads", "ffn_dim", "semantic_layers",
-                     "decoder_layers", "src_vocab_size", "tgt_vocab_size"):  # each sizes arrays or loops
+        for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "transformer_layers_per_block",
+                     "d_model", "n_heads", "ffn_dim", "semantic_layers", "decoder_layers", "src_vocab_size",
+                     "tgt_vocab_size"):  # each sizes arrays or loops
             check_integers(name, getattr(self, name))
+        check_integers("conv_lookahead", self.conv_lookahead, ndim=1)
+        object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -203,7 +205,7 @@ def output_length(cfg: ModelConfig, t_input: int) -> int:
 def skip_reason(cfg: ModelConfig, frames: int, transcript) -> Optional[str]:
     """Why an utterance cannot train, or None: it is shorter than the
     downsampling factor, or (with CTC) its transcript needs more encoder
-    frames than it has, the case ``ctc_nll`` raises
+    frames than it has, the case the CTC loss raises
     ``InfeasibleAlignmentError`` for. With an empty transcript only the
     length floor is left, which encoding and streaming also apply."""
     if frames < cfg.downsample:
@@ -416,14 +418,14 @@ class Model:
         return ad.Blocks(lengths, lengths, ad.packed_offsets(lengths) + 1 if causal else np.repeat(lengths, lengths),
                          past)
 
-    def _conv(self, b: int, i: int, x: Tensor, lengths: np.ndarray, state: Optional[StreamState],
-              end: bool) -> tuple[Tensor, np.ndarray]:
-        """One conv with its bias and ReLU, one op, over packed sequences of
-        ``lengths`` rows, or over a stream's new rows when ``state`` is
-        given; returns the output and its sequence lengths."""
+    def _conv(self, b: int, i: int, stride: int, x: Tensor, lengths: np.ndarray,
+              state: Optional[StreamState], end: bool) -> tuple[Tensor, np.ndarray]:
+        """Conv ``i`` of block ``b`` with its bias and ReLU, one op, over packed
+        sequences of ``lengths`` rows, or over a stream's new rows when
+        ``state`` is given; returns the output and its sequence lengths."""
         name = f"acoustic.conv{b}.{i}"
         kernel, bias = self.params[f"{name}.w"], self.params[f"{name}.b"]
-        stride, lookahead = (2 if i == 1 else 1), self.cfg.conv_lookahead[i]
+        lookahead = self.cfg.conv_lookahead[i]
         if state is None:
             return ad.conv1d_lookahead(x, kernel, bias, stride, lookahead, lengths=lengths)
         held = state.conv.get(name)
@@ -446,10 +448,11 @@ class Model:
             raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         kv = {} if state is None else state.kv
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
+        layout = _conv_layout(cfg)
 
         def convs_of_block(b: int, x: Tensor, lengths: np.ndarray):
-            for i in range(cfg.convs_per_block):
-                x, lengths = self._conv(b, i, x, lengths, state, end)
+            for _, i, stride in layout[b * cfg.convs_per_block:(b + 1) * cfg.convs_per_block]:
+                x, lengths = self._conv(b, i, stride, x, lengths, state, end)
             return x, lengths
 
         def transformers_of_block(b: int, x: Tensor, lengths: np.ndarray) -> Tensor:
@@ -479,7 +482,7 @@ class Model:
         logits = self._affine("ctc.out", ad.relu(self._affine("ctc.hidden", states)))
         return logits, ad.softmax(logits, axis=-1)
 
-    def acoustic_encode(self, features: np.ndarray, rng=None, state: StreamState | None = None,
+    def acoustic_encode(self, features: np.ndarray, state: StreamState | None = None,
                         end: bool = True) -> tuple[Tensor, Optional[Tensor]]:
         """Conv-Transformer stack plus the CTC grid (None when CTC is off).
 
@@ -490,7 +493,7 @@ class Model:
         follow; ``end=True`` pads the stream's end with zeros and so closes
         its remaining frames.
         """
-        states, _ = self._acoustic_stack(features, rng, state, end, None)
+        states, _ = self._acoustic_stack(features, None, state, end, None)
         return states, self._ctc_head(states)[1]
 
     def semantic_encode(self, shrunk: Tensor, rng=None, state: StreamState | None = None,

@@ -98,7 +98,7 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
 def _check_count(name: str, value) -> None:
     """Raise ValueError unless ``value`` is one positive integer (a bool is not one)."""
     check_integers(name, value)
-    if np.ndim(value) or value < 1:
+    if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

@@ -1,17 +1,24 @@
 """Reference ops the package does not use, kept as oracles for its tests.
 
-``matmul``, ``sub``, ``reshape`` and ``concat_rows`` are plain recorded
-ops that spell out op chains (shrinking, ``affine``, a growing key/value
-cache) step by step. ``masked_attention`` is the package's attention
-kernel as an op of its own, and ``dense_attention`` multi-head attention
-over the dense grid of all query and key rows, which that kernel computes
-block by block. ``attention_chain`` and ``feedforward_chain`` are the
-primitive op chains that ``ad.attention_sublayer`` and
-``ad.feedforward_sublayer`` each compute as one op, bit for bit.
-``per_tensor_adam_step`` is the Adam update of one named tensor at a
-time, which the flat in-place ``ad.adam_step`` must reproduce bit for
-bit. ``dense_mask`` and ``build_cross_attention_mask`` spell out an
-``ad.Blocks`` layout and the wait-k-stride-n rule as boolean grids.
+``matmul``, ``sub``, ``reshape``, ``concat_rows``, ``rows``, ``pick``
+and ``reduce_sum`` are plain recorded ops that spell out op chains
+(shrinking, ``affine``, a growing key/value cache, the loss terms) step
+by step, or reduce an output to a scalar to differentiate. ``ctc_nll``
+and ``blank_penalty`` are the CTC NLL of one utterance's grid and the
+blank penalty of a grid as ops of their own, and
+``blank_limited_ctc_chain`` and ``cross_entropy_chain`` the chains of one
+op per term that ``ctc.blank_limited_ctc_loss`` and ``ad.cross_entropy``
+each compute as one op, bit for bit. ``masked_attention`` is the
+package's attention kernel as an op of its own, and ``dense_attention``
+multi-head attention over the dense grid of all query and key rows,
+which that kernel computes block by block. ``attention_chain`` and
+``feedforward_chain`` are the primitive op chains that
+``ad.attention_sublayer`` and ``ad.feedforward_sublayer`` each compute as
+one op, bit for bit. ``per_tensor_adam_step`` is the Adam update of one
+named tensor at a time, which the flat in-place ``ad.adam_step`` must
+reproduce bit for bit. ``dense_mask`` and ``build_cross_attention_mask``
+spell out an ``ad.Blocks`` layout and the wait-k-stride-n rule as
+boolean grids.
 """
 
 import math
@@ -19,7 +26,7 @@ import math
 import numpy as np
 
 from simulst import autodiff as ad
-from simulst import model
+from simulst import ctc, model
 
 
 def sub(a, b):
@@ -53,6 +60,81 @@ def concat_rows(parts):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return ad.record_op(out, tuple(parts), vjp)
+
+
+def rows(x, start, stop):
+    """Rows ``start`` to ``stop`` of a tensor."""
+    out = x.data[start:stop].copy()
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        return (gx,)
+
+    return ad.record_op(out, (x,), vjp)
+
+
+def pick(x, idx):
+    """out[i] = x[i, idx[i]] for a 2-D tensor."""
+    idx = np.asarray(idx, dtype=np.int64)
+    rows_ix = np.arange(x.shape[0])
+    out = x.data[rows_ix, idx]
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (rows_ix, idx), g)
+        return (gx,)
+
+    return ad.record_op(out, (x,), vjp)
+
+
+def reduce_sum(x):
+    """The sum of all values of a tensor."""
+    return ad.record_op(np.asarray(x.data.sum()), (x,),
+                        lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
+
+
+def ctc_nll(log_posteriors, labels):
+    """The CTC NLL of ``labels`` on a grid of log posteriors, as an op of
+    its own: the kernel of ``ctc.blank_limited_ctc_loss``, with its
+    checks."""
+    nll, gradient = ctc._nll(log_posteriors.data, labels)
+    dtype = log_posteriors.data.dtype
+    return ad.record_op(np.asarray(nll, dtype=dtype), (log_posteriors,),
+                        lambda g: (float(g) * gradient().astype(dtype),))
+
+
+def blank_penalty(posteriors, mode="argmax_blank_frames"):
+    """The blank posterior mass of the frames ``mode`` selects: those whose
+    argmax label is blank (a selection held constant for gradients), or
+    all of them."""
+    blank = posteriors.shape[1] - 1
+    dtype = posteriors.data.dtype
+    if mode == "argmax_blank_frames":
+        sel = (posteriors.data.argmax(axis=1) == blank).astype(dtype)
+    else:
+        sel = np.ones(posteriors.shape[0], dtype=dtype)
+    return reduce_sum(ad.mul(ad.col(posteriors, blank), ad.Tensor(sel, dtype=dtype)))
+
+
+def blank_limited_ctc_chain(log_posteriors, posteriors, transcripts, lengths, lam, mode="argmax_blank_frames"):
+    """``ctc.blank_limited_ctc_loss`` as a chain of one op per term: each
+    utterance's rows and NLL, the weighted penalty, their sum and mean."""
+    ends = np.cumsum(lengths)
+    terms = [ctc_nll(rows(log_posteriors, end - n, end), labels)
+             for labels, n, end in zip(transcripts, lengths, ends)]
+    if lam != 0.0:
+        terms.append(ad.scale(blank_penalty(posteriors, mode), lam))
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return ad.scale(total, 1.0 / len(transcripts))
+
+
+def cross_entropy_chain(logits, targets):
+    """``ad.cross_entropy`` as its chain of ops: log-softmax, the targets'
+    entries, their sum and minus their mean."""
+    return ad.scale(reduce_sum(pick(ad.log_softmax(logits, axis=-1), targets)), -1.0 / len(targets))
 
 
 def masked_attention(q, k, v, blocks, n_heads=1):
@@ -182,6 +264,6 @@ def attention_runs(ops_and_masks, q, k, v, n_heads, dtype):
         ad.reset_tape()
         leaves = [ad.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
         out = op(*leaves, mask, n_heads)
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(weights, dtype=dtype))))
+        ad.backward(reduce_sum(ad.mul(out, ad.Tensor(weights, dtype=dtype))))
         runs.append([out.data] + [leaf.grad for leaf in leaves])
     return runs

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from simulst import autodiff as ad
 from conftest import central_difference, relative_error
-from oracles import (attention_runs, dense_attention, dense_mask, masked_attention, matmul, per_tensor_adam_step,
-                     zero_moments)
+from oracles import (attention_runs, cross_entropy_chain, dense_attention, dense_mask, masked_attention, matmul,
+                     per_tensor_adam_step, reduce_sum, zero_moments)
 
 
 def t64(data, requires_grad=False):
@@ -43,7 +43,7 @@ class TestAffine:
             ad.reset_tape()
             leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float32) for a in arrays]
             out = op(*leaves)
-            ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+            ad.backward(reduce_sum(ad.mul(out, probe)))
             runs.append([out.data] + [leaf.grad for leaf in leaves])
         assert runs[0][0].dtype == np.float32
         for mine, ref in zip(*runs):
@@ -55,7 +55,7 @@ class TestAffine:
         weights = rng.normal(size=(4, 2))
 
         def loss(x, w, b):
-            return ad.reduce_sum(ad.mul(ad.affine(x, w, b), t64(weights)))
+            return reduce_sum(ad.mul(ad.affine(x, w, b), t64(weights)))
 
         def f(*arrs):
             with ad.using_dtype(np.float64):
@@ -171,7 +171,7 @@ class TestConv1dLookahead:
         xt, kt, bt = t64(x, requires_grad=True), t64(kernel, requires_grad=True), t64(bias, requires_grad=True)
         y = ad.conv1d_lookahead(xt, kt, bt, stride, lookahead, lengths=lengths)[0]
         assert (y.data == 0).any() and (y.data > 0).any()  # the ReLU cuts some outputs
-        ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
+        ad.backward(reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
         assert relative_error(kt.grad, expected[1]) < 1e-6
         assert relative_error(bt.grad, expected[2]) < 1e-6
@@ -216,7 +216,7 @@ class TestConv1dLookahead:
         ad.reset_tape()
         xt = t64(rest, requires_grad=True)
         y = ad.conv1d_lookahead(xt, t64(kernel), bias, stride, lookahead, context)[0]
-        ad.backward(ad.reduce_sum(ad.mul(y, t64(weights))))
+        ad.backward(reduce_sum(ad.mul(y, t64(weights))))
         assert relative_error(xt.grad, expected[0]) < 1e-6
 
     def test_lengths_must_split_the_rows(self):
@@ -342,7 +342,7 @@ class TestMultiHeadAttention:
 
         def loss(q, k, v):
             out = masked_attention(q, k, v, blocks, n_heads)
-            return ad.reduce_sum(ad.mul(out, t64(weights)))
+            return reduce_sum(ad.mul(out, t64(weights)))
 
         def f(*arrs):
             with ad.using_dtype(np.float64):
@@ -484,7 +484,7 @@ class TestLayerNorm:
         g, b = (rng.normal(size=shape[-1]).astype(np.float32) for _ in range(2))
         leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float32) for a in (x, g, b)]
         out = ad.layer_norm(*leaves)
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=np.float32))))
+        ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=np.float32))))
         # the textbook formula through numpy's mean and var
         inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
         y = (x - x.mean(axis=-1, keepdims=True)) * inv
@@ -515,18 +515,38 @@ class TestCrossEntropy:
         with pytest.raises(ad.ShapeError):
             ad.cross_entropy(ad.Tensor(np.zeros((rows, 3))), np.array(targets, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_op_equals_the_chain_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n, n_classes = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+            logits = rng.normal(scale=4.0, size=(n, n_classes))
+            targets = rng.integers(0, n_classes, size=n)
+            runs = []
+            for loss_fn in (ad.cross_entropy, cross_entropy_chain):
+                ad.reset_tape()
+                x = ad.Tensor(logits, requires_grad=True, dtype=dtype)
+                loss = loss_fn(x, targets)
+                ops = ad.tape_length()
+                ad.backward(ad.scale(loss, 0.7))
+                runs.append((ops, loss.data, x.grad))
+            assert runs[0][0] == 1
+            assert runs[0][1].dtype == runs[1][1].dtype == dtype
+            for mine, ref in zip(runs[0][1:], runs[1][1:]):
+                assert mine.tobytes() == ref.tobytes()
+
 
 class TestBackward:
     def test_sum_of_squares(self):
         x = t64([3.0], requires_grad=True)
-        loss = ad.reduce_sum(ad.mul(x, x))
+        loss = reduce_sum(ad.mul(x, x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_unused_parameter_gets_zero(self):
         x = t64([2.0], requires_grad=True)
         p = t64([5.0], requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.mul(x, x)))
+        ad.backward(reduce_sum(ad.mul(x, x)))
         np.testing.assert_array_equal(p.grad, [0.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -537,7 +557,7 @@ class TestBackward:
     def test_accumulation_doubles_exactly(self):
         x = t64([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         w = t64([[0.2], [0.7]], requires_grad=True)
-        loss = ad.reduce_sum(ad.relu(matmul(x, w)))
+        loss = reduce_sum(ad.relu(matmul(x, w)))
         ad.backward(loss)
         once = (x.grad.copy(), w.grad.copy())
         ad.backward(loss)
@@ -557,7 +577,7 @@ class TestBackward:
                 h = matmul(ad.Tensor(xa), ad.Tensor(wa))
                 h = ad.layer_norm(h, ad.Tensor(ga), ad.Tensor(ba))
                 h = ad.softmax(h, axis=-1)
-                return ad.reduce_sum(ad.mul(h, h)).item()
+                return reduce_sum(ad.mul(h, h)).item()
 
         expected = central_difference(f, [xv, wv, gv, bv])
         with ad.using_dtype(np.float64):
@@ -567,7 +587,7 @@ class TestBackward:
             g = ad.Tensor(gv, requires_grad=True)
             b = ad.Tensor(bv, requires_grad=True)
             h = ad.softmax(ad.layer_norm(matmul(x, w), g, b), axis=-1)
-            ad.backward(ad.reduce_sum(ad.mul(h, h)))
+            ad.backward(reduce_sum(ad.mul(h, h)))
         for got, exp in zip([x.grad, w.grad, g.grad, b.grad], expected):
             assert relative_error(got, exp) < 1e-4
 
@@ -707,7 +727,7 @@ def test_gradcheck_random_graphs(seed):
             h = ad.relu(matmul(x, w))
             h = ad.add(h, x)
             p = ad.log_softmax(h, axis=-1)
-            loss = ad.scale(ad.reduce_sum(ad.mul(p, p)), 0.5)
+            loss = ad.scale(reduce_sum(ad.mul(p, p)), 0.5)
         return loss, x, w
 
     loss, x, w = run(xv, wv)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from simulst import autodiff as ad
 from simulst import ctc
 from conftest import central_difference, relative_error
+from oracles import blank_limited_ctc_chain, blank_penalty, ctc_nll
 
 
 def brute_force_nll(grid: np.ndarray, labels) -> float:
@@ -116,21 +117,21 @@ def two_loop_nll(log_posteriors: np.ndarray, labels):
 class TestCtcNll:
     def test_single_forced_path(self):
         grid = log_grid([[1.0, 0.0]])  # V={a}, p(a)=1
-        assert ctc.ctc_nll(grid, [0]).item() == pytest.approx(0.0, abs=1e-12)
+        assert ctc_nll(grid, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_two_frame_uniform(self):
         # paths collapsing to [a] among {aa, a_, _a, __}: all but __ -> p=0.75
         grid = log_grid(np.full((2, 2), 0.5))
-        assert ctc.ctc_nll(grid, [0]).item() == pytest.approx(-math.log(0.75), abs=1e-12)
+        assert ctc_nll(grid, [0]).item() == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_repeat_needs_blank(self):
         grid = log_grid(np.full((2, 2), 0.5))
         with pytest.raises(ctc.InfeasibleAlignmentError):
-            ctc.ctc_nll(grid, [0, 0])
+            ctc_nll(grid, [0, 0])
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError):
-            ctc.ctc_nll(log_grid(np.full((2, 2), 0.5)), [])
+            ctc_nll(log_grid(np.full((2, 2), 0.5)), [])
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -144,9 +145,9 @@ class TestCtcNll:
         expected = brute_force_nll(grid, labels)
         if math.isinf(expected):
             with pytest.raises(ctc.InfeasibleAlignmentError):
-                ctc.ctc_nll(log_grid(grid), labels)
+                ctc_nll(log_grid(grid), labels)
         else:
-            got = ctc.ctc_nll(log_grid(grid), labels).item()
+            got = ctc_nll(log_grid(grid), labels).item()
             assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -162,7 +163,7 @@ class TestCtcNll:
             log_post = (logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))).astype(dtype)
             ad.reset_tape()
             x = ad.Tensor(log_post, requires_grad=True, dtype=dtype)
-            loss = ctc.ctc_nll(x, labels)
+            loss = ctc_nll(x, labels)
             ad.backward(loss)
             want_loss, want_grad = two_loop_nll(log_post, labels)
             assert loss.data.tobytes() == want_loss.tobytes()
@@ -247,23 +248,23 @@ class TestDetectBoundaries:
 class TestBlankPenalty:
     def test_no_blank_argmax_gives_zero(self):
         grid = ad.Tensor([[0.9, 0.1], [0.8, 0.2]])
-        assert ctc.blank_penalty(grid).item() == pytest.approx(0.0)
+        assert blank_penalty(grid).item() == pytest.approx(0.0)
 
     def test_three_blank_frames(self):
         grid = ad.Tensor(np.array([[0.1, 0.9]] * 3), dtype=np.float64)
-        assert ctc.blank_penalty(grid).item() == pytest.approx(2.7, abs=1e-12)
+        assert blank_penalty(grid).item() == pytest.approx(2.7, abs=1e-12)
 
     def test_monotone_in_selected_blank_mass(self):
         base = np.array([[0.2, 0.8], [0.45, 0.55], [0.9, 0.1]])
         lower = base.copy()
         lower[1] = [0.48, 0.52]  # same argmax, less blank mass
-        p_base = ctc.blank_penalty(ad.Tensor(base, dtype=np.float64)).item()
-        p_lower = ctc.blank_penalty(ad.Tensor(lower, dtype=np.float64)).item()
+        p_base = blank_penalty(ad.Tensor(base, dtype=np.float64)).item()
+        p_lower = blank_penalty(ad.Tensor(lower, dtype=np.float64)).item()
         assert p_lower < p_base
 
     def test_all_frames_mode(self):
         grid = ad.Tensor([[0.6, 0.4], [0.3, 0.7]], dtype=np.float64)
-        assert ctc.blank_penalty(grid, mode="all_frames").item() == pytest.approx(1.1, abs=1e-12)
+        assert blank_penalty(grid, mode="all_frames").item() == pytest.approx(1.1, abs=1e-12)
 
 
 class TestBlankLimitedLoss:
@@ -272,14 +273,14 @@ class TestBlankLimitedLoss:
         grid = random_grid(rng, 4, 3)
         a = ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), [[0, 1]], [4],
                                        lam=0.0).item()
-        b = ctc.ctc_nll(log_grid(grid), [0, 1]).item()
+        b = ctc_nll(log_grid(grid), [0, 1]).item()
         assert a == b
 
     def test_weighted_sum(self):
         rng = np.random.default_rng(6)
         grid = random_grid(rng, 5, 3)
-        nll = ctc.ctc_nll(log_grid(grid), [1]).item()
-        pen = ctc.blank_penalty(ad.Tensor(grid, dtype=np.float64)).item()
+        nll = ctc_nll(log_grid(grid), [1]).item()
+        pen = blank_penalty(ad.Tensor(grid, dtype=np.float64)).item()
         tot = ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), [[1]], [5],
                                          lam=0.5).item()
         assert tot == pytest.approx(nll + 0.5 * pen, rel=1e-12)
@@ -304,25 +305,60 @@ class TestBlankLimitedLoss:
             ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid, dtype=np.float64), labels,
                                        [4, 4], lam=0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ctc.BLANK_PENALTY_MODES)
+    def test_one_op_equals_the_chain_of_terms_bit_for_bit(self, dtype, lam, mode):
+        rng = np.random.default_rng(13)
+        for trial in range(30):
+            n_vocab = int(rng.integers(1, 5))
+            transcripts = [rng.integers(0, n_vocab, size=int(rng.integers(1, 5)))
+                           for _ in range(int(rng.integers(1, 4)))]
+            lengths = [ctc.min_path_length(y) + (0 if trial % 4 == 0 else int(rng.integers(0, 5)))
+                       for y in transcripts]
+            logits = rng.normal(scale=3.0, size=(sum(lengths), n_vocab + 1))
+            log_post = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            runs = []
+            for loss_fn in (ctc.blank_limited_ctc_loss, blank_limited_ctc_chain):
+                ad.reset_tape()
+                grids = [ad.Tensor(a, requires_grad=True, dtype=dtype) for a in (log_post, np.exp(log_post))]
+                loss = loss_fn(*grids, transcripts, lengths, lam, mode)
+                ops = ad.tape_length()
+                ad.backward(ad.scale(loss, 0.7))
+                runs.append((ops, loss.data, grids[0].grad, grids[1].grad))
+            assert runs[0][0] == 1
+            assert runs[0][1].dtype == runs[1][1].dtype == dtype
+            for mine, ref in zip(runs[0][1:], runs[1][1:]):
+                assert mine.tobytes() == ref.tobytes()
+
+    def test_an_infeasible_utterance_raises(self):
+        grid = np.full((3, 2), 0.5)
+        with pytest.raises(ctc.InfeasibleAlignmentError):
+            ctc.blank_limited_ctc_loss(log_grid(grid), ad.Tensor(grid), [[0], [0, 0]], [1, 2], lam=0.5)
+
 
 @settings(deadline=None, max_examples=20)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5]))
-def test_loss_gradient_matches_finite_differences(seed, lam):
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5]), st.sampled_from([1, 2]))
+def test_loss_gradient_matches_finite_differences(seed, lam, n_utts):
     rng = np.random.default_rng(seed)
-    t_frames = int(rng.integers(2, 6))
     n_vocab = int(rng.integers(1, 4))
-    labels = rng.integers(0, n_vocab, size=int(rng.integers(1, 3)))
-    if ctc.min_path_length(labels) > t_frames:
-        labels = labels[:1]
-    logits = rng.normal(size=(t_frames, n_vocab + 1))
+    transcripts, lengths = [], []
+    for _ in range(n_utts):
+        t_frames = int(rng.integers(2, 6))
+        labels = rng.integers(0, n_vocab, size=int(rng.integers(1, 3)))
+        if ctc.min_path_length(labels) > t_frames:
+            labels = labels[:1]
+        transcripts.append(labels)
+        lengths.append(t_frames)
+    logits = rng.normal(size=(sum(lengths), n_vocab + 1))
     # keep argmax decisions stable under the probe step
     gaps = np.sort(logits, axis=1)
     if (gaps[:, -1] - gaps[:, -2] < 1e-3).any():
         logits[:, 0] += 0.1
 
     def loss_of(lo):
-        return ctc.blank_limited_ctc_loss(ad.log_softmax(lo, axis=-1), ad.softmax(lo, axis=-1), [labels],
-                                          [t_frames], lam=lam)
+        return ctc.blank_limited_ctc_loss(ad.log_softmax(lo, axis=-1), ad.softmax(lo, axis=-1), transcripts,
+                                          lengths, lam=lam)
 
     def f(lo):
         ad.reset_tape()

@@ -64,7 +64,7 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             data.generate_synthetic_corpus(data.SyntheticTaskConfig(), 0)
 
-    @pytest.mark.parametrize("size", [1.5, True])
+    @pytest.mark.parametrize("size", [1.5, True, [2]])
     def test_non_integer_size_rejected(self, size):
         with pytest.raises(ValueError, match="size"):
             data.generate_synthetic_corpus(data.SyntheticTaskConfig(), size)
@@ -77,6 +77,7 @@ class TestSynthetic:
         ("swap_probability", 2.0), ("swap_probability", -0.5), ("reorder_window", -3),
         ("seed", -1), ("seed", 1.5), ("vocab_size", 2.5), ("feature_dim", 4.0), ("reorder_window", 1.5),
         ("length_range", (3.5, 8)), ("frames_per_token", (8, 16.0)),
+        ("vocab_size", [20]), ("seed", [0]), ("frames_per_token", ((8,), (16,))), ("length_range", 5),
     ])
     def test_bad_values_rejected_at_construction(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -8,7 +8,8 @@ import pytest
 
 from simulst import autodiff as ad
 from simulst import ctc, data, model
-from oracles import attention_runs, build_cross_attention_mask, dense_attention, masked_attention, zero_moments
+from oracles import (attention_runs, build_cross_attention_mask, ctc_nll, dense_attention, masked_attention,
+                     zero_moments)
 
 
 def tiny_cfg(**kw):
@@ -325,7 +326,7 @@ def test_a_streamed_layer_makes_one_op_call_per_sub_layer(monkeypatch):
         m._tf_forward("decoder.tf0", x, m._self_mask(3, causal=True), None, state.kv, units,
                       ad.Blocks([3], [4], [2, 3, 4]))
         assert len(calls) == 7
-        m._conv(0, 1, ad.Tensor(rng.normal(size=(5, 16)).astype(np.float32)), None, state, False)
+        m._conv(0, 1, 2, ad.Tensor(rng.normal(size=(5, 16)).astype(np.float32)), None, state, False)
         assert len(calls) == 8
     assert ad.tape_length() == 0
     # the caches hold plain arrays: past rows first, then the new ones
@@ -406,6 +407,10 @@ class TestStreamingEncode:
     dict(conv_kernel=3.0),
     dict(ffn_dim=128.5),
     dict(conv_lookahead=(0, 0, 1.0)),
+    dict(n_blocks=[3]),  # a count is one integer, not a sequence of them
+    dict(d_model=[64]),
+    dict(conv_lookahead=((0,), (0,), (1,))),  # one flat sequence
+    dict(conv_lookahead=1),
     dict(wait_k=True),
     dict(stride_n=True),
 ])
@@ -562,6 +567,23 @@ class TestPackedBatch:
             tapes.append(ad.tape_length())
         assert len(batch) == 8 and tapes[0] <= 2 * tapes[1], tapes
 
+    @pytest.mark.parametrize("compute_st", [True, False])
+    def test_tape_length_does_not_grow_with_the_batch(self, compute_st):
+        # every layer runs once per packed batch and each loss term is one op
+        corpus = tiny_corpus(n=8, seed=6, frames_per_token=(3, 5))
+        m = model.Model(tiny_cfg(src_vocab_size=len(corpus.src_vocab.tokens),
+                                 tgt_vocab_size=len(corpus.tgt_vocab.tokens)), seed=0)
+        batch = data.make_batches(corpus, max_frames=10 ** 6)[0]
+        tapes = []
+        for b in (batch, batch[:1]):
+            ad.reset_tape()
+            loss_st, loss_ctc, diag = m.forward_train(b, rng=np.random.default_rng(0), compute_st=compute_st)
+            if compute_st:
+                m.total_loss(loss_st, loss_ctc)
+            assert len(diag["skipped_ids"]) == 0
+            tapes.append(ad.tape_length())
+        assert len(batch) == 8 and tapes[0] == tapes[1], tapes
+
     def test_skips_are_decided_before_encoding_and_listed(self, caplog):
         corpus = tiny_corpus(n=6, seed=1, frames_per_token=(2, 2), length_range=(3, 3))
         m = model.Model(tiny_cfg(n_blocks=2, src_vocab_size=len(corpus.src_vocab.tokens),
@@ -583,7 +605,7 @@ class TestPackedBatch:
             assert model.skip_reason(m.cfg, utt.n_frames, utt.source) is not None
             if i > 0:
                 with pytest.raises(ctc.InfeasibleAlignmentError):
-                    ctc.ctc_nll(ad.Tensor(np.zeros((2, m.cfg.src_vocab_size + 1))), utt.source)
+                    ctc_nll(ad.Tensor(np.zeros((2, m.cfg.src_vocab_size + 1))), utt.source)
 
     def test_cross_attention_mask_of_a_batch_is_block_diagonal(self):
         mask = build_cross_attention_mask(2, 2, [3, 5], [4, 2])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from simulst import autodiff as ad
 from simulst import ctc, shrink
 from conftest import central_difference, relative_error
-from oracles import concat_rows, matmul, reshape, sub
+from oracles import concat_rows, matmul, reduce_sum, reshape, rows, sub
 
 
 def seg(*edges):
@@ -173,7 +173,7 @@ def test_gradients_match_finite_differences(seed):
             out = shrink.shrink_states(
                 ad.Tensor(sv), ad.Tensor(bv), None, segments, shrink.ShrinkConfig(temperature=1.0)
             )
-            return ad.reduce_sum(ad.mul(out, out)).item()
+            return reduce_sum(ad.mul(out, out)).item()
 
     expected = central_difference(f, [states, blanks])
     ad.reset_tape()
@@ -181,7 +181,7 @@ def test_gradients_match_finite_differences(seed):
         s = ad.Tensor(states, requires_grad=True)
         b = ad.Tensor(blanks, requires_grad=True)
         out = shrink.shrink_states(s, b, None, segments, shrink.ShrinkConfig(temperature=1.0))
-        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        ad.backward(reduce_sum(ad.mul(out, out)))
     assert relative_error(s.grad, expected[0]) < 1e-4
     assert relative_error(b.grad, expected[1]) < 1e-4
 
@@ -192,7 +192,7 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
     dtype = states.data.dtype
     out_rows = []
     for start, stop in spans(segments):
-        seg = ad.rows(states, start, stop)
+        seg = rows(states, start, stop)
         if cfg.mode in ("argmax_frame", "drop_blank"):
             if cfg.mode == "argmax_frame":
                 w = np.zeros((1, stop - start), dtype=dtype)
@@ -205,7 +205,7 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
             out_rows.append(matmul(ad.Tensor(w, dtype=dtype), seg))
             continue
         mu = 0.0 if cfg.mode == "average" else cfg.temperature
-        conf = ad.scale(sub(ad.Tensor(1.0, dtype=dtype), ad.rows(blank_probs, start, stop)), mu)
+        conf = ad.scale(sub(ad.Tensor(1.0, dtype=dtype), rows(blank_probs, start, stop)), mu)
         w = reshape(ad.softmax(conf, axis=-1), (1, stop - start))
         out_rows.append(matmul(w, seg))
     return concat_rows(out_rows)
@@ -227,7 +227,7 @@ def test_one_op_equals_the_per_segment_chain_bit_for_bit(cfg, dtype):
             b = ad.Tensor(blanks, requires_grad=True, dtype=dtype)
             out = fn(s, b, path, segments, cfg)
             ops = ad.tape_length()
-            ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=dtype))))
+            ad.backward(reduce_sum(ad.mul(out, ad.Tensor(probe, dtype=dtype))))
             runs.append((ops, out.data, s.grad, b.grad))
         assert runs[0][0] == 1
         for mine, ref in zip(runs[0][1:], runs[1][1:]):

@@ -7,7 +7,7 @@ import pytest
 
 from simulst import autodiff as ad
 from conftest import central_difference, relative_error
-from oracles import attention_chain, feedforward_chain
+from oracles import attention_chain, feedforward_chain, reduce_sum
 
 D, HEADS, FFN = 8, 2, 12
 
@@ -69,7 +69,7 @@ def run_stack(case, dtype, fused, rate, seed=0):
                     x, kv = attention_chain(x, weights, blocks, HEADS, src, past, rate, dropout_rng)
                 caches += kv
             x = (ad.feedforward_sublayer if fused else feedforward_chain)(x, ffn_weights, rate, dropout_rng)
-        ad.backward(ad.reduce_sum(ad.mul(x, probe)))
+        ad.backward(reduce_sum(ad.mul(x, probe)))
     every_leaf = [x_leaf, source_leaf] + [w for layer in layers for group in layer for w in group]
     return x.data, caches, [leaf.grad for leaf in every_leaf]
 
@@ -126,7 +126,7 @@ def test_gradcheck(kind):
             out, _ = ad.attention_sublayer(x, weights, ad.Blocks([3], [4], [2, 3, 4]), HEADS, source)
         else:
             out, _ = ad.attention_sublayer(x, weights, ad.Blocks([3], [3], [1, 2, 3], past=2), HEADS, past=past)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe)))
+        return reduce_sum(ad.mul(out, ad.Tensor(probe)))
 
     def f(*arrays):
         ad.reset_tape()

@@ -317,6 +317,8 @@ class TestEvaluate:
     dict(seed=1.5),
     dict(warmup=2.5),
     dict(max_frames=300.5),
+    dict(warmup=[1]),  # one integer, not a sequence of them
+    dict(seed=[1]),
 ])
 def test_bad_settings_rejected_at_construction(kw):
     with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ utterances, from the benchmark weights (``perfbench/weights.ckpt``), for B in
 the snapshot after the update. Every repeat times each batch once, batch
 sizes interleaved, so a slower host stretches all sizes alike. The script
 prints one JSON line: per batch size the median and quartiles of the step
-time in ms over all calls, and the median per utterance. It runs on one
-BLAS thread, as the benchmark does; the seed picks the utterances.
+time in ms over all calls, the median per utterance, and the tape entries
+that one ``forward_train`` plus ``total_loss`` records on the size's first
+batch, a count that does not drift with the host. It runs on one BLAS
+thread, as the benchmark does; the seed picks the utterances.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
     run.import_package()
     import numpy as np
+    from simulst import autodiff as ad
     from simulst import data, train
 
-    ckpt, _ = run.load_weights()
+    ckpt, net = run.load_weights()
     pool = run.make_pool(run.SHORT)
     count = BATCHES_PER_SIZE * sum(BATCH_SIZES)
     picked = run.pick_utterances(pool, run.SHORT, count, np.random.default_rng(args.seed),
@@ -67,6 +70,15 @@ def main(argv=None) -> int:
             raise RuntimeError(f"a batch of {size} made {out.opt.step} updates, not one")
         return elapsed
 
+    def tape_entries(corpus) -> int:
+        ad.reset_tape()
+        loss_st, loss_ctc, _ = net.forward_train(corpus.utterances, rng=np.random.default_rng(args.seed))
+        net.total_loss(loss_st, loss_ctc)
+        entries = ad.tape_length()
+        ad.reset_tape()
+        return entries
+
+    tape = {str(size): tape_entries(corpus) for size, corpus in batches[::BATCHES_PER_SIZE]}
     for size, corpus in batches:  # warm-up
         step(size, corpus)
     times = {size: [] for size in BATCH_SIZES}
@@ -76,7 +88,8 @@ def main(argv=None) -> int:
     curve = {}
     for size, values in times.items():
         stats = quartiles(values)
-        curve[str(size)] = {**stats, "ms_per_utt": stats["median_ms"] / size, "calls": len(values)}
+        curve[str(size)] = {**stats, "ms_per_utt": stats["median_ms"] / size, "calls": len(values),
+                            "tape_entries": tape[str(size)]}
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "step_ms": curve}))
     return 0
 
