@@ -241,45 +241,46 @@ def relu(a: Tensor) -> Tensor:
     return record_op(out, (a,), lambda g: (g * mask,))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax along ``axis`` with max-subtraction."""
-    if x.ndim == 0 or x.shape[axis] == 0:
-        raise ShapeError(f"softmax over empty axis {axis} of shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Row-stochastic softmax along the last axis with max-subtraction."""
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax over an empty last axis of shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return record_op(y, (x,), vjp)
 
 
-def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Log-softmax along ``axis`` of an array, with max-subtraction."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis of an array, with max-subtraction."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _log_softmax_vjp(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+def _log_softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The gradient of ``_log_softmax``'s input, from its output ``out``."""
-    return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+    return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.ndim == 0 or x.shape[axis] == 0:
-        raise ShapeError(f"log_softmax over empty axis {axis} of shape {x.shape}")
-    out = _log_softmax(x.data, axis)
-    return record_op(out, (x,), lambda g: (_log_softmax_vjp(g, out, axis),))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax along the last axis."""
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"log_softmax over an empty last axis of shape {x.shape}")
+    out = _log_softmax(x.data)
+    return record_op(out, (x,), lambda g: (_log_softmax_vjp(g, out),))
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of the rows of an array: the output, the normalized rows
     ``y`` and their inverse deviations ``inv``, which its VJP reads."""
     d = x.shape[-1]
     # np.mean's and np.var's own reductions without their Python wrappers: the same bits, less overhead
     dev = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / d + 1e-5)  # eps
     y = dev * inv
     return y * gain + bias, y, inv
 
@@ -294,11 +295,11 @@ def _layer_norm_vjp(g: np.ndarray, y: np.ndarray, inv: np.ndarray, gain: np.ndar
     return gx, (g * y).sum(axis=axes), g.sum(axis=axes)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row zero-mean/unit-variance over the last axis, then affine."""
     if x.shape[-1] < 2:
         raise ShapeError("layer_norm needs at least 2 features per row")
-    out, y, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    out, y, inv = _layer_norm(x.data, gain.data, bias.data)
     return record_op(out, (x, gain, bias), lambda g: _layer_norm_vjp(g, y, inv, gain.data))
 
 
@@ -660,13 +661,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     bad = (targets < 0) | (targets >= n_classes)
     if bad.any():
         raise ValueError(f"cross_entropy: target {int(targets[bad][0])} outside [0, {n_classes})")
-    out = _log_softmax(logits.data, -1)
+    out = _log_softmax(logits.data)
     at = (np.arange(n), targets)
 
     def vjp(g):
         picked = np.zeros_like(out)  # the gradient of the targets' log-probabilities
         picked[at] += np.broadcast_to(g * (-1.0 / n), (n,)).astype(out.dtype)
-        return (_log_softmax_vjp(picked, out, -1),)
+        return (_log_softmax_vjp(picked, out),)
 
     return record_op(np.asarray(out[at].sum()) * (-1.0 / n), (logits,), vjp)
 

@@ -93,6 +93,8 @@ class SyntheticTaskConfig:
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("frames_per_token", "length_range"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must be one (lo, hi) pair, got {getattr(self, name)!r}")
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {(lo, hi)}")

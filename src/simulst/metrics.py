@@ -66,15 +66,18 @@ def average_lagging(rec: LatencyRecord) -> float:
 # BLEU
 # ---------------------------------------------------------------------------
 
+BLEU_ORDER = 4  # the longest n-gram scored
+
 
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
+def corpus_bleu(hypotheses, references) -> float:
     """Corpus-level BLEU in [0, 100]: geometric mean of modified n-gram
-    precisions times the brevity penalty. Whitespace/plain-token n-grams,
-    case-sensitive; any zero precision zeroes the score."""
+    precisions, n up to ``BLEU_ORDER``, times the brevity penalty.
+    Whitespace/plain-token n-grams, case-sensitive; any zero precision
+    zeroes the score."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}"
@@ -83,21 +86,21 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
         raise ValueError("corpus_bleu needs at least one pair")
     hyp_len = 0
     ref_len = 0
-    matched = [0] * max_n
-    total = [0] * max_n
+    matched = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
     for hyp, ref in zip(hypotheses, references):
         hyp = list(hyp)
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hyp_counts = _ngrams(hyp, n)
             ref_counts = _ngrams(ref, n)
             total[n - 1] += max(len(hyp) - n + 1, 0)
             matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
     log_precision = 0.0
     orders = 0
-    for n in range(max_n):
+    for n in range(BLEU_ORDER):
         if total[n] == 0:
             continue
         if matched[n] == 0:

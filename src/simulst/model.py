@@ -19,7 +19,9 @@ algorithm per utterance inside its op. One utterance is the packed case
 with one sequence. Every attention mask is an ``ad.Blocks`` layout:
 causal blocks for self-attention, the wait-k-stride-n rule for
 cross-attention, and for a stream's rows the cached rows before them as
-the layout's past.
+the layout's past. Every self-attention is causal, in the encoders as in
+the decoder, so training and streaming encode the same frames;
+``ModelConfig.unidirectional`` accepts only True.
 
 The stages pass plain tensors: ``acoustic_encode`` gives encoder frames
 and the CTC grid, ``semantic_encode`` turns shrunk segment states into
@@ -50,10 +52,6 @@ from .shrink import ShrinkConfig
 log = logging.getLogger(__name__)
 
 WAIT_INF = math.inf
-
-
-class NonCausalEncoderError(ValueError):
-    """The encoder sees future frames, so it cannot encode a stream as it arrives."""
 
 
 class NoLossError(ValueError):
@@ -135,6 +133,8 @@ class ModelConfig:
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         self.shrink_config  # ShrinkConfig rejects a bad mode or temperature
+        if self.unidirectional is not True:  # kept as a field only so that checkpoint headers load
+            raise ValueError(f"unidirectional must be True (self-attention is causal), got {self.unidirectional!r}")
         if self.use_shrink and not self.use_ctc:
             raise ValueError("use_shrink needs use_ctc: segments are cut on the CTC path")
         if self.blank_penalty_mode not in ctc_mod.BLANK_PENALTY_MODES:
@@ -408,15 +408,13 @@ class Model:
         weights = self._weights(prefix + ".ln2", prefix + ".ffn", _FFN_WEIGHTS)
         return ad.feedforward_sublayer(x, weights, self.cfg.dropout, rng)
 
-    def _self_mask(self, lengths, past: int = 0, causal: Optional[bool] = None) -> ad.Blocks:
-        """The self-attention layout of rows in consecutive sequences of
-        ``lengths``: each row sees the ``past`` cached rows and the rows of
-        its own sequence, only those up to itself when ``causal`` (by
-        default ``cfg.unidirectional``; the decoder is always causal)."""
+    @staticmethod
+    def _self_mask(lengths, past: int = 0) -> ad.Blocks:
+        """The causal self-attention layout of rows in consecutive sequences
+        of ``lengths``: each row sees the ``past`` cached rows and the rows
+        of its own sequence up to itself."""
         lengths = np.atleast_1d(lengths)
-        causal = self.cfg.unidirectional if causal is None else causal
-        return ad.Blocks(lengths, lengths, ad.packed_offsets(lengths) + 1 if causal else np.repeat(lengths, lengths),
-                         past)
+        return ad.Blocks(lengths, lengths, ad.packed_offsets(lengths) + 1, past)
 
     def _conv(self, b: int, i: int, stride: int, x: Tensor, lengths: np.ndarray,
               state: Optional[StreamState], end: bool) -> tuple[Tensor, np.ndarray]:
@@ -444,8 +442,6 @@ class Model:
             reason = skip_reason(cfg, int(lengths.min()), ())
             if reason is not None:
                 raise ValueError(f"cannot encode: {reason}")
-        elif not cfg.unidirectional:
-            raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         kv = {} if state is None else state.kv
         x = Tensor(np.asarray(features, dtype=ad.default_dtype()))
         layout = _conv_layout(cfg)
@@ -480,7 +476,7 @@ class Model:
         if not self.cfg.use_ctc:
             return None, None
         logits = self._affine("ctc.out", ad.relu(self._affine("ctc.hidden", states)))
-        return logits, ad.softmax(logits, axis=-1)
+        return logits, ad.softmax(logits)
 
     def acoustic_encode(self, features: np.ndarray, state: StreamState | None = None,
                         end: bool = True) -> tuple[Tensor, Optional[Tensor]]:
@@ -509,8 +505,6 @@ class Model:
         """
         if state is None:
             state = StreamState()
-        elif not self.cfg.unidirectional:
-            raise NonCausalEncoderError("bidirectional attention cannot encode a stream incrementally")
         elif lengths is not None:
             raise ValueError("a stream is one sequence; it takes no sequence lengths")
         past = state.rows
@@ -550,7 +544,7 @@ class Model:
         emb = ad.scale(ad.embedding(self.params["decoder.embed"], prefix_ids), math.sqrt(cfg.d_model))
         pos = packed_positions(lengths, cfg.d_model, emb.data.dtype, past)
         x = ad.dropout(ad.add(emb, Tensor(pos, dtype=emb.data.dtype)), cfg.dropout, rng)
-        self_mask = self._self_mask(lengths, past, causal=True)
+        self_mask = self._self_mask(lengths, past)
         for l in range(cfg.decoder_layers):
             x = self._tf_forward(f"decoder.tf{l}", x, self_mask, rng,
                                  cross_kv=units, cross_mask=cross_mask, kv_cache=state.kv)
@@ -599,7 +593,7 @@ class Model:
                                                   cfg.shrink_config)
                 units, unit_lengths = self.semantic_encode(shrunk, rng, lengths=counts), counts
             loss_ctc = ctc_mod.blank_limited_ctc_loss(
-                ad.log_softmax(ctc_logits, axis=-1), posteriors, [utt.source for utt in keep], frames,
+                ad.log_softmax(ctc_logits), posteriors, [utt.source for utt in keep], frames,
                 lam=cfg.blank_penalty_weight, mode=cfg.blank_penalty_mode,
             )
             diagnostics["blank_fraction"] = float((path == ctc_mod.BLANK).mean())

@@ -13,9 +13,8 @@ it, so a result needs an ended stream.
 Finalized values match an offline pass up to float rounding (the two
 compute the same sums over row blocks of different sizes). The session
 detects segment boundaries online and alternates reading n new source
-units with beam-reranked writes of n tokens. The encoder must be
-unidirectional: a bidirectional one is rejected with
-``NonCausalEncoderError``.
+units with beam-reranked writes of n tokens. Every self-attention of the
+model is causal, so a frame or unit, once computed, never changes.
 
 Every call gives a stage only what its state lacks, so the session keeps
 no source unit, only how many it gave the decoder, and every unit, frame
@@ -53,7 +52,7 @@ from . import model as model_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
 from .data import EOS, check_integers
-from .model import Model, NonCausalEncoderError, visible_units
+from .model import Model, visible_units
 
 READ, WRITE, FINISH = "read", "write", "finish"
 
@@ -113,11 +112,6 @@ class StreamSession:
 
     def __init__(self, model: Model, wait_k=None, stride_n=None, beam_size: int = 5, tgt_vocab=None):
         cfg = model.cfg
-        if not cfg.unidirectional:
-            raise NonCausalEncoderError(
-                "streaming needs a unidirectional encoder; with bidirectional attention "
-                "no frame is final before end-of-stream"
-            )
         self.model = model
         self.wait_k = cfg.wait_k if wait_k is None else wait_k
         self.stride_n = cfg.stride_n if stride_n is None else stride_n

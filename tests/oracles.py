@@ -134,7 +134,7 @@ def blank_limited_ctc_chain(log_posteriors, posteriors, transcripts, lengths, la
 def cross_entropy_chain(logits, targets):
     """``ad.cross_entropy`` as its chain of ops: log-softmax, the targets'
     entries, their sum and minus their mean."""
-    return ad.scale(reduce_sum(pick(ad.log_softmax(logits, axis=-1), targets)), -1.0 / len(targets))
+    return ad.scale(reduce_sum(pick(ad.log_softmax(logits), targets)), -1.0 / len(targets))
 
 
 def masked_attention(q, k, v, blocks, n_heads=1):

@@ -88,7 +88,7 @@ class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = ad.Tensor(rng.normal(size=(5, 7)) * 10)
-        y = ad.softmax(x, axis=-1)
+        y = ad.softmax(x)
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-6)
         assert (y.data >= 0).all()
 
@@ -101,7 +101,7 @@ class TestSoftmax:
 
     def test_empty_axis_error(self):
         with pytest.raises(ad.ShapeError):
-            ad.softmax(ad.Tensor(np.zeros((3, 0))), axis=-1)
+            ad.softmax(ad.Tensor(np.zeros((3, 0))))
 
 
 class TestConv1dLookahead:
@@ -576,7 +576,7 @@ class TestBackward:
                 ad.reset_tape()
                 h = matmul(ad.Tensor(xa), ad.Tensor(wa))
                 h = ad.layer_norm(h, ad.Tensor(ga), ad.Tensor(ba))
-                h = ad.softmax(h, axis=-1)
+                h = ad.softmax(h)
                 return reduce_sum(ad.mul(h, h)).item()
 
         expected = central_difference(f, [xv, wv, gv, bv])
@@ -586,7 +586,7 @@ class TestBackward:
             w = ad.Tensor(wv, requires_grad=True)
             g = ad.Tensor(gv, requires_grad=True)
             b = ad.Tensor(bv, requires_grad=True)
-            h = ad.softmax(ad.layer_norm(matmul(x, w), g, b), axis=-1)
+            h = ad.softmax(ad.layer_norm(matmul(x, w), g, b))
             ad.backward(reduce_sum(ad.mul(h, h)))
         for got, exp in zip([x.grad, w.grad, g.grad, b.grad], expected):
             assert relative_error(got, exp) < 1e-4
@@ -726,7 +726,7 @@ def test_gradcheck_random_graphs(seed):
             w = ad.Tensor(wa, requires_grad=True)
             h = ad.relu(matmul(x, w))
             h = ad.add(h, x)
-            p = ad.log_softmax(h, axis=-1)
+            p = ad.log_softmax(h)
             loss = ad.scale(reduce_sum(ad.mul(p, p)), 0.5)
         return loss, x, w
 

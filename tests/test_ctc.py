@@ -357,7 +357,7 @@ def test_loss_gradient_matches_finite_differences(seed, lam, n_utts):
         logits[:, 0] += 0.1
 
     def loss_of(lo):
-        return ctc.blank_limited_ctc_loss(ad.log_softmax(lo, axis=-1), ad.softmax(lo, axis=-1), transcripts,
+        return ctc.blank_limited_ctc_loss(ad.log_softmax(lo), ad.softmax(lo), transcripts,
                                           lengths, lam=lam)
 
     def f(lo):

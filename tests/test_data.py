@@ -78,6 +78,7 @@ class TestSynthetic:
         ("seed", -1), ("seed", 1.5), ("vocab_size", 2.5), ("feature_dim", 4.0), ("reorder_window", 1.5),
         ("length_range", (3.5, 8)), ("frames_per_token", (8, 16.0)),
         ("vocab_size", [20]), ("seed", [0]), ("frames_per_token", ((8,), (16,))), ("length_range", 5),
+        ("length_range", (3, 4, 5)), ("frames_per_token", (8,)),  # a range is one pair
     ])
     def test_bad_values_rejected_at_construction(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -123,18 +123,6 @@ class TestCausality:
                 pert, _ = m.acoustic_encode(x2)
                 np.testing.assert_array_equal(base.data[t_out], pert.data[t_out])
 
-    def test_bidirectional_flag_breaks_causality(self):
-        cfg = tiny_cfg(unidirectional=False)
-        m = model.Model(cfg, seed=1)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(20, 6)).astype(np.float32)
-        with ad.no_grad():
-            base, _ = m.acoustic_encode(x)
-            x2 = x.copy()
-            x2[-4:] += 7.5
-            pert, _ = m.acoustic_encode(x2)
-        assert not np.array_equal(base.data[0], pert.data[0])
-
     def test_semantic_encoder_causal(self):
         m = model.Model(tiny_cfg(), seed=3)
         rng = np.random.default_rng(3)
@@ -247,7 +235,6 @@ ABLATIONS = [
     dict(shrink_mode="average"),
     dict(shrink_mode="argmax_frame"),
     dict(blank_penalty_mode="all_frames"),
-    dict(unidirectional=False),
 ]
 
 
@@ -323,7 +310,7 @@ def test_a_streamed_layer_makes_one_op_call_per_sub_layer(monkeypatch):
         m._tf_forward("acoustic.block0.tf0", x, m._self_mask(3), None, state.kv)
         m._tf_forward("acoustic.block0.tf0", x, m._self_mask(3, past=3), None, state.kv)
         assert len(calls) == 4
-        m._tf_forward("decoder.tf0", x, m._self_mask(3, causal=True), None, state.kv, units,
+        m._tf_forward("decoder.tf0", x, m._self_mask(3), None, state.kv, units,
                       ad.Blocks([3], [4], [2, 3, 4]))
         assert len(calls) == 7
         m._conv(0, 1, 2, ad.Tensor(rng.normal(size=(5, 16)).astype(np.float32)), None, state, False)
@@ -413,9 +400,10 @@ class TestStreamingEncode:
     dict(conv_lookahead=1),
     dict(wait_k=True),
     dict(stride_n=True),
+    dict(unidirectional=False),  # every self-attention is causal
 ])
 def test_bad_numbers_rejected_at_construction(kw):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kw))):
         model.ModelConfig(**kw)
 
 
@@ -498,11 +486,6 @@ class TestStreamingDecode:
             with pytest.raises(ValueError, match="blocks"):
                 m.decode_logits(np.array([3, 4, 5]), self._source(m, 2), ad.Blocks([3], [2], [2] * 3),
                                 state=model.StreamState(), lengths=lengths)
-
-    def test_semantic_state_rejected_when_bidirectional(self):
-        m = model.Model(tiny_cfg(unidirectional=False), seed=0)
-        with pytest.raises(model.NonCausalEncoderError):
-            m.semantic_encode(ad.Tensor(np.zeros((2, 16))), state=model.StreamState())
 
 
 class TestPackedBatch:
@@ -638,14 +621,13 @@ class TestAttentionLayouts:
         np.testing.assert_array_equal(dense.sum(axis=1), counts)
         self._against_dense(ad.Blocks(rows, units, counts), dense)
 
-    @pytest.mark.parametrize("unidirectional", [True, False])
-    def test_self_mask_of_a_batch_is_the_block_diagonal_rule(self, unidirectional):
-        m = model.Model(tiny_cfg(unidirectional=unidirectional), seed=0)
+    def test_self_mask_of_a_batch_is_the_block_diagonal_rule(self):
+        m = model.Model(tiny_cfg(), seed=0)
         lengths = np.array([3, 1, 5])
         layout = m._self_mask(lengths)
         assert isinstance(layout, ad.Blocks)
         n, block = lengths.sum(), np.repeat(np.arange(len(lengths)), lengths)
-        dense = (block[:, None] == block) & (np.tri(n, n, dtype=bool) if unidirectional else True)
+        dense = (block[:, None] == block) & np.tri(n, n, dtype=bool)
         self._against_dense(layout, dense, seed=1)
 
     def test_a_stream_and_one_utterance_are_one_block(self):
@@ -654,7 +636,7 @@ class TestAttentionLayouts:
         m = model.Model(tiny_cfg(), seed=0)
         hypotheses = np.hstack([np.ones((4, 3), dtype=bool), np.kron(np.eye(2, dtype=bool), np.tri(2, dtype=bool))])
         for layout, dense in ((m._self_mask(4), np.tri(4, dtype=bool)),
-                              (m._self_mask([2, 2], past=3, causal=True), hypotheses),
+                              (m._self_mask([2, 2], past=3), hypotheses),
                               (m._self_mask(1, past=5), np.ones((1, 6), dtype=bool))):
             assert layout.q_index is None and (layout.bias is None) == dense.all()
             rng, (n_q, n_k) = np.random.default_rng(0), dense.shape

@@ -206,7 +206,7 @@ def per_segment_reference(states, blank_probs, path, segments, cfg):
             continue
         mu = 0.0 if cfg.mode == "average" else cfg.temperature
         conf = ad.scale(sub(ad.Tensor(1.0, dtype=dtype), rows(blank_probs, start, stop)), mu)
-        w = reshape(ad.softmax(conf, axis=-1), (1, stop - start))
+        w = reshape(ad.softmax(conf), (1, stop - start))
         out_rows.append(matmul(w, seg))
     return concat_rows(out_rows)
 

@@ -398,19 +398,6 @@ class TestChunkingInvariance:
         assert res.n_units == len(offline_segments)
 
 
-class TestCausalityGuard:
-    def test_bidirectional_model_rejected(self):
-        m = real_model(unidirectional=False)
-        with pytest.raises(model.NonCausalEncoderError):
-            streaming.StreamSession(m)
-        assert issubclass(model.NonCausalEncoderError, ValueError)
-
-    def test_model_rejects_a_stream_state_when_bidirectional(self):
-        m = real_model(unidirectional=False)
-        with pytest.raises(model.NonCausalEncoderError):
-            m.acoustic_encode(np.zeros((4, 6), dtype=np.float32), state=model.StreamState(), end=False)
-
-
 def encoder_cfg(**kw):
     base = dict(
         d_feat=4, n_blocks=3, transformer_layers_per_block=1, d_model=16, n_heads=2, ffn_dim=32,

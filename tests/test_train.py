@@ -81,9 +81,9 @@ class TestCheckpointIO:
         lambda h: h["tensors"][0].update(kind="bogus"), lambda h: h["tensors"][0].update(offset=-8),
         lambda h: h["tensors"].__setitem__(0, ["x"]), lambda h: h["tensors"][0].update(dtype="nope"),
         lambda h: h["tensors"][0].update(shape="ab"), lambda h: h["cfg"].update(bogus=1),
-        lambda h: h["opt"].update(bogus=1),
+        lambda h: h["opt"].update(bogus=1), lambda h: h["cfg"].update(unidirectional=False),
     ], ids=["no stage", "no tensors", "unknown kind", "negative offset", "tensor entry not an object",
-            "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key"])
+            "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key", "bidirectional cfg"])
     def test_malformed_header_rejected_naming_it(self, tmp_path, corrupt):
         corpus = small_corpus(2)
         path = tmp_path / "a.ckpt"
