@@ -12,12 +12,12 @@ paid once per op and call, and a Transformer sub-layer is one op. An
 and values after a cache's past ones, multi-head attention, the output
 projection, dropout and the residual, for self- and cross-attention; a
 ``feedforward_sublayer`` is a pre-norm, affine, ReLU, affine, dropout
-and the residual. A convolution carries its bias and ReLU. Each such op
-has one hand-written VJP, built from the same array kernels
-(``_affine``, ``_layer_norm``, ``_relu``, ``_attention``) as the
-primitive ops, and adds up each input's gradient in the order the
-primitive chain's tape entries would, so outputs and gradients are those
-of the chain bit for bit.
+and the residual. A convolution is an affine over the matrix of its
+input windows, then a ReLU. Each such op has one hand-written VJP, built
+from the same array kernels (``_affine``, ``_layer_norm``, ``_relu``,
+``_attention``) as the primitive ops, and adds up each input's gradient
+in the order the primitive chain's tape entries would, so outputs and
+gradients are those of the chain bit for bit.
 
 Attention's one kind of mask is a ``Blocks`` layout: consecutive blocks
 of queries, each seeing a prefix of its own block of keys after any
@@ -314,8 +314,11 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, looka
     ``lookahead`` zeros on the right, so output frame t depends only on
     inputs <= t*stride + lookahead. There is one output per full K-row
     window, windows starting every ``stride`` rows of the padded sequence:
-    ceil(T / stride) for a whole one. Each output row is
-    ``max(window . kernel + bias, 0)``.
+    ceil(T / stride) for a whole one. The windows, flattened, are the rows
+    of a [sum t_out, K*c_in] matrix, and the conv is an ``_affine`` over it
+    with the kernel as a [K*c_in, c_out] matrix, then a ReLU: one BLAS
+    product forward and the two of ``_affine_vjp`` backward, whose window
+    gradients are scattered back onto the input rows.
 
     ``lengths`` splits the rows of ``x`` into consecutive sequences (one
     sequence by default). Each is padded on its own and gives its outputs
@@ -368,26 +371,23 @@ def conv1d_lookahead(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, looka
         xp = np.concatenate(pieces)
         first = np.concatenate(firsts)
         out_lengths = np.array([len(f) for f in firsts], dtype=np.int64)
-    win = xp[first[:, None] + np.arange(K)]  # [sum t_out, K, c_in]
-    out = np.einsum("tkc,kco->to", win, kernel.data)
-    out += bias.data
-    out, mask = _relu(out)
-    saved = (win, mask, first, xp.shape, xp.dtype, x_at, lengths, kernel.data, bias.shape)
+    win = xp[first[:, None] + np.arange(K)].reshape(first.size, K * c_in)  # one window per row
+    w = kernel.data.reshape(K * c_in, c_out)
+    out, mask = _relu(_affine(win, w, bias.data))
+    saved = (win, w, mask, first, xp.shape, xp.dtype, x_at, lengths, kernel.shape, bias.data)
     return record_op(out, (x, kernel, bias), lambda g: _conv1d_lookahead_vjp(saved, g)), out_lengths
 
 
 def _conv1d_lookahead_vjp(saved: tuple, g: np.ndarray) -> tuple:
     """The gradients of ``conv1d_lookahead``'s x, kernel and bias."""
-    win, mask, first, xp_shape, dtype, x_at, lengths, kernel, bias_shape = saved
-    g = g * mask
-    flat = win.reshape(win.shape[0], -1)  # [sum t_out, K*c_in]
-    gk = (flat.T @ g).reshape(kernel.shape)
-    gwin = (g @ kernel.reshape(flat.shape[1], -1).T).reshape(win.shape)
+    win, w, mask, first, xp_shape, dtype, x_at, lengths, kernel_shape, bias = saved
+    gwin, gw, gb = _affine_vjp(g * mask, win, w, bias)
+    gwin = gwin.reshape(first.size, kernel_shape[0], -1)
     gxp = np.zeros(xp_shape, dtype=dtype)
-    for k in range(kernel.shape[0]):  # windows start at distinct rows, so each k adds to distinct rows
+    for k in range(kernel_shape[0]):  # windows start at distinct rows, so each k adds to distinct rows
         gxp[first + k] += gwin[:, k]
     gx = np.concatenate([gxp[a:a + n] for a, n in zip(x_at, lengths)])
-    return gx, gk, _unbroadcast(g, bias_shape)
+    return gx, gw.reshape(kernel_shape), gb
 
 
 def packed_offsets(lengths) -> np.ndarray:

@@ -4,6 +4,8 @@ A posterior grid has shape [T', |V|+1]: one distribution per downsampled
 frame, blank fixed as the LAST column. The negative log-likelihood runs
 the forward algorithm in log space (float64), its backward variable being
 the same recursion over the reversed lattice (Graves et al., 2006). The
+utterances of a packed grid share one padded lattice, so the forward and
+backward variables of all of them take one loop over frames. The
 blank-limited loss over a packed grid of utterances is one op whatever
 their number, with a hand-written gradient w.r.t. the log and linear grids.
 """
@@ -32,38 +34,10 @@ def min_path_length(labels) -> int:
     return int(labels.size + (labels[1:] == labels[:-1]).sum())
 
 
-def _extended_labels(labels: np.ndarray, blank: int) -> np.ndarray:
-    ext = np.full(2 * labels.size + 1, blank, dtype=np.int64)
-    ext[1::2] = labels
-    return ext
-
-
-def _forward(lab: np.ndarray, ext: np.ndarray, blank: int) -> np.ndarray:
-    """Log mass of the paths that reach each (frame, state) before that
-    frame's emission, for emission log-probs ``lab`` [T, S] over the
-    extended labels ``ext``. Beta is this recursion over the reversed
-    lattice: its skip rule holds there too, since ``ext[s]`` and
-    ``ext[s+2]`` are both blank or both labels."""
-    before = np.full(lab.shape, -np.inf)
-    before[0, :2] = 0.0
-    skip_ok = np.zeros(ext.size, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    for t in range(1, lab.shape[0]):
-        alpha = before[t - 1] + lab[t - 1]
-        acc = np.logaddexp(alpha, np.concatenate([[-np.inf], alpha[:-1]]))
-        skip = np.concatenate([[-np.inf, -np.inf], alpha[:-2]])
-        before[t] = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-    return before
-
-
-def _nll(log_posteriors: np.ndarray, labels) -> tuple:
-    """-ln of the total probability of all paths collapsing to ``labels``,
-    from an array of log posteriors [T, |V|+1] (a log-softmax stays finite
-    where a float32 softmax underflows to zero), in float64; and a function
-    that gives its float64 gradient w.r.t. the log posteriors."""
+def _checked_labels(labels, t_frames: int, blank: int) -> np.ndarray:
+    """``labels`` as int64, once they are known to be non-empty, to lie
+    below ``blank`` and to admit a path of ``t_frames`` frames."""
     labels = np.asarray(labels, dtype=np.int64)
-    t_frames, width = log_posteriors.shape
-    blank = width - 1
     if labels.size == 0:
         raise ValueError("CTC: empty label sequence")
     if ((labels < 0) | (labels >= blank)).any():
@@ -71,22 +45,85 @@ def _nll(log_posteriors: np.ndarray, labels) -> tuple:
     need = min_path_length(labels)
     if t_frames < need:
         raise InfeasibleAlignmentError(f"{t_frames} frames cannot align {labels.size} labels (need >= {need})")
+    return labels
 
-    ext = _extended_labels(labels, blank)
-    lab = log_posteriors.astype(np.float64)[:, ext]  # [T, S] emission log-probs per extended state
-    alpha = _forward(lab, ext, blank) + lab
-    log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    # beta excludes the emission at its own frame: the forward pass over the reversed lattice
-    beta = _forward(lab[::-1, ::-1], ext[::-1], blank)[::-1, ::-1]
+
+def _skip_ok(ext: np.ndarray, blank: int) -> np.ndarray:
+    """Which states of the extended label rows ``ext`` [B, S] a path may
+    enter from two states back: a label unlike the one before its blank."""
+    ok = np.zeros(ext.shape, dtype=bool)
+    ok[:, 2:] = (ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])
+    return ok
+
+
+def _forward(lab: np.ndarray, skip_ok: np.ndarray) -> np.ndarray:
+    """Log mass of the paths that reach each (frame, state) before that
+    frame's emission, for a batch of emission log-prob grids ``lab``
+    [B, T, S] padded with -inf, whose states ``skip_ok`` [B, S] may be
+    entered from two states back. Padding gets no mass onto a real state:
+    a state reads only lower ones, and a frame only earlier ones."""
+    before = np.full(lab.shape, -np.inf)
+    before[:, 0, :2] = 0.0
+    shifted = np.full((lab.shape[0], lab.shape[2] + 2), -np.inf)  # shifted[:, s + 2] is alpha[:, s]
+    for t in range(1, lab.shape[1]):
+        alpha = before[:, t - 1] + lab[:, t - 1]
+        shifted[:, 2:] = alpha
+        acc = np.logaddexp(alpha, shifted[:, 1:-1])
+        before[:, t] = np.where(skip_ok, np.logaddexp(acc, shifted[:, :-2]), acc)
+    return before
+
+
+def _nll(log_posteriors: np.ndarray, transcripts, lengths) -> tuple:
+    """-ln of the total probability of all paths collapsing to each
+    utterance's labels, from an array of log posteriors [sum(lengths),
+    |V|+1] of consecutive utterances of ``lengths`` frames (a log-softmax
+    stays finite where a float32 softmax underflows to zero), in float64;
+    and a function that gives their sum's float64 gradient w.r.t. the log
+    posteriors.
+
+    All utterances share one lattice: a [B, T_max, S_max] grid of
+    emission log-probs over the extended labels (a blank between, before
+    and after the labels), padded with -inf. Beta is the forward
+    recursion over each utterance's own reversed block: its skip rule
+    holds there too, since ``ext[s]`` and ``ext[s+2]`` are both blank or
+    both labels. Alpha and beta run as one batch, one loop over frames;
+    each utterance's total is read at its own last frame and states. The
+    per-element arithmetic is that of one utterance's lattice alone."""
+    blank = log_posteriors.shape[1] - 1
+    frames = np.asarray(lengths, dtype=np.int64)
+    labels = [_checked_labels(y, n, blank) for y, n in zip(transcripts, frames)]
+    states = np.array([2 * y.size + 1 for y in labels])
+    B, t_at, s_at = len(labels), np.arange(frames.max()), np.arange(states.max())
+    ext = np.full((B, s_at.size), blank, dtype=np.int64)
+    for b, y in enumerate(labels):
+        ext[b, 1:2 * y.size:2] = y
+    t_ok, s_ok = t_at < frames[:, None], s_at < states[:, None]
+    ok = t_ok[:, :, None] & s_ok[:, None, :]
+    rows = (np.cumsum(frames) - frames)[:, None, None] + np.where(t_ok, t_at, 0)[:, :, None]  # [B, T, 1]
+    t_rev = np.where(t_ok, frames[:, None] - 1 - t_at, 0)
+    s_rev = np.where(s_ok, states[:, None] - 1 - s_at, 0)
+
+    def reversed_blocks(a: np.ndarray) -> np.ndarray:
+        # each utterance's block of a [B, T, S] grid reversed in frames and states, padded with -inf
+        return np.where(ok, a[np.arange(B)[:, None, None], t_rev[:, :, None], s_rev[:, None, :]], -np.inf)
+
+    lab = np.where(ok, log_posteriors.astype(np.float64)[rows, ext[:, None, :]], -np.inf)
+    skip_ok = _skip_ok(ext, blank), _skip_ok(np.take_along_axis(ext, s_rev, axis=1), blank)
+    before = _forward(np.concatenate([lab, reversed_blocks(lab)]), np.concatenate(skip_ok))
+    alpha = before[:B] + lab
+    last = (np.arange(B), frames - 1)
+    log_z = np.logaddexp(alpha[last + (states - 1,)], alpha[last + (states - 2,)])
+    beta = reversed_blocks(before[B:])  # excludes the emission at its own frame
     occupancy = alpha + beta  # log path mass through each (frame, state)
 
     def gradient() -> np.ndarray:
         # d(-ln Z)/d(ln p[t, k]) is minus the posterior occupancy of label k at frame t
         grad = np.zeros(log_posteriors.shape)
         with np.errstate(invalid="ignore"):
-            contrib = np.exp(occupancy - log_z)
+            contrib = np.exp(occupancy - log_z[:, None, None])
         contrib[~np.isfinite(contrib)] = 0.0
-        np.subtract.at(grad.T, ext, contrib.T)  # unbuffered: states sharing a label all count
+        at = (np.broadcast_to(rows, ok.shape)[ok], np.broadcast_to(ext[:, None, :], ok.shape)[ok])
+        np.subtract.at(grad, at, contrib[ok])  # unbuffered, states in order: those sharing a label all count
         return grad
 
     return -log_z, gradient
@@ -142,13 +179,14 @@ def blank_limited_ctc_loss(
 
     ``log_posteriors`` and ``posteriors`` are one grid of consecutive
     utterances, ``lengths[i]`` frames each, in log and linear form;
-    ``transcripts[i]`` are utterance i's labels. The NLL runs per
-    utterance on its rows of the log grid. The penalty is the accumulated
-    blank posterior mass: ``argmax_blank_frames`` sums p(blank) over frames
-    whose argmax label is blank (the selection is held constant for
-    gradients), ``all_frames`` over every frame. The terms add up in the
-    grid's dtype, the NLLs in order, then the penalty: the arithmetic,
-    gradients included, of a chain of one op per term.
+    ``transcripts[i]`` are utterance i's labels. The NLLs come from one
+    lattice over all utterances' rows of the log grid (``_nll``). The
+    penalty is the accumulated blank posterior mass:
+    ``argmax_blank_frames`` sums p(blank) over frames whose argmax label
+    is blank (the selection is held constant for gradients),
+    ``all_frames`` over every frame. The terms add up in the grid's dtype,
+    the NLLs in order, then the penalty: the arithmetic, gradients
+    included, of a chain of one op per term.
     """
     if lam < 0:
         raise ValueError(f"blank penalty weight must be >= 0, got {lam}")
@@ -158,11 +196,9 @@ def blank_limited_ctc_loss(
         raise ValueError(f"{len(transcripts)} transcripts and lengths {list(lengths)} do not "
                          f"split {log_posteriors.shape[0]} frames")
     grid, probs = log_posteriors.data, posteriors.data
-    spans, total, end = [], None, 0
-    for labels, n in zip(transcripts, lengths):
-        nll, gradient = _nll(grid[end:end + n], labels)
-        spans.append((end, end + n, gradient))
-        end += n
+    nlls, gradient = _nll(grid, transcripts, lengths)
+    total = None
+    for nll in nlls:
         term = np.asarray(nll, dtype=grid.dtype)
         total = term if total is None else total + term
     if lam != 0.0:
@@ -173,11 +209,9 @@ def blank_limited_ctc_loss(
     mean = 1.0 / len(transcripts)
 
     def vjp(g):
-        # each utterance's NLL gradient on its rows, the penalty's on the blank column
+        # the NLLs' gradient on every row, the penalty's on the blank column
         g = g * mean
-        g_log = np.zeros_like(grid)
-        for start, stop, gradient in spans:
-            g_log[start:stop] = float(g) * gradient().astype(grid.dtype)
+        g_log = float(g) * gradient().astype(grid.dtype)
         if lam == 0.0:
             return g_log, None
         g_probs = np.zeros_like(probs)

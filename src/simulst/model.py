@@ -101,10 +101,14 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "transformer_layers_per_block",
                      "d_model", "n_heads", "ffn_dim", "semantic_layers", "decoder_layers", "src_vocab_size",
-                     "tgt_vocab_size"):  # each sizes arrays or loops
+                     "tgt_vocab_size", "frame_ms"):  # each sizes arrays or loops, or counts milliseconds
             check_integers(name, getattr(self, name))
         check_integers("conv_lookahead", self.conv_lookahead, ndim=1)
         object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
+        for name in ("use_ctc", "use_shrink", "gradual_downsample"):  # a string or a count would be truthy
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))  # np.bool_ fingerprints as "True"
         for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -128,8 +132,8 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         check_schedule(self.wait_k, self.stride_n)
         for name in ("blank_penalty_weight", "ctc_loss_weight"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not (getattr(self, name) >= 0 and math.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         self.shrink_config  # ShrinkConfig rejects a bad mode or temperature

@@ -3,9 +3,11 @@
 ``matmul``, ``sub``, ``reshape``, ``concat_rows``, ``rows``, ``pick``
 and ``reduce_sum`` are plain recorded ops that spell out op chains
 (shrinking, ``affine``, a growing key/value cache, the loss terms) step
-by step, or reduce an output to a scalar to differentiate. ``ctc_nll``
-and ``blank_penalty`` are the CTC NLL of one utterance's grid and the
-blank penalty of a grid as ops of their own, and
+by step, or reduce an output to a scalar to differentiate.
+``ctc_lattice`` is one utterance's CTC lattice, which ``ctc._nll`` runs
+for a whole batch at once. ``ctc_nll`` and ``blank_penalty`` are the CTC
+NLL of one utterance's grid (on that lattice) and the blank penalty of a
+grid as ops of their own, and
 ``blank_limited_ctc_chain`` and ``cross_entropy_chain`` the chains of one
 op per term that ``ctc.blank_limited_ctc_loss`` and ``ad.cross_entropy``
 each compute as one op, bit for bit. ``masked_attention`` is the
@@ -94,11 +96,53 @@ def reduce_sum(x):
                         lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
 
 
+def ctc_lattice(log_posteriors, labels):
+    """-ln of the total probability of all paths collapsing to ``labels``
+    on one utterance's array of log posteriors [T, |V|+1], in float64, and
+    a function that gives its float64 gradient w.r.t. the log posteriors:
+    the per-utterance lattice that ``ctc._nll`` runs for a batch at once,
+    with its checks. Beta is the forward recursion over the reversed
+    lattice."""
+    t_frames, width = log_posteriors.shape
+    blank = width - 1
+    labels = ctc._checked_labels(labels, t_frames, blank)
+    ext = np.full(2 * labels.size + 1, blank, dtype=np.int64)
+    ext[1::2] = labels
+
+    def forward(lab, ext):
+        # log mass reaching each (frame, state) before that frame's emission
+        before = np.full(lab.shape, -np.inf)
+        before[0, :2] = 0.0
+        skip_ok = np.zeros(ext.size, dtype=bool)
+        skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+        for t in range(1, lab.shape[0]):
+            alpha = before[t - 1] + lab[t - 1]
+            acc = np.logaddexp(alpha, np.concatenate([[-np.inf], alpha[:-1]]))
+            skip = np.concatenate([[-np.inf, -np.inf], alpha[:-2]])
+            before[t] = np.where(skip_ok, np.logaddexp(acc, skip), acc)
+        return before
+
+    lab = log_posteriors.astype(np.float64)[:, ext]
+    alpha = forward(lab, ext) + lab
+    log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    beta = forward(lab[::-1, ::-1], ext[::-1])[::-1, ::-1]
+    occupancy = alpha + beta
+
+    def gradient():
+        grad = np.zeros(log_posteriors.shape)
+        with np.errstate(invalid="ignore"):
+            contrib = np.exp(occupancy - log_z)
+        contrib[~np.isfinite(contrib)] = 0.0
+        np.subtract.at(grad.T, ext, contrib.T)
+        return grad
+
+    return -log_z, gradient
+
+
 def ctc_nll(log_posteriors, labels):
     """The CTC NLL of ``labels`` on a grid of log posteriors, as an op of
-    its own: the kernel of ``ctc.blank_limited_ctc_loss``, with its
-    checks."""
-    nll, gradient = ctc._nll(log_posteriors.data, labels)
+    its own: the per-utterance lattice ``ctc_lattice``, with its checks."""
+    nll, gradient = ctc_lattice(log_posteriors.data, labels)
     dtype = log_posteriors.data.dtype
     return ad.record_op(np.asarray(nll, dtype=dtype), (log_posteriors,),
                         lambda g: (float(g) * gradient().astype(dtype),))

@@ -232,8 +232,8 @@ class TestConv1dLookahead:
     @pytest.mark.parametrize("lengths", [None, [4, 1, 6]])
     @pytest.mark.parametrize("stride,lookahead", [(1, 0), (2, 1)])
     def test_bias_and_relu_follow_the_convolution(self, stride, lookahead, lengths):
-        # float32, bit for bit: max(window . kernel + bias, 0) per output row,
-        # with each window taken from the sequence's own padded rows
+        # float32, bit for bit: max(windows @ kernel + bias, 0), one flattened
+        # window per row, each taken from the sequence's own padded rows
         rng = np.random.default_rng(6)
         x, kernel, bias = (rng.normal(size=s).astype(np.float32) for s in ((11, 3), (3, 3, 4), (4,)))
         out, out_lengths = ad.conv1d_lookahead(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias), stride, lookahead,
@@ -244,7 +244,7 @@ class TestConv1dLookahead:
                                      np.zeros((lookahead, 3), np.float32)])
             windows += [padded[t:t + 3] for t in range(0, len(padded) - 2, stride)]
             at += n
-        pre = np.einsum("tkc,kco->to", np.array(windows), kernel) + bias
+        pre = np.array(windows).reshape(len(windows), 9) @ kernel.reshape(9, 4) + bias
         assert out.data.dtype == np.float32 and out_lengths.sum() == len(windows)
         assert out.data.tobytes() == np.where(pre > 0, pre, np.float32(0)).tobytes()
         assert (out.data == 0).any() and (out.data > 0).any()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from simulst import autodiff as ad
 from simulst import ctc
 from conftest import central_difference, relative_error
-from oracles import blank_limited_ctc_chain, blank_penalty, ctc_nll
+from oracles import blank_limited_ctc_chain, blank_penalty, ctc_lattice, ctc_nll
 
 
 def brute_force_nll(grid: np.ndarray, labels) -> float:
@@ -168,6 +168,56 @@ class TestCtcNll:
             want_loss, want_grad = two_loop_nll(log_post, labels)
             assert loss.data.tobytes() == want_loss.tobytes()
             assert x.grad.tobytes() == want_grad.tobytes()
+
+
+class TestBatchedLattice:
+    """``ctc._nll`` runs every utterance of a packed grid on one padded
+    lattice; each NLL and the gradient are those of the utterance's own
+    lattice, bit for bit."""
+
+    @staticmethod
+    def ragged_batch(rng, dtype, n_utts):
+        n_vocab = int(rng.integers(1, 5))  # one label makes every neighbour a repeat
+        transcripts, lengths = [], []
+        for i in range(n_utts):
+            labels = rng.integers(0, n_vocab, size=int(rng.integers(1, 7)))
+            if i == 0:
+                labels = np.array([0, 0])  # a repeat that needs a blank, on its shortest path
+            elif i == 1:
+                labels = labels[:1]  # a one-frame utterance
+            need = ctc.min_path_length(labels)
+            transcripts.append(labels)
+            lengths.append(need if i < 2 or rng.random() < 0.3 else need + int(rng.integers(1, 6)))
+        order = rng.permutation(n_utts)
+        transcripts, lengths = [transcripts[i] for i in order], [lengths[i] for i in order]
+        logits = rng.normal(scale=3.0, size=(sum(lengths), n_vocab + 1))
+        log_post = (logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))).astype(dtype)
+        return log_post, transcripts, lengths
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_per_utterance_lattice_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            log_post, transcripts, lengths = self.ragged_batch(rng, dtype, int(rng.integers(2, 9)))
+            assert 1 in lengths and len(set(lengths)) > 1
+            nlls, gradient = ctc._nll(log_post, transcripts, lengths)
+            grad = gradient()
+            assert nlls.dtype == grad.dtype == np.float64 and grad.shape == log_post.shape
+            end = 0
+            for labels, n, nll in zip(transcripts, lengths, nlls):
+                want_nll, want_gradient = ctc_lattice(log_post[end:end + n], labels)
+                assert nll.tobytes() == np.float64(want_nll).tobytes()
+                assert grad[end:end + n].tobytes() == want_gradient().tobytes()
+                end += n
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_an_infeasible_utterance_anywhere_raises_with_its_frame_count(self, at):
+        log_post, transcripts, lengths = self.ragged_batch(np.random.default_rng(at), np.float32, 5)
+        pieces = np.split(log_post, np.cumsum(lengths)[:-1])
+        short = ctc.min_path_length(transcripts[at]) - 1
+        pieces[at], lengths[at] = pieces[at][:short], short
+        with pytest.raises(ctc.InfeasibleAlignmentError, match=f"^{short} frames cannot align"):
+            ctc._nll(np.concatenate(pieces), transcripts, lengths)
 
 
 class TestCollapsePath:

@@ -53,6 +53,10 @@ class TestConfig:
         b = model.ModelConfig(d_model=128).fingerprint()
         assert a != b and len(a) == 16
 
+    def test_numpy_bool_switches_fingerprint_like_python_bools(self):
+        cfg = model.ModelConfig(use_ctc=np.True_, use_shrink=np.True_, gradual_downsample=np.False_)
+        assert cfg.fingerprint() == model.ModelConfig(gradual_downsample=False).fingerprint()
+
     def test_bad_heads_rejected(self):
         with pytest.raises(ValueError):
             model.ModelConfig(d_model=30, n_heads=4)
@@ -401,6 +405,14 @@ class TestStreamingEncode:
     dict(wait_k=True),
     dict(stride_n=True),
     dict(unidirectional=False),  # every self-attention is causal
+    dict(use_ctc="no"),  # a switch is a bool: a string or a count is truthy
+    dict(use_shrink="False"),
+    dict(gradual_downsample=0),
+    dict(frame_ms=10.5),  # a count of milliseconds
+    dict(frame_ms=True),
+    dict(frame_ms="10"),
+    dict(ctc_loss_weight=math.inf),
+    dict(blank_penalty_weight=math.inf),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
