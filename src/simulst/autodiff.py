@@ -42,6 +42,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import check_integers, check_real
+
 
 class ShapeError(ValueError):
     """An operation received tensors with incompatible shapes."""
@@ -755,6 +757,14 @@ class OptimizerState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_real("beta1", self.beta1, "[0, 1)")
+        check_real("beta2", self.beta2, "[0, 1)")
+        check_real("eps", self.eps, "(0, inf)")
+        check_real("base_lr", self.base_lr, "(0, inf)")
+        check_integers("warmup", self.warmup, low=1)
+        check_integers("step", self.step, low=0)
 
 
 _ADAM_CHUNK = 1 << 15  # values updated together: a chunk's slices and temporaries stay in cache

@@ -1,11 +1,12 @@
 """Corpus handling: vocab, batching, and the synthetic speech-translation
 task generator the pipeline trains and evaluates on. Corpora live in
-memory; there is no on-disk corpus format.
+memory; there is no on-disk corpus format. ``check_integers`` and
+``check_real`` are the number rule of every config field and count: a bool
+or a string is no number, and each rejection is a ValueError naming the field.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -15,12 +16,24 @@ EOS = 1
 RESERVED = ("<pad>", "</s>", "<unk>")
 
 
-def check_integers(name: str, value, ndim: int = 0) -> None:
+def check_integers(name: str, value, ndim: int = 0, low=None) -> None:
     """Raise ValueError unless ``value`` is one integer (``ndim=0``) or one
-    flat sequence of them (``ndim=1``); a bool is not one."""
+    flat sequence of them (``ndim=1``), each >= ``low`` if given; a bool is not one."""
     items = np.asarray(value, dtype=object)  # a ragged sequence too, its items as they are
     if items.ndim != ndim or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items.flat):
         raise ValueError(f"{name} must be {'a flat sequence of integers' if ndim else 'one integer'}, got {value!r}")
+    if low is not None and any(v < low for v in items.flat):
+        raise ValueError(f"{name} must be {'integers ' if ndim else ''}>= {low}, got {value!r}")
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """Raise ValueError unless ``value`` is one real number, not a bool or a
+    string, in ``interval``: "[0, 1)", or "[1, inf]" to admit inf; NaN is in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (lo < value or lo == value and interval[0] == "[")
+            and (value < hi or value == hi and interval[-1] == "]")):
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
 class Vocab:
@@ -83,27 +96,15 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "feature_dim", "reorder_window", "seed"):
-            check_integers(name, getattr(self, name))
+        for name, low in (("vocab_size", 1), ("feature_dim", 1), ("reorder_window", 0), ("seed", 0)):
+            check_integers(name, getattr(self, name), low=low)
         for name in ("frames_per_token", "length_range"):
-            check_integers(name, getattr(self, name), ndim=1)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("vocab_size", "feature_dim"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("frames_per_token", "length_range"):
-            if len(getattr(self, name)) != 2:
-                raise ValueError(f"{name} must be one (lo, hi) pair, got {getattr(self, name)!r}")
-            lo, hi = getattr(self, name)
-            if not 1 <= lo <= hi:
-                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {(lo, hi)}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not 0 <= self.swap_probability <= 1:
-            raise ValueError(f"swap_probability must lie in [0, 1], got {self.swap_probability}")
-        if not self.reorder_window >= 0:
-            raise ValueError(f"reorder_window must be >= 0, got {self.reorder_window}")
+            pair = getattr(self, name)
+            check_integers(name, pair, ndim=1, low=1)
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ValueError(f"{name} must be one (lo, hi) pair with lo <= hi, got {pair!r}")
+        check_real("noise_std", self.noise_std, "[0, inf)")
+        check_real("swap_probability", self.swap_probability, "[0, 1]")
 
 
 def synthetic_assets(cfg: SyntheticTaskConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +116,7 @@ def synthetic_assets(cfg: SyntheticTaskConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_synthetic_corpus(cfg: SyntheticTaskConfig, size: int) -> Corpus:
-    check_integers("size", size)
-    if size < 1:
-        raise ValueError(f"corpus size must be >= 1, got {size}")
+    check_integers("size", size, low=1)
     # separate streams: assets (child 0), content (child 1), reorder (child 2),
     # so the reorder knob does not perturb sampled words/features
     seq = np.random.SeedSequence(cfg.seed).spawn(3)

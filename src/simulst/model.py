@@ -46,7 +46,7 @@ from . import autodiff as ad
 from . import ctc as ctc_mod
 from . import shrink as shrink_mod
 from .autodiff import Tensor
-from .data import EOS, Utterance, check_integers
+from .data import EOS, Utterance, check_integers, check_real
 from .shrink import ShrinkConfig
 
 log = logging.getLogger(__name__)
@@ -60,13 +60,13 @@ class NoLossError(ValueError):
 
 def check_schedule(wait_k, stride_n) -> None:
     """The wait-k-stride-n rule: wait_k is a positive integer or inf and
-    stride_n a positive integer, where an integer-valued float counts and
-    a bool does not; anything else raises ValueError."""
-    if isinstance(wait_k, (bool, np.bool_)) or (
-            wait_k != WAIT_INF and not (wait_k >= 1 and float(wait_k).is_integer())):
-        raise ValueError(f"wait_k must be a positive integer or inf, got {wait_k!r}")
-    if isinstance(stride_n, (bool, np.bool_)) or not (stride_n >= 1 and float(stride_n).is_integer()):
-        raise ValueError(f"stride_n must be a positive integer, got {stride_n!r}")
+    stride_n a positive integer, where an integer-valued float counts and a
+    bool or a string does not; a rejection is a ValueError naming the field."""
+    check_real("wait_k", wait_k, "[1, inf]")
+    check_real("stride_n", stride_n, "[1, inf)")
+    for name, value in (("wait_k", wait_k), ("stride_n", stride_n)):
+        if value != WAIT_INF and not float(value).is_integer():
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,51 +99,38 @@ class ModelConfig:
     frame_ms: int = 10
 
     def __post_init__(self):
-        for name in ("d_feat", "n_blocks", "convs_per_block", "conv_kernel", "transformer_layers_per_block",
-                     "d_model", "n_heads", "ffn_dim", "semantic_layers", "decoder_layers", "src_vocab_size",
-                     "tgt_vocab_size", "frame_ms"):  # each sizes arrays or loops, or counts milliseconds
-            check_integers(name, getattr(self, name))
-        check_integers("conv_lookahead", self.conv_lookahead, ndim=1)
+        # each count sizes arrays or loops, or counts milliseconds; the floors:
+        for name, low in (("d_feat", 1), ("n_blocks", 1), ("conv_kernel", 1), ("n_heads", 1), ("ffn_dim", 1),
+                          ("src_vocab_size", 1), ("frame_ms", 1), ("transformer_layers_per_block", 0),
+                          ("semantic_layers", 0), ("decoder_layers", 0),
+                          ("convs_per_block", 2),  # the second conv of a block carries stride 2
+                          ("d_model", 2),  # layer norm needs two features
+                          ("tgt_vocab_size", EOS + 1)):  # the decoder starts from and ends with EOS
+            check_integers(name, getattr(self, name), low=low)
+        check_integers("conv_lookahead", self.conv_lookahead, ndim=1, low=0)
         object.__setattr__(self, "conv_lookahead", tuple(self.conv_lookahead))
         for name in ("use_ctc", "use_shrink", "gradual_downsample"):  # a string or a count would be truthy
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
             object.__setattr__(self, name, bool(getattr(self, name)))  # np.bool_ fingerprints as "True"
-        for name in ("n_blocks", "d_feat", "ffn_dim", "frame_ms"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.src_vocab_size >= 1:
-            raise ValueError(f"src_vocab_size must be >= 1, got {self.src_vocab_size}")
-        if not self.tgt_vocab_size >= EOS + 1:  # the decoder starts from and ends with EOS
-            raise ValueError(f"tgt_vocab_size must be >= {EOS + 1}, got {self.tgt_vocab_size}")
-        if not self.d_model >= 2:  # layer norm needs two features
-            raise ValueError(f"d_model must be >= 2, got {self.d_model}")
-        for name in ("transformer_layers_per_block", "semantic_layers", "decoder_layers"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.convs_per_block < 2:
-            raise ValueError("need at least 2 convs per block (the second carries stride 2)")
         if len(self.conv_lookahead) != self.convs_per_block:
             raise ValueError("conv_lookahead needs one entry per conv in a block")
-        if not all(0 <= a < self.conv_kernel for a in self.conv_lookahead):
+        if not all(a < self.conv_kernel for a in self.conv_lookahead):
             raise ValueError(f"conv_lookahead entries must lie in [0, {self.conv_kernel - 1}], "
                              f"got {self.conv_lookahead}")
-        if self.n_heads < 1 or self.d_model % self.n_heads:
+        if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         check_schedule(self.wait_k, self.stride_n)
-        for name in ("blank_penalty_weight", "ctc_loss_weight"):
-            if not (getattr(self, name) >= 0 and math.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        self.shrink_config  # ShrinkConfig rejects a bad mode or temperature
+        for name in ("blank_penalty_weight", "ctc_loss_weight", "shrink_temperature"):
+            check_real(name, getattr(self, name), "[0, inf)")
+        check_real("dropout", self.dropout, "[0, 1)")
         if self.unidirectional is not True:  # kept as a field only so that checkpoint headers load
             raise ValueError(f"unidirectional must be True (self-attention is causal), got {self.unidirectional!r}")
         if self.use_shrink and not self.use_ctc:
             raise ValueError("use_shrink needs use_ctc: segments are cut on the CTC path")
-        if self.blank_penalty_mode not in ctc_mod.BLANK_PENALTY_MODES:
-            raise ValueError(f"blank_penalty_mode must be one of {ctc_mod.BLANK_PENALTY_MODES}, "
-                             f"got {self.blank_penalty_mode!r}")
+        for name, modes in (("shrink_mode", shrink_mod.MODES), ("blank_penalty_mode", ctc_mod.BLANK_PENALTY_MODES)):
+            if getattr(self, name) not in modes:
+                raise ValueError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
 
     @property
     def shrink_config(self) -> ShrinkConfig:

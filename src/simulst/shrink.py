@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import ctc
 from .autodiff import Tensor
+from .data import check_real
 
 MODES = ("weighted", "average", "drop_blank", "argmax_frame")
 
@@ -27,8 +28,7 @@ class ShrinkConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"shrink mode must be one of {MODES}, got {self.mode!r}")
-        if not (np.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        check_real("temperature", self.temperature, "[0, inf)")
 
 
 def _check_inputs(states: Tensor, blank_probs: Tensor, ends) -> list[tuple[int, int]]:

@@ -94,13 +94,6 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
     return chunks[0]
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is one positive integer (a bool is not one)."""
-    check_integers(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _log_softmax_row(row: np.ndarray) -> np.ndarray:
     shifted = row - row.max()
     return shifted - math.log(np.exp(shifted).sum())
@@ -116,7 +109,7 @@ class StreamSession:
         self.wait_k = cfg.wait_k if wait_k is None else wait_k
         self.stride_n = cfg.stride_n if stride_n is None else stride_n
         model_mod.check_schedule(self.wait_k, self.stride_n)
-        _check_count("beam_size", beam_size)
+        check_integers("beam_size", beam_size, low=1)
         self.beam_size = beam_size
         self.tgt_vocab = tgt_vocab
         self.unit_kind = "segment" if cfg.use_shrink else "frame"
@@ -365,7 +358,7 @@ class StreamSession:
         if not (self._finished and self._ended):
             raise RuntimeError("finalize needs a finished session and an ended stream")
         if reference_length is not None:
-            _check_count("reference_length", reference_length)
+            check_integers("reference_length", reference_length, low=1)
         cfg = self.model.cfg
         record = metrics.LatencyRecord(
             token_listen_ms=tuple(self._listen_ms),
@@ -385,7 +378,7 @@ def translate_stream(model: Model, features: np.ndarray, *, wait_k=None, stride_
                      reference_length: Optional[int] = None, tgt_vocab=None) -> SessionResult:
     """Drive one utterance through a session, pushing fixed-size chunks."""
     chunk = model.cfg.downsample if chunk_frames is None else chunk_frames
-    _check_count("chunk_frames", chunk)
+    check_integers("chunk_frames", chunk, low=1)
     session = StreamSession(model, wait_k=wait_k, stride_n=stride_n, beam_size=beam_size, tgt_vocab=tgt_vocab)
     feats = np.asarray(features, dtype=np.float32)
     pos = 0

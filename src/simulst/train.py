@@ -25,12 +25,13 @@ from . import ctc as ctc_mod
 from . import metrics as metrics_mod
 from . import streaming
 from .autodiff import OptimizerState
-from .data import Corpus, check_integers, make_batches
+from .data import Corpus, check_integers, check_real, make_batches
 from .model import Model, ModelConfig, skip_reason
 
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"RTCK0001"
+STAGES = ("init", "pretrain", "finetune")  # a checkpoint resumes training only in its own stage
 
 
 class NumericError(RuntimeError):
@@ -53,7 +54,7 @@ class Checkpoint:
     fingerprint: str
     cfg: ModelConfig
     rng_state: dict
-    stage: str  # init | pretrain | finetune
+    stage: str  # one of STAGES
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,9 @@ def load_checkpoint(path) -> Checkpoint:
             tables[kind][name] = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
                                                ).reshape(entry["shape"]).astype(entry["dtype"])
         else:
+            check_integers("epoch", header["epoch"], low=0)
+            if header["stage"] not in STAGES:
+                raise ValueError(f"stage must be one of {STAGES}, got {header['stage']!r}")
             return Checkpoint(
                 params=tables["param"],
                 opt=OptimizerState(**header["opt"], m=tables["m"], v=tables["v"]),
@@ -180,22 +184,14 @@ class TrainSettings:
     log_path: Optional[str] = None  # appends a "step lr st ctc blank skipped stage" row per update
 
     def __post_init__(self):
-        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        for name in ("warmup", "max_frames", "seed"):
-            check_integers(name, getattr(self, name))
-        for name in ("warmup", "max_frames"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_real("base_lr", self.base_lr, "(0, inf)")
+        for name, low in (("warmup", 1), ("max_frames", 1), ("seed", 0)):
+            check_integers(name, getattr(self, name), low=low)
 
 
 def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
            settings: TrainSettings, start: Optional[Checkpoint]) -> Checkpoint:
-    check_integers("epochs", epochs)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    check_integers("epochs", epochs, low=0)
     finetuning = stage == "finetune"  # all parameters on the total loss; else the encoder's on CTC
     if not finetuning and not cfg.use_ctc:
         raise ValueError("CTC pre-training requires use_ctc=true")

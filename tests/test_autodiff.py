@@ -634,6 +634,15 @@ class TestAdam:
         with pytest.raises(ad.ShapeError):
             ad.adam_step(p, np.zeros(4), np.zeros(4), ad.OptimizerState(), lr=0.01)
 
+    @pytest.mark.parametrize("kw", [
+        dict(beta1="0.9"), dict(beta1=1.0), dict(beta2=-0.1), dict(beta2=True), dict(eps=0.0),
+        dict(eps=math.nan), dict(base_lr=-1e-3), dict(base_lr=math.inf), dict(warmup=0), dict(warmup=2.5),
+        dict(step=1.5), dict(step=-1), dict(step=True),
+    ])
+    def test_bad_scalars_rejected_at_construction(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            ad.OptimizerState(**kw)
+
 
 SHAPES = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5), "b.g": (7,)}
 

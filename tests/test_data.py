@@ -79,6 +79,7 @@ class TestSynthetic:
         ("length_range", (3.5, 8)), ("frames_per_token", (8, 16.0)),
         ("vocab_size", [20]), ("seed", [0]), ("frames_per_token", ((8,), (16,))), ("length_range", 5),
         ("length_range", (3, 4, 5)), ("frames_per_token", (8,)),  # a range is one pair
+        ("noise_std", True), ("swap_probability", True), ("swap_probability", "1"),  # a real number, by type
     ])
     def test_bad_values_rejected_at_construction(self, name, value):
         with pytest.raises(ValueError, match=name):

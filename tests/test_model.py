@@ -413,6 +413,14 @@ class TestStreamingEncode:
     dict(frame_ms="10"),
     dict(ctc_loss_weight=math.inf),
     dict(blank_penalty_weight=math.inf),
+    dict(blank_penalty_weight=True),  # a weight is a real number, not a bool or a string
+    dict(ctc_loss_weight="1.0"),
+    dict(dropout="0.1"),
+    dict(shrink_temperature="1"),
+    dict(shrink_temperature=-1),
+    dict(wait_k="3"),
+    dict(wait_k=None),
+    dict(stride_n="2"),
 ])
 def test_bad_numbers_rejected_at_construction(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):

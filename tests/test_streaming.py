@@ -604,7 +604,7 @@ class TestSessionArguments:
 
     @pytest.mark.parametrize("schedule", [dict(stride_n=0), dict(wait_k=0), dict(wait_k=1.5),
                                           dict(stride_n=1.5), dict(wait_k=-2), dict(wait_k=True),
-                                          dict(stride_n=True)])
+                                          dict(stride_n=True), dict(wait_k="3"), dict(stride_n="2")])
     def test_bad_schedule_override_rejected(self, schedule):
         with pytest.raises(ValueError, match="wait_k|stride_n"):
             streaming.StreamSession(ScriptedModel(frame_cfg()), **schedule)

@@ -82,8 +82,11 @@ class TestCheckpointIO:
         lambda h: h["tensors"].__setitem__(0, ["x"]), lambda h: h["tensors"][0].update(dtype="nope"),
         lambda h: h["tensors"][0].update(shape="ab"), lambda h: h["cfg"].update(bogus=1),
         lambda h: h["opt"].update(bogus=1), lambda h: h["cfg"].update(unidirectional=False),
+        lambda h: h["cfg"].update(blank_penalty_weight=True), lambda h: h["opt"].update(beta1="0.9"),
+        lambda h: h.update(stage="bogus"), lambda h: h.update(epoch=-1),
     ], ids=["no stage", "no tensors", "unknown kind", "negative offset", "tensor entry not an object",
-            "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key", "bidirectional cfg"])
+            "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key", "bidirectional cfg",
+            "true weight in cfg", "string beta1", "unknown stage", "negative epoch"])
     def test_malformed_header_rejected_naming_it(self, tmp_path, corrupt):
         corpus = small_corpus(2)
         path = tmp_path / "a.ckpt"
@@ -319,6 +322,8 @@ class TestEvaluate:
     dict(max_frames=300.5),
     dict(warmup=[1]),  # one integer, not a sequence of them
     dict(seed=[1]),
+    dict(base_lr=True),  # a rate is a real number, not a bool or a string
+    dict(base_lr="0.1"),
 ])
 def test_bad_settings_rejected_at_construction(kw):
     with pytest.raises(ValueError):

@@ -7,11 +7,15 @@ from the benchmark weights (``perfbench/weights.ckpt``), in 8-frame chunks
 (80 ms, the benchmark's push size) under ``no_grad``, then ends the stream;
 streams are 1,600, 3,200, 6,400 and 12,800 input frames long. Every repeat
 runs each length once, lengths interleaved, so a slower host stretches all
-lengths alike. The script prints one JSON line: per length the best and the
-median over the repeats of the time per input frame in ms, and the ratio of
-the longest stream's best to the shortest's, which is 1.0 when streaming
-cost grows linearly with audio length. It runs on one BLAS thread, as the
-benchmark does; the seed picks the features.
+lengths alike. Each stream's time is stated at reference host speed, as
+``perfbench/run.py`` states its times: a ``run.HostReference`` sample is
+taken right after the stream, and the stream's time is multiplied by
+``run.REFERENCE_S`` over that sample's. The script prints one JSON line:
+per length the best and the median over the repeats of the scaled time per
+input frame in ms, the ratio of the longest stream's best to the
+shortest's, which is 1.0 when streaming cost grows linearly with audio
+length, and the median raw reference sample in ms. It runs on one BLAS
+thread, as the benchmark does; the seed picks the features.
 """
 
 from __future__ import annotations
@@ -57,15 +61,18 @@ def main(argv=None) -> int:
         return time.perf_counter() - start
 
     stream(features[FRAMES[0]])  # warm-up
+    reference = run.HostReference()
     times = {n: [] for n in FRAMES}
     for _ in range(args.repeats):
         for n in FRAMES:
-            times[n].append(stream(features[n]))
+            elapsed = stream(features[n])
+            times[n].append(elapsed * run.REFERENCE_S / reference.sample())
     curve = {str(n): {"best_ms_per_frame": min(t) * 1e3 / n, "median_ms_per_frame": statistics.median(t) * 1e3 / n}
              for n, t in times.items()}
     ratio = curve[str(FRAMES[-1])]["best_ms_per_frame"] / curve[str(FRAMES[0])]["best_ms_per_frame"]
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "chunk_frames": run.CHUNK_FRAMES,
-                      "ms_per_input_frame": curve, "longest_to_shortest": ratio}))
+                      "ms_per_input_frame": curve, "longest_to_shortest": ratio,
+                      "reference_ms": reference.typical_s() * 1e3}))
     return 0
 
 

@@ -6,12 +6,16 @@ Each step is one ``train.finetune`` call over a one-batch corpus of B short
 utterances, from the benchmark weights (``perfbench/weights.ckpt``), for B in
 4, 8 and 16; the call includes building the model from the checkpoint and
 the snapshot after the update. Every repeat times each batch once, batch
-sizes interleaved, so a slower host stretches all sizes alike. The script
-prints one JSON line: per batch size the median and quartiles of the step
-time in ms over all calls, the median per utterance, and the tape entries
-that one ``forward_train`` plus ``total_loss`` records on the size's first
-batch, a count that does not drift with the host. It runs on one BLAS
-thread, as the benchmark does; the seed picks the utterances.
+sizes interleaved, so a slower host stretches all sizes alike. Each call's
+time is stated at reference host speed, as ``perfbench/run.py`` states its
+times: a ``run.HostReference`` sample is taken right after the call, and
+the call's time is multiplied by ``run.REFERENCE_S`` over that sample's.
+The script prints one JSON line: per batch size the median and quartiles
+of the scaled step time in ms over all calls, the median per utterance, and
+the tape entries that one ``forward_train`` plus ``total_loss`` records on
+the size's first batch, a count that does not drift with the host; and the
+median raw reference sample in ms. It runs on one BLAS thread, as the
+benchmark does; the seed picks the utterances.
 """
 
 from __future__ import annotations
@@ -81,16 +85,19 @@ def main(argv=None) -> int:
     tape = {str(size): tape_entries(corpus) for size, corpus in batches[::BATCHES_PER_SIZE]}
     for size, corpus in batches:  # warm-up
         step(size, corpus)
+    reference = run.HostReference()
     times = {size: [] for size in BATCH_SIZES}
     for _ in range(args.repeats):
         for size, corpus in batches:
-            times[size].append(step(size, corpus))
+            elapsed = step(size, corpus)
+            times[size].append(elapsed * run.REFERENCE_S / reference.sample())
     curve = {}
     for size, values in times.items():
         stats = quartiles(values)
         curve[str(size)] = {**stats, "ms_per_utt": stats["median_ms"] / size, "calls": len(values),
                             "tape_entries": tape[str(size)]}
-    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "step_ms": curve}))
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "step_ms": curve,
+                      "reference_ms": reference.typical_s() * 1e3}))
     return 0
 
 
