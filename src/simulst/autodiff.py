@@ -27,6 +27,11 @@ of sequences; the layout, not an option, picks whether attention runs on
 the dense grid of all rows or on a batch of blocks padded to the
 longest.
 
+A stream's keys and values are a ``KVCache`` per attention sub-layer,
+kept in the layout attention reads (per head, keys transposed), so a
+streamed call writes only its new rows' keys and values and attends over
+views of the cached ones, copying none of them.
+
 A model's parameters live in one flat buffer (``flat_parameters``), and
 their gradients in another: each named parameter is a view of both. So
 ``adam_step`` updates a trained slice in one in-place pass, and copying
@@ -499,20 +504,27 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: Blocks, n_he
 
     ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
     ``n_heads`` column blocks; head h attends with block h and writes
-    output columns h*dv:(h+1)*dv. The ``Blocks`` layout says which keys
-    each query row sees; disallowed scores get an additive -1e9 before
-    the softmax. A layout on the dense grid runs on views of q, k and v;
-    a padded one gathers each block's rows into a batch padded to the
-    longest block, so the work grows with the sum of squared block
-    lengths rather than the square of their sum; padded keys get the bias
-    and padded queries are dropped.
+    output columns h*dv:(h+1)*dv. A layout on the dense grid runs on views
+    of q, k and v; a padded one gathers each block's rows into a batch
+    padded to the longest block, so the work grows with the sum of squared
+    block lengths rather than the square of their sum; padded keys get the
+    bias and padded queries are dropped. ``_attend`` is the kernel.
     """
     qh, kh, vh = _heads(q, n_heads, blocks.q_index), _heads(k, n_heads, blocks.k_index), \
         _heads(v, n_heads, blocks.k_index)
     # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
     # a dense grid's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
-    kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
-    s = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    return _attend(qh, np.ascontiguousarray(kh.swapaxes(-1, -2)), vh, blocks, n_heads)
+
+
+def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray, blocks: Blocks, n_heads: int) -> tuple:
+    """The attention kernel over queries, transposed keys and values split
+    into heads (``qh`` [H, (B,) Tq, d], ``kt`` [H, (B,) d, Tk], ``vh``
+    [H, (B,) Tk, dv]): the output rows [Tq, H*dv], and what
+    ``_attention_vjp`` reads. The ``Blocks`` layout says which keys each
+    query row sees; disallowed scores get an additive -1e9 before the
+    softmax. ``kt`` and ``vh`` may be views of a ``KVCache``'s buffers."""
+    s = 1.0 / math.sqrt(qh.shape[-1])
     scores = (qh @ kt) * s
     if blocks.bias is not None:
         scores[..., blocks.past:] += blocks.bias
@@ -539,6 +551,77 @@ def _attention_vjp(saved: tuple, g: np.ndarray) -> tuple:
     return _packed(gq, blocks.q_slot), _packed(gk, blocks.k_slot), _packed(gv, blocks.k_slot)
 
 
+def grow(buffer: np.ndarray, n: int, need: int, axis: int = 0) -> np.ndarray:
+    """A new buffer like ``buffer`` holding its first ``n`` entries along
+    ``axis``, with room there for ``need`` and at least twice ``n``."""
+    shape = list(buffer.shape)
+    shape[axis] = max(need, 2 * n)
+    out = np.empty(shape, dtype=buffer.dtype)
+    kept = (slice(None),) * axis + (slice(0, n),)
+    out[kept] = buffer[kept]
+    return out
+
+
+class KVCache:
+    """The keys and values of one attention sub-layer's rows so far, in
+    the layout attention reads: per head, the keys transposed, ``kt``
+    [H, d, capacity], and the values, ``vh`` [H, capacity, dv], whose
+    first ``n`` rows are this cache's.
+
+    ``append`` returns the cache extended by new rows and writes only
+    those, into the room after the ``n`` rows. Caches may share buffers,
+    as a ``StreamState`` and its forks do, and each keeps its own ``n``;
+    the room belongs to whichever writes into it first, so a cache whose
+    buffers another cache has written past its rows copies them at its
+    next append (copy-on-write), as a full cache does, into buffers of
+    twice its rows (``grow``). Rows a cache holds never change. Iterating
+    gives the rows, keys [n, H*d] then values [n, H*dv].
+    """
+
+    __slots__ = ("kt", "vh", "n", "_written")
+
+    def __init__(self, kt: np.ndarray, vh: np.ndarray, n: int, written: list[int]):
+        # written: [rows written into these buffers by any cache], shared by the caches over them
+        self.kt, self.vh, self.n, self._written = kt, vh, n, written
+
+    @classmethod
+    def of_rows(cls, keys: np.ndarray, values: np.ndarray, n_heads: int) -> "KVCache":
+        """A full cache of the rows ``keys`` [n, H*d] and ``values`` [n, H*dv],
+        split into ``n_heads`` heads: views of them, so no copy; the first
+        append copies them into buffers of its own."""
+        if not (keys.ndim == values.ndim == 2 and keys.shape[0] == values.shape[0]
+                and keys.shape[1] % n_heads == values.shape[1] % n_heads == 0):
+            raise ShapeError(f"KVCache: keys {keys.shape} and values {values.shape} do not split into "
+                             f"{n_heads} heads of the same rows")
+        n = keys.shape[0]
+        return cls(keys.reshape(n, n_heads, keys.shape[1] // n_heads).transpose(1, 2, 0),
+                   values.reshape(n, n_heads, values.shape[1] // n_heads).transpose(1, 0, 2), n, [n])
+
+    @property
+    def capacity(self) -> int:
+        return self.kt.shape[2]
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> "KVCache":
+        """This cache's rows, then the rows ``keys`` [t, H*d] and ``values`` [t, H*dv]."""
+        n_heads, d, capacity = self.kt.shape
+        dv, t = self.vh.shape[2], keys.shape[0]
+        if keys.shape != (t, n_heads * d) or values.shape != (t, n_heads * dv):
+            raise ShapeError(f"KVCache of {n_heads} heads of widths {d} and {dv}: cannot append "
+                             f"keys {keys.shape} and values {values.shape}")
+        n, kt, vh, written = self.n + t, self.kt, self.vh, self._written
+        if n > capacity or written[0] != self.n:  # full, or another cache wrote past these rows
+            kt, vh, written = grow(kt, self.n, n, axis=2), grow(vh, self.n, n, axis=1), [0]
+        kt[:, :, self.n:n] = keys.reshape(t, n_heads, d).transpose(1, 2, 0)
+        vh[:, self.n:n] = values.reshape(t, n_heads, dv).transpose(1, 0, 2)
+        written[0] = n
+        return KVCache(kt, vh, n, written)
+
+    def __iter__(self):
+        n_heads, d, _ = self.kt.shape
+        yield self.kt[:, :, :self.n].transpose(2, 0, 1).reshape(self.n, n_heads * d)
+        yield self.vh[:, :self.n].transpose(1, 0, 2).reshape(self.n, n_heads * self.vh.shape[2])
+
+
 def _dropout_keep(shape, rate: float, rng: np.random.Generator | None, dtype):
     """Inverted dropout's scaled keep mask, or None when rate is 0 or rng is None."""
     if rate <= 0.0 or rng is None:
@@ -547,24 +630,29 @@ def _dropout_keep(shape, rate: float, rng: np.random.Generator | None, dtype):
 
 
 def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_heads: int = 1,
-                       source: Tensor | None = None, past: tuple | None = None,
-                       rate: float = 0.0, rng: np.random.Generator | None = None) -> tuple[Tensor, tuple]:
+                       source: Tensor | None = None, past: KVCache | tuple | None = None,
+                       rate: float = 0.0, rng: np.random.Generator | None = None) -> tuple[Tensor, KVCache]:
     """A pre-norm attention sub-layer, ``x + dropout(attend(norm(x)))``, as one op.
 
     ``weights`` are the norm's gain and bias, then the weight and bias of
     the q, k, v and output projections. The queries are the normed rows of
-    ``x``; the keys and values are the ``past`` ones, a pair of arrays
-    (constants to the tape; none by default), then those of ``source``'s
-    rows, or of the normed rows of ``x`` when ``source`` is None
-    (self-attention). A ``source`` of no rows after a past adds none.
-    The queries attend the keys over the ``blocks`` layout with
-    ``n_heads`` heads (see ``_attention``), the output projection follows,
-    and inverted dropout at ``rate`` draws its mask from ``rng``.
+    ``x``; the keys and values are the ``past`` ones (constants to the
+    tape; none by default), then those of ``source``'s rows, or of the
+    normed rows of ``x`` when ``source`` is None (self-attention). A
+    ``source`` of no rows after a past adds none. ``past`` is a
+    ``KVCache`` or a (keys, values) pair of row arrays, and stays as it
+    is. The queries attend the keys over the ``blocks`` layout with
+    ``n_heads`` heads (see ``_attend``), the output projection follows,
+    and inverted dropout at ``rate`` draws its mask from ``rng``. With a
+    past, a layout on the dense grid attends over views of the cache's
+    buffers, so the call writes only its new rows' keys and values.
 
-    Returns the output and the (keys, values) arrays, past rows first, for
-    a key/value cache. The op computes what the chain of primitive ops
-    would, in the same arithmetic, and adds up each input's gradient in
-    the order their tape entries would.
+    Returns the output and the ``KVCache`` of every key and value, past
+    rows first: ``past`` extended by the new rows (``KVCache.append``),
+    or without a past a cache that views the new rows' arrays, so the
+    training and offline path copies nothing for it. The op computes what
+    the chain of primitive ops would, in the same arithmetic, and adds up
+    each input's gradient in the order their tape entries would.
     """
     gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = [p.data for p in weights]
     shape, src_shape = x.data.shape, (x if source is None else source).data.shape
@@ -578,22 +666,33 @@ def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_h
     q = _affine(normed, wq, bq)
     src = normed if source is None else source.data
     fresh = past is None or src.shape[0] > 0  # keys and values of new rows
-    if fresh:
+    if past is None:
         k, v = _affine(src, wk, bk), _affine(src, wv, bv)
-        keys, values = (k, v) if past is None else (np.concatenate((past[0], k)), np.concatenate((past[1], v)))
+        _check_attention("attention_sublayer", q.shape, k.shape, v.shape, blocks, n_heads)
+        att, att_saved = _attention(q, k, v, blocks, n_heads)
+        cache = KVCache.of_rows(k, v, n_heads)
     else:
-        keys, values = past
-    _check_attention("attention_sublayer", q.shape, keys.shape, values.shape, blocks, n_heads)
-    att, att_saved = _attention(q, keys, values, blocks, n_heads)
+        cache = past if isinstance(past, KVCache) else KVCache.of_rows(*past, n_heads)
+        if fresh:
+            cache = cache.append(_affine(src, wk, bk), _affine(src, wv, bv))
+        kt, vh = cache.kt[:, :, :cache.n], cache.vh[:, :cache.n]
+        if kt.shape[0] != n_heads:
+            raise ShapeError(f"attention_sublayer: a cache of {kt.shape[0]} heads for {n_heads} heads")
+        _check_attention("attention_sublayer", q.shape, (cache.n, kt.shape[0] * kt.shape[1]),
+                         (cache.n, vh.shape[0] * vh.shape[2]), blocks, n_heads)
+        if blocks.k_index is None:  # the dense grid runs on views of the cache
+            att, att_saved = _attend(_heads(q, n_heads), kt, vh, blocks, n_heads)
+        else:  # blocks gathered from the rows, as without a cache
+            att, att_saved = _attention(q, *cache, blocks, n_heads)
     h = _affine(att, wo, bo)
     keep = _dropout_keep(h.shape, rate, rng, h.dtype)
     if keep is not None:
         h = h * keep
-    new_rows = slice(keys.shape[0] - src.shape[0], None) if fresh else None  # of the keys and values
+    new_rows = slice(cache.n - src.shape[0], None) if fresh else None  # of the keys and values
     saved = (normed, y, inv, src, new_rows, source is None, att, att_saved, keep,
              (gain, wq, bq, wk, bk, wv, bv, wo, bo))
     inputs = (x, x) + (() if source is None else (source, source)) + tuple(weights)
-    return record_op(x.data + h, inputs, lambda g: _attention_sublayer_vjp(saved, g)), (keys, values)
+    return record_op(x.data + h, inputs, lambda g: _attention_sublayer_vjp(saved, g)), cache
 
 
 def _attention_sublayer_vjp(saved: tuple, g: np.ndarray) -> tuple:

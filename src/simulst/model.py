@@ -131,10 +131,8 @@ class ModelConfig:
         for name, modes in (("shrink_mode", shrink_mod.MODES), ("blank_penalty_mode", ctc_mod.BLANK_PENALTY_MODES)):
             if getattr(self, name) not in modes:
                 raise ValueError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
-
-    @property
-    def shrink_config(self) -> ShrinkConfig:
-        return ShrinkConfig(self.shrink_temperature, self.shrink_mode)
+        # built once; an attribute, not a field, so asdict, fingerprints and checkpoint headers leave it out
+        object.__setattr__(self, "shrink_config", ShrinkConfig(self.shrink_temperature, self.shrink_mode))
 
     @property
     def downsample(self) -> int:
@@ -254,19 +252,22 @@ class StreamState:
     computed so far, source units or decoder rows; the next rows take the
     positions after them. (The acoustic encoder's blocks, each of its own
     length, read their counts off ``kv``.) ``kv`` holds, per attention
-    sub-layer, the keys and values of those rows as a pair of arrays, and
-    for the decoder's cross-attention those of the source units seen so
-    far. ``conv`` holds,
-    per conv of the acoustic encoder, the input rows its next outputs still
-    read: the left context of the next output's window and any rows after
-    it. A fresh state is the start of a stream: zero left context and empty
-    caches. Every call extends the state; ``fork`` gives a copy whose
-    extension leaves this one as it is. Rows carried between calls are
+    sub-layer, an ``ad.KVCache`` of the keys and values of those rows, and
+    for the decoder's cross-attention of the source units seen so far; a
+    call writes only its new rows into it. ``conv`` holds, per conv of
+    the acoustic encoder, the input rows its next outputs still read: the
+    left context of the next output's window and any rows after it. A
+    fresh state is the start of a stream: zero left context and empty
+    caches. Every call extends the state. ``fork`` gives a state that
+    shares this one's caches copy-on-write: of the two, the first to
+    extend a cache writes into its spare room and the other copies the
+    cache's rows at its own next extension, so extending either leaves
+    the other's rows as they are. Rows carried between calls are
     constants to the tape, so a live state serves inference only.
     """
 
     rows: int = 0
-    kv: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    kv: dict[str, ad.KVCache] = field(default_factory=dict)
     conv: dict[str, np.ndarray] = field(default_factory=dict)
 
     def fork(self) -> "StreamState":
@@ -281,7 +282,7 @@ _FFN_WEIGHTS = (".1.w", ".1.b", ".2.w", ".2.b")
 def _cached_rows(kv: dict, prefix: str) -> int:
     """Rows whose keys and values ``kv`` holds under ``prefix``."""
     past = kv.get(prefix)
-    return 0 if past is None else past[0].shape[0]
+    return 0 if past is None else past.n
 
 
 class Model:
@@ -301,8 +302,19 @@ class Model:
         (``train.load_params``)."""
         self.cfg = cfg
         self._specs: dict[str, tuple[tuple, Optional[int], float]] = {}  # name -> shape, fan_in, fill
+        self._layers: dict[str, bool] = {}  # Transformer layer prefix -> has cross-attention
         self._build()
         self.flat, self.params = ad.flat_parameters({name: shape for name, (shape, _, _) in self._specs.items()})
+        p = self.params
+
+        def weights(norm: str, prefix: str, linears: Sequence[str]) -> list[Tensor]:
+            return [p[norm + ".g"], p[norm + ".b"]] + [p[prefix + name] for name in linears]
+
+        # per layer prefix, each sub-layer's op weights: the norm's gain and bias, then the linears'
+        self._sublayers = {prefix: (weights(prefix + ".ln1", prefix + ".attn", _ATTENTION_WEIGHTS),
+                                    weights(prefix + ".lnx", prefix + ".xattn", _ATTENTION_WEIGHTS) if cross else None,
+                                    weights(prefix + ".ln2", prefix + ".ffn", _FFN_WEIGHTS))
+                           for prefix, cross in self._layers.items()}
         if seed is None:
             return
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -326,6 +338,7 @@ class Model:
 
     def _tf_block(self, prefix: str, cross: bool = False) -> None:
         d = self.cfg.d_model
+        self._layers[prefix] = cross
         self._norm(f"{prefix}.ln1")
         for p in ("q", "k", "v", "o"):
             self._linear(f"{prefix}.attn.{p}", d, d)
@@ -372,19 +385,12 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _weights(self, norm: str, prefix: str, linears: Sequence[str]) -> list[Tensor]:
-        """The gain and bias of the norm ``norm``, then the parameter named
-        ``prefix`` plus each suffix of ``linears``."""
-        p = self.params
-        return [p[norm + ".g"], p[norm + ".b"]] + [p[prefix + name] for name in linears]
-
-    def _attention(self, prefix: str, norm: str, x: Tensor, source: Tensor | None, mask: ad.Blocks, rng,
-                   kv_cache: dict) -> Tensor:
+    def _attention(self, prefix: str, weights: list[Tensor], x: Tensor, source: Tensor | None, mask: ad.Blocks,
+                   rng, kv_cache: dict) -> Tensor:
         """One attention sub-layer: the keys and values ``kv_cache`` holds
         under ``prefix`` (none in a fresh cache) precede those of the new
         rows, of ``source`` or, for self-attention, of ``x``, and the cache
         is extended by them."""
-        weights = self._weights(norm, prefix, _ATTENTION_WEIGHTS)
         x, kv_cache[prefix] = ad.attention_sublayer(x, weights, mask, self.cfg.n_heads, source,
                                                     kv_cache.get(prefix), self.cfg.dropout, rng)
         return x
@@ -393,11 +399,11 @@ class Model:
                     cross_kv: Tensor | None = None, cross_mask: ad.Blocks | None = None) -> Tensor:
         """One Transformer layer: self-attention, cross-attention over
         ``cross_kv`` when given, and the feed-forward net, one op each."""
-        x = self._attention(prefix + ".attn", prefix + ".ln1", x, None, self_mask, rng, kv_cache)
+        attention, cross, ffn = self._sublayers[prefix]
+        x = self._attention(prefix + ".attn", attention, x, None, self_mask, rng, kv_cache)
         if cross_kv is not None:
-            x = self._attention(prefix + ".xattn", prefix + ".lnx", x, cross_kv, cross_mask, rng, kv_cache)
-        weights = self._weights(prefix + ".ln2", prefix + ".ffn", _FFN_WEIGHTS)
-        return ad.feedforward_sublayer(x, weights, self.cfg.dropout, rng)
+            x = self._attention(prefix + ".xattn", cross, x, cross_kv, cross_mask, rng, kv_cache)
+        return ad.feedforward_sublayer(x, ffn, self.cfg.dropout, rng)
 
     @staticmethod
     def _self_mask(lengths, past: int = 0) -> ad.Blocks:

@@ -87,11 +87,34 @@ class SessionResult:
     n_units: int  # source units, frames or (with shrinking) CTC segments
 
 
-def _joined(chunks: list[np.ndarray]) -> np.ndarray:
-    """The rows of ``chunks``, which are joined in place into one chunk."""
-    if len(chunks) > 1:
-        chunks[:] = [np.concatenate(chunks)]
-    return chunks[0]
+_FIRST_ROWS = 256  # encoder frames: 20 s of audio at 80 ms per frame
+
+
+class _Rows:
+    """Rows added at the end of one buffer, whose capacity doubles when
+    full. It starts with room for ``_FIRST_ROWS`` rows, so a typical
+    stream allocates it once: a run of small regrowths, interleaved with
+    training in one process, was seen to make the heap return training's
+    large buffers to the system and fault them back in at every
+    ``finetune`` call."""
+
+    def __init__(self):
+        self._buffer: Optional[np.ndarray] = None
+        self._n = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        n = self._n + rows.shape[0]
+        if self._buffer is None:
+            self._buffer = ad.grow(rows[:0], 0, max(n, _FIRST_ROWS))
+        elif n > self._buffer.shape[0]:
+            self._buffer = ad.grow(self._buffer, self._n, n)
+        self._buffer[self._n:n] = rows
+        self._n = n
+
+    @property
+    def rows(self) -> Optional[np.ndarray]:
+        """The rows added so far, a view; None before the first ``add``."""
+        return None if self._buffer is None else self._buffer[:self._n]
 
 
 def _log_softmax_row(row: np.ndarray) -> np.ndarray:
@@ -117,12 +140,12 @@ class StreamSession:
         self._enc_state = model_mod.StreamState()
         self._n_fed = 0  # input frames pushed
         self._unencoded = np.zeros((0, cfg.d_feat), dtype=np.float32)  # pushed, not yet encoded
-        self._states: list[np.ndarray] = []  # finalized acoustic states, in chunks
-        self._posteriors: list[np.ndarray] = []  # their CTC rows, when CTC is on
+        self._states = _Rows()  # finalized acoustic states
+        self._posteriors = _Rows()  # their CTC rows, when CTC is on
+        self._path = _Rows()  # their greedy CTC labels, when shrinking is on
         self._semantic = model_mod.StreamState()
         self._decoder = model_mod.StreamState()
         self._n_given = 0  # source units given to the decoder
-        self._labels = np.zeros(0, dtype=np.int64)
         self._ends: list[int] = []  # end frame of each closed unit
         self._unit_ready_ms: list[float] = []
         self._committed: list[int] = []
@@ -150,8 +173,13 @@ class StreamSession:
     # -- encoding ------------------------------------------------------------
 
     def _finalized(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Finalized acoustic states and CTC rows, joined into one chunk each."""
-        return _joined(self._states), (_joined(self._posteriors) if self._posteriors else None)
+        """Finalized acoustic states and their CTC rows (None without CTC)."""
+        return self._states.rows, self._posteriors.rows
+
+    @property
+    def _labels(self) -> np.ndarray:
+        """The greedy CTC label of each finalized frame."""
+        return self._path.rows
 
     def _advance(self, rows: np.ndarray, end: bool = False) -> list[int]:
         """Encode ``rows``, the input since the last call; the frames the
@@ -162,12 +190,12 @@ class StreamSession:
             states, posteriors = self.model.acoustic_encode(rows, state=self._enc_state, end=end)
         self.stats.acoustic_encode_calls += 1
         self.stats.encoder_frames += states.shape[0]
-        self._states.append(states.data)
+        self._states.add(states.data)
         if posteriors is not None:
-            self._posteriors.append(posteriors.data)
+            self._posteriors.add(posteriors.data)
         if self.unit_kind == "frame":  # frame unit i ends at frame i + 1
             return list(range(done + 1, self.stats.encoder_frames + 1))
-        self._labels = np.concatenate([self._labels, ctc_mod.greedy_path(posteriors)])
+        self._path.add(ctc_mod.greedy_path(posteriors))
         return ctc_mod.boundary_cuts(self._labels, max(done - 1, 0)).tolist()
 
     def _close_unit(self, end: int, stamp: float) -> None:

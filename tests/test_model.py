@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from simulst import autodiff as ad
-from simulst import ctc, data, model
+from simulst import ctc, data, model, shrink
 from oracles import (attention_runs, build_cross_attention_mask, ctc_nll, dense_attention, masked_attention,
                      zero_moments)
 
@@ -60,6 +60,15 @@ class TestConfig:
     def test_bad_heads_rejected(self):
         with pytest.raises(ValueError):
             model.ModelConfig(d_model=30, n_heads=4)
+
+    def test_shrink_config_is_built_once_and_is_no_field(self):
+        cfg = model.ModelConfig(shrink_temperature=2.0, shrink_mode="average")
+        assert cfg.shrink_config is cfg.shrink_config
+        assert cfg.shrink_config == shrink.ShrinkConfig(2.0, "average")
+        assert dataclasses.replace(cfg, shrink_temperature=0.5).shrink_config == shrink.ShrinkConfig(0.5, "average")
+        # the header a checkpoint stores and the fingerprints it is checked by are as before
+        assert "shrink_config" not in dataclasses.asdict(cfg)
+        assert (model.ModelConfig().fingerprint(), cfg.fingerprint()) == ("49f82633f18a290e", "7f0dd913d9fd3261")
 
 
 @pytest.mark.parametrize("kw", [
@@ -320,10 +329,11 @@ def test_a_streamed_layer_makes_one_op_call_per_sub_layer(monkeypatch):
         m._conv(0, 1, 2, ad.Tensor(rng.normal(size=(5, 16)).astype(np.float32)), None, state, False)
         assert len(calls) == 8
     assert ad.tape_length() == 0
-    # the caches hold plain arrays: past rows first, then the new ones
+    # the block's cache holds 6 key and value rows, past rows first: both calls projected the same 3 rows
     keys, values = state.kv["acoustic.block0.tf0.attn"]
-    assert type(keys) is type(values) is np.ndarray and keys.shape == values.shape == (6, 16)
-    assert all(type(a) is np.ndarray for pair in state.kv.values() for a in pair)
+    assert state.kv["acoustic.block0.tf0.attn"].n == 6 and keys.shape == values.shape == (6, 16)
+    assert keys[:3].tobytes() == keys[3:].tobytes() and values[:3].tobytes() == values[3:].tobytes()
+    assert all(type(cache) is ad.KVCache for cache in state.kv.values())
 
 
 class TestStreamingEncode:

@@ -8,14 +8,17 @@ from the benchmark weights (``perfbench/weights.ckpt``), in 8-frame chunks
 streams are 1,600, 3,200, 6,400 and 12,800 input frames long. Every repeat
 runs each length once, lengths interleaved, so a slower host stretches all
 lengths alike. Each stream's time is stated at reference host speed, as
-``perfbench/run.py`` states its times: a ``run.HostReference`` sample is
-taken right after the stream, and the stream's time is multiplied by
-``run.REFERENCE_S`` over that sample's. The script prints one JSON line:
-per length the best and the median over the repeats of the scaled time per
-input frame in ms, the ratio of the longest stream's best to the
-shortest's, which is 1.0 when streaming cost grows linearly with audio
-length, and the median raw reference sample in ms. It runs on one BLAS
-thread, as the benchmark does; the seed picks the features.
+``perfbench/run.py`` states its times, stretch by stretch: a
+``run.HostReference`` sample is taken right after each 1,600-frame stretch
+(the last one also ends the stream), the stretch's time is multiplied by
+``run.REFERENCE_S`` over that sample's, and the stream's time is the sum,
+so a host that changes speed within a long stream is tracked. The script
+prints one JSON line: per length the best and the median over the repeats
+of the scaled time per input frame in ms, the ratio of the longest
+stream's best to the shortest's, which is 1.0 when streaming cost grows
+linearly with audio length, and the median raw reference sample in ms. It
+runs on one BLAS thread, as the benchmark does; the seed picks the
+features.
 """
 
 from __future__ import annotations
@@ -33,6 +36,33 @@ sys.path.insert(0, str(PERFBENCH))
 import run  # noqa: E402  (sets one BLAS thread before numpy loads)
 
 FRAMES = (1600, 3200, 6400, 12800)
+STRETCH_FRAMES = 1600  # input frames timed between two reference samples
+
+
+def scaled_stream(encode, x, reference) -> float:
+    """The time to stream ``x`` through ``encode(rows, end)`` in
+    ``run.CHUNK_FRAMES`` chunks and end it, at reference host speed: each
+    ``STRETCH_FRAMES`` stretch's time over the ``reference`` sample taken
+    right after it, times ``run.REFERENCE_S``, summed."""
+    total = 0.0
+    for lo in range(0, x.shape[0], STRETCH_FRAMES):
+        hi = min(lo + STRETCH_FRAMES, x.shape[0])
+        start = time.perf_counter()
+        for at in range(lo, hi, run.CHUNK_FRAMES):
+            encode(x[at:min(at + run.CHUNK_FRAMES, hi)], False)
+        if hi == x.shape[0]:
+            encode(x[:0], True)
+        elapsed = time.perf_counter() - start
+        total += elapsed * run.REFERENCE_S / reference.sample()
+    return total
+
+
+def curve(times: dict[int, list[float]]) -> tuple[dict, float]:
+    """Per stream length, the best and the median scaled time per input
+    frame in ms, and the longest stream's best over the shortest's."""
+    per_frame = {str(n): {"best_ms_per_frame": min(t) * 1e3 / n, "median_ms_per_frame": statistics.median(t) * 1e3 / n}
+                 for n, t in times.items()}
+    return per_frame, per_frame[str(max(times))]["best_ms_per_frame"] / per_frame[str(min(times))]["best_ms_per_frame"]
 
 
 def main(argv=None) -> int:
@@ -50,28 +80,21 @@ def main(argv=None) -> int:
     _, model = run.load_weights()
     rng = np.random.default_rng(args.seed)
     features = {n: rng.normal(size=(n, model.cfg.d_feat)).astype(np.float32) for n in FRAMES}
+    reference = run.HostReference()
 
-    def stream(x: np.ndarray) -> float:
+    def stream(x) -> float:
         state = model_mod.StreamState()
-        start = time.perf_counter()
         with ad.no_grad():
-            for at in range(0, x.shape[0], run.CHUNK_FRAMES):
-                model.acoustic_encode(x[at:at + run.CHUNK_FRAMES], state=state, end=False)
-            model.acoustic_encode(x[:0], state=state, end=True)
-        return time.perf_counter() - start
+            return scaled_stream(lambda rows, end: model.acoustic_encode(rows, state=state, end=end), x, reference)
 
     stream(features[FRAMES[0]])  # warm-up
-    reference = run.HostReference()
     times = {n: [] for n in FRAMES}
     for _ in range(args.repeats):
         for n in FRAMES:
-            elapsed = stream(features[n])
-            times[n].append(elapsed * run.REFERENCE_S / reference.sample())
-    curve = {str(n): {"best_ms_per_frame": min(t) * 1e3 / n, "median_ms_per_frame": statistics.median(t) * 1e3 / n}
-             for n, t in times.items()}
-    ratio = curve[str(FRAMES[-1])]["best_ms_per_frame"] / curve[str(FRAMES[0])]["best_ms_per_frame"]
+            times[n].append(stream(features[n]))
+    per_frame, ratio = curve(times)
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "chunk_frames": run.CHUNK_FRAMES,
-                      "ms_per_input_frame": curve, "longest_to_shortest": ratio,
+                      "ms_per_input_frame": per_frame, "longest_to_shortest": ratio,
                       "reference_ms": reference.typical_s() * 1e3}))
     return 0
 
