@@ -33,15 +33,20 @@ streamed call writes only its new rows' keys and values and attends over
 views of the cached ones, copying none of them.
 
 A model's parameters live in one flat buffer (``flat_parameters``), and
-their gradients in another: each named parameter is a view of both. So
-``adam_step`` updates a trained slice in one in-place pass, and copying
-the parameters is one copy.
+their gradients in another, each laid out by a ``Layout``: each named
+parameter is a view of both. So ``adam_step`` updates a trained slice in
+one in-place pass, and copying the parameters is one copy. Parameters
+and Adam moments held apart from a model (a checkpoint's) are
+``FlatViews``: one buffer in a layout, whose named views are cut only
+when a name is read.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -815,27 +820,65 @@ def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """Views of consecutive pieces of the 1-D ``flat``, shaped and named
-    by ``shapes``, in its order."""
-    views, at = {}, 0
-    for name, shape in shapes.items():
-        n = math.prod(shape)
-        views[name] = flat[at:at + n].reshape(shape)
-        at += n
-    return views
+class Layout:
+    """Named arrays laid end to end in a 1-D buffer, in order: each name's
+    shape and its ``(start, end)`` span of the buffer, and the buffer's
+    size. Layouts are equal when they hold the same names and shapes in
+    the same order."""
+
+    def __init__(self, shapes: dict[str, tuple]):
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.spans, at = {}, 0
+        for name, shape in self.shapes.items():
+            n = math.prod(shape)
+            self.spans[name] = (at, at + n)
+            at += n
+        self.size = at
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Layout) and
+                                 list(self.shapes.items()) == list(other.shapes.items()))
+
+    def head(self, count: int) -> "Layout":
+        """The layout of the leading ``count`` names, a leading slice of this one's buffer."""
+        return Layout(dict(itertools.islice(self.shapes.items(), count)))
+
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """``name``'s piece of the 1-D ``flat``, shaped."""
+        start, end = self.spans[name]
+        return flat[start:end].reshape(self.shapes[name])
 
 
-def flat_parameters(shapes: dict[str, tuple]) -> tuple[Tensor, dict[str, Tensor]]:
+class FlatViews(Mapping):
+    """Named arrays held as one 1-D buffer ``data`` laid out by ``layout``:
+    reading a name cuts its view of the buffer, so writing through a view
+    writes the buffer, and copying them all is one copy of ``data``."""
+
+    def __init__(self, layout: Layout, data: np.ndarray):
+        if data.shape != (layout.size,):
+            raise ShapeError(f"FlatViews: a buffer of shape {data.shape} for a layout of {layout.size} values")
+        self.layout, self.data = layout, data
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.layout.view(self.data, name)
+
+    def __iter__(self):
+        return iter(self.layout.shapes)
+
+    def __len__(self) -> int:
+        return len(self.layout.shapes)
+
+
+def flat_parameters(layout: Layout) -> tuple[Tensor, dict[str, Tensor]]:
     """A flat parameter store: one 1-D parameter holding every parameter of
-    ``shapes`` end to end, in its order, and those parameters by name, each
-    a leaf whose data and grad are views of the flat one's. Values start
-    unset and gradients at zero."""
-    flat = Tensor(np.empty(sum(math.prod(s) for s in shapes.values()), dtype=_default_dtype), requires_grad=True)
+    ``layout``, and those parameters by name, each a leaf whose data and
+    grad are views of the flat one's. Values start unset and gradients at
+    zero."""
+    flat = Tensor(np.empty(layout.size, dtype=_default_dtype), requires_grad=True)
     params = {}
-    for (name, data), grad in zip(unflatten(flat.data, shapes).items(), unflatten(flat.grad, shapes).values()):
+    for name in layout.shapes:
         p = params[name] = Tensor.__new__(Tensor)
-        p.data, p.grad, p.requires_grad = data, grad, True
+        p.data, p.grad, p.requires_grad = layout.view(flat.data, name), layout.view(flat.grad, name), True
     return flat, params
 
 
@@ -846,7 +889,8 @@ def flat_parameters(shapes: dict[str, tuple]) -> tuple[Tensor, dict[str, Tensor]
 
 @dataclass
 class OptimizerState:
-    """Adam moments, by parameter name, plus the schedule hyperparameters."""
+    """Adam moments, by parameter name (``FlatViews`` of the trained
+    parameters when training made them), plus the schedule hyperparameters."""
 
     beta1: float = 0.9
     beta2: float = 0.98

@@ -33,6 +33,7 @@ state lacks: the new feature rows, shrunk segments, units and tokens.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -131,8 +132,10 @@ class ModelConfig:
         for name, modes in (("shrink_mode", shrink_mod.MODES), ("blank_penalty_mode", ctc_mod.BLANK_PENALTY_MODES)):
             if getattr(self, name) not in modes:
                 raise ValueError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
-        # built once; an attribute, not a field, so asdict, fingerprints and checkpoint headers leave it out
+        # built once; attributes, not fields, so asdict, fingerprints and checkpoint headers leave them out
         object.__setattr__(self, "shrink_config", ShrinkConfig(self.shrink_temperature, self.shrink_mode))
+        blob = json.dumps(asdict(self), sort_keys=True, default=str)
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16])
 
     @property
     def downsample(self) -> int:
@@ -148,8 +151,8 @@ class ModelConfig:
         return self.src_vocab_size
 
     def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        """The first 16 hex digits of the SHA-256 of the fields as sorted JSON."""
+        return self._fingerprint
 
 
 def _conv_layout(cfg: ModelConfig) -> list[tuple[int, int, int]]:
@@ -274,26 +277,90 @@ class StreamState:
         return StreamState(self.rows, dict(self.kv), dict(self.conv))
 
 
-# the parameter names of an attention sub-layer's projections and a feed-forward net's layers
-_ATTENTION_WEIGHTS = tuple(f".{p}.{t}" for p in ("q", "k", "v", "o") for t in ("w", "b"))
-_FFN_WEIGHTS = (".1.w", ".1.b", ".2.w", ".2.b")
-
-
 def _cached_rows(kv: dict, prefix: str) -> int:
     """Rows whose keys and values ``kv`` holds under ``prefix``."""
     past = kv.get(prefix)
     return 0 if past is None else past.n
 
 
+@dataclass(frozen=True)
+class ParamLayout:
+    """What a config fixes about its model's parameters, built once per
+    config by ``param_layout`` and shared, read only, by its models."""
+
+    flat: ad.Layout  # the flat store: every parameter, the acoustic encoder and CTC head first
+    init: dict[str, tuple[Optional[int], float]]  # name -> fan_in to draw uniform(±1/sqrt(fan_in)), else fill
+    # per Transformer layer prefix, each sub-layer's op weight names: the
+    # norm's gain and bias, then the linears'; None for a missing cross-attention
+    sublayers: dict[str, tuple[Optional[tuple[str, ...]], ...]]
+    encoder: ad.Layout  # the acoustic encoder and CTC head, the parameters pre-training updates
+
+
+@functools.lru_cache(maxsize=16)
+def param_layout(cfg: ModelConfig) -> ParamLayout:
+    """Declares every parameter of ``cfg``'s model, in the order weights
+    are drawn and laid out in the flat store."""
+    specs: dict[str, tuple[tuple, Optional[int], float]] = {}  # name -> shape, fan_in, fill
+    sublayers = {}
+    d = cfg.d_model
+
+    def param(name: str, shape: tuple, fan_in: Optional[int] = None, fill: float = 0.0) -> None:
+        specs[name] = (shape, fan_in, fill)
+
+    def linear(name: str, fan_in: int, fan_out: int) -> None:
+        param(f"{name}.w", (fan_in, fan_out), fan_in)
+        param(f"{name}.b", (fan_out,))
+
+    def norm(name: str) -> None:
+        param(f"{name}.g", (d,), fill=1.0)
+        param(f"{name}.b", (d,))
+
+    def sublayer(norm_name: str, prefix: str, linears) -> tuple[str, ...]:
+        """A pre-norm and its ``(suffix, fan_in, fan_out)`` linears; their names in op order."""
+        norm(norm_name)
+        for suffix, fan_in, fan_out in linears:
+            linear(prefix + suffix, fan_in, fan_out)
+        return (f"{norm_name}.g", f"{norm_name}.b") + tuple(f"{prefix}{suffix}.{t}" for suffix, _, _ in linears
+                                                            for t in "wb")
+
+    def tf_block(prefix: str, cross: bool = False) -> None:
+        attention = [(f".{p}", d, d) for p in "qkvo"]
+        sublayers[prefix] = (sublayer(f"{prefix}.ln1", f"{prefix}.attn", attention),
+                             sublayer(f"{prefix}.lnx", f"{prefix}.xattn", attention) if cross else None,
+                             sublayer(f"{prefix}.ln2", f"{prefix}.ffn", [(".1", d, cfg.ffn_dim), (".2", cfg.ffn_dim, d)]))
+
+    c_in = cfg.d_feat
+    for b, i, _ in _conv_layout(cfg):
+        param(f"acoustic.conv{b}.{i}.w", (cfg.conv_kernel, c_in, d), cfg.conv_kernel * c_in)
+        param(f"acoustic.conv{b}.{i}.b", (d,))
+        c_in = d
+    for b in range(cfg.n_blocks):
+        for l in range(cfg.transformer_layers_per_block):
+            tf_block(f"acoustic.block{b}.tf{l}")
+    linear("ctc.hidden", d, d)
+    linear("ctc.out", d, cfg.src_vocab_size + 1)
+    encoder = len(specs)
+    for l in range(cfg.semantic_layers):
+        tf_block(f"semantic.tf{l}")
+    param("decoder.embed", (cfg.tgt_vocab_size, d), d)
+    for l in range(cfg.decoder_layers):
+        tf_block(f"decoder.tf{l}", cross=True)
+    norm("decoder.ln_out")
+    linear("decoder.out", d, cfg.tgt_vocab_size)
+    flat = ad.Layout({name: shape for name, (shape, _, _) in specs.items()})
+    return ParamLayout(flat, {name: (fan_in, fill) for name, (_, fan_in, fill) in specs.items()},
+                       sublayers, flat.head(encoder))
+
+
 class Model:
     """Parameter container plus forward passes; training mutates params only
     through the optimizer.
 
-    The parameters live in one flat store: ``flat`` is a 1-D parameter
-    holding them all end to end, and each entry of ``params`` is a view of
-    a piece of its data and of its gradient. The acoustic encoder and the
-    CTC head come first, so the parameters pre-training updates are a
-    leading slice of the store.
+    The parameters live in one flat store laid out by ``layout.flat``:
+    ``flat`` is a 1-D parameter holding them all end to end, and each entry
+    of ``params`` is a view of a piece of its data and of its gradient. The
+    acoustic encoder and the CTC head come first, so the parameters
+    pre-training updates are a leading slice of the store.
     """
 
     def __init__(self, cfg: ModelConfig, seed: Optional[int] = 0):
@@ -301,84 +368,20 @@ class Model:
         leaves them unset, for a caller that loads every parameter next
         (``train.load_params``)."""
         self.cfg = cfg
-        self._specs: dict[str, tuple[tuple, Optional[int], float]] = {}  # name -> shape, fan_in, fill
-        self._layers: dict[str, bool] = {}  # Transformer layer prefix -> has cross-attention
-        self._build()
-        self.flat, self.params = ad.flat_parameters({name: shape for name, (shape, _, _) in self._specs.items()})
+        self.layout = param_layout(cfg)
+        self.flat, self.params = ad.flat_parameters(self.layout.flat)
         p = self.params
-
-        def weights(norm: str, prefix: str, linears: Sequence[str]) -> list[Tensor]:
-            return [p[norm + ".g"], p[norm + ".b"]] + [p[prefix + name] for name in linears]
-
-        # per layer prefix, each sub-layer's op weights: the norm's gain and bias, then the linears'
-        self._sublayers = {prefix: (weights(prefix + ".ln1", prefix + ".attn", _ATTENTION_WEIGHTS),
-                                    weights(prefix + ".lnx", prefix + ".xattn", _ATTENTION_WEIGHTS) if cross else None,
-                                    weights(prefix + ".ln2", prefix + ".ffn", _FFN_WEIGHTS))
-                           for prefix, cross in self._layers.items()}
+        # per layer prefix, each sub-layer's op weights
+        self._sublayers = {prefix: tuple(None if names is None else [p[name] for name in names] for names in table)
+                           for prefix, table in self.layout.sublayers.items()}
         if seed is None:
             return
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        for name, (shape, fan_in, fill) in self._specs.items():  # drawn in declaration order
-            self.params[name].data[...] = fill if fan_in is None else ad.uniform_init(shape, fan_in, rng)
-
-    # -- parameter construction -------------------------------------------
-
-    def _param(self, name: str, shape: tuple, fan_in: Optional[int] = None, fill: float = 0.0) -> None:
-        """Declare a parameter, drawn uniform(±1/sqrt(fan_in)) when ``fan_in``
-        is given, else filled with ``fill``."""
-        self._specs[name] = (tuple(shape), fan_in, fill)
-
-    def _linear(self, name: str, fan_in: int, fan_out: int) -> None:
-        self._param(f"{name}.w", (fan_in, fan_out), fan_in)
-        self._param(f"{name}.b", (fan_out,))
-
-    def _norm(self, name: str) -> None:
-        self._param(f"{name}.g", (self.cfg.d_model,), fill=1.0)
-        self._param(f"{name}.b", (self.cfg.d_model,))
-
-    def _tf_block(self, prefix: str, cross: bool = False) -> None:
-        d = self.cfg.d_model
-        self._layers[prefix] = cross
-        self._norm(f"{prefix}.ln1")
-        for p in ("q", "k", "v", "o"):
-            self._linear(f"{prefix}.attn.{p}", d, d)
-        if cross:
-            self._norm(f"{prefix}.lnx")
-            for p in ("q", "k", "v", "o"):
-                self._linear(f"{prefix}.xattn.{p}", d, d)
-        self._norm(f"{prefix}.ln2")
-        self._linear(f"{prefix}.ffn.1", d, self.cfg.ffn_dim)
-        self._linear(f"{prefix}.ffn.2", self.cfg.ffn_dim, d)
-
-    def _build(self) -> None:
-        """Declares every parameter; the acoustic encoder and CTC head first."""
-        cfg = self.cfg
-        c_in = cfg.d_feat
-        for b, i, _ in _conv_layout(cfg):
-            k = cfg.conv_kernel
-            self._param(f"acoustic.conv{b}.{i}.w", (k, c_in, cfg.d_model), k * c_in)
-            self._param(f"acoustic.conv{b}.{i}.b", (cfg.d_model,))
-            c_in = cfg.d_model
-        for b in range(cfg.n_blocks):
-            for l in range(cfg.transformer_layers_per_block):
-                self._tf_block(f"acoustic.block{b}.tf{l}")
-        self._linear("ctc.hidden", cfg.d_model, cfg.d_model)
-        self._linear("ctc.out", cfg.d_model, cfg.src_vocab_size + 1)
-        for l in range(cfg.semantic_layers):
-            self._tf_block(f"semantic.tf{l}")
-        self._param("decoder.embed", (cfg.tgt_vocab_size, cfg.d_model), cfg.d_model)
-        for l in range(cfg.decoder_layers):
-            self._tf_block(f"decoder.tf{l}", cross=True)
-        self._norm("decoder.ln_out")
-        self._linear("decoder.out", cfg.d_model, cfg.tgt_vocab_size)
+        for name, (fan_in, fill) in self.layout.init.items():  # drawn in declaration order
+            p[name].data[...] = fill if fan_in is None else ad.uniform_init(p[name].shape, fan_in, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
-
-    def encoder_parameters(self) -> dict[str, Tensor]:
-        """Acoustic encoder + CTC head, the subset the pre-training stage
-        updates: the leading parameters of ``flat``."""
-        return {k: v for k, v in self.params.items() if k.startswith(("acoustic.", "ctc."))}
 
     # -- forward pieces ----------------------------------------------------
 

@@ -2,9 +2,17 @@
 checkpointing with bit-exact resume, and the evaluation loop driving the
 streaming engine.
 
+A checkpoint holds its parameters, and Adam's moments, as ``ad.FlatViews``:
+one flat buffer per table in the layout the config gives its parameters
+(``model.param_layout``), the moments over the trained leading ones. A
+training call starts its model with one copy of the start's buffer, and
+hands out that model's own store as the new checkpoint's parameters: the
+model ends with the call, so nothing else writes the store.
+
 Checkpoint file: magic "RTCK0001", u64 little-endian JSON header length,
 a JSON header (config, fingerprint, optimizer scalars, RNG state, tensor
-manifest), then the raw little-endian tensor payload.
+manifest), then the raw little-endian tensor payload. Loading reads each
+tensor straight into its slot of its table's buffer.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -26,7 +34,7 @@ from . import metrics as metrics_mod
 from . import streaming
 from .autodiff import OptimizerState
 from .data import Corpus, check_integers, check_real, make_batches
-from .model import Model, ModelConfig, skip_reason
+from .model import Model, ModelConfig, param_layout, skip_reason
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +56,7 @@ class NoUpdatesError(ValueError):
 
 @dataclass
 class Checkpoint:
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
     opt: OptimizerState
     epoch: int
     fingerprint: str
@@ -92,6 +100,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``. Its parameters must be those its config
+    declares, and each moment table the config's leading parameters."""
     raw = Path(path).read_bytes()
     if raw[:8] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -100,34 +110,51 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<Q", raw[8:16])
     if 16 + hlen > len(raw):
         raise ValueError(f"{path}: truncated, {len(raw)} bytes hold no {hlen}-byte header")
-    body = raw[16 + hlen:]
-    tables: dict[str, dict[str, np.ndarray]] = {"param": {}, "m": {}, "v": {}}
+    body = memoryview(raw)[16 + hlen:]
     try:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        cfg = ModelConfig(**header["cfg"])
+        layout = param_layout(cfg).flat
+        entries: dict[str, list] = {"param": [], "m": [], "v": []}
         for entry in header["tensors"]:
-            kind, name = entry["kind"], entry["name"]
-            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-            count = int(np.prod(entry["shape"], dtype=np.int64))
-            if entry["offset"] + count * dtype.itemsize > len(body):
-                break  # truncated: raised below, past the malformed-header handler
-            tables[kind][name] = np.frombuffer(body, dtype=dtype, count=count, offset=entry["offset"]
-                                               ).reshape(entry["shape"]).astype(entry["dtype"])
-        else:
-            check_integers("epoch", header["epoch"], low=0)
-            if header["stage"] not in STAGES:
-                raise ValueError(f"stage must be one of {STAGES}, got {header['stage']!r}")
-            return Checkpoint(
-                params=tables["param"],
-                opt=OptimizerState(**header["opt"], m=tables["m"], v=tables["v"]),
-                epoch=header["epoch"],
-                fingerprint=header["fingerprint"],
-                cfg=ModelConfig(**header["cfg"]),
-                rng_state=header["rng_state"],
-                stage=header["stage"],
-            )
+            entries[entry["kind"]].append(entry)
+        tables = {kind: _read_table(body, group, layout if kind == "param" else layout.head(len(group)), kind)
+                  for kind, group in entries.items()}
+        check_integers("epoch", header["epoch"], low=0)
+        if header["stage"] not in STAGES:
+            raise ValueError(f"stage must be one of {STAGES}, got {header['stage']!r}")
+        return Checkpoint(
+            params=tables["param"],
+            opt=OptimizerState(**header["opt"], m=tables["m"], v=tables["v"]),
+            epoch=header["epoch"],
+            fingerprint=header["fingerprint"],
+            cfg=cfg,
+            rng_state=header["rng_state"],
+            stage=header["stage"],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
-    raise ValueError(f"{path}: truncated, the payload ends before {kind} tensor {name!r}")
+    except EOFError as exc:
+        raise ValueError(f"{path}: truncated, {exc}") from None
+
+
+def _read_table(body: memoryview, entries: list, layout: ad.Layout, kind: str) -> ad.FlatViews:
+    """The ``kind`` tensors that ``entries`` place in the payload ``body``,
+    read into one buffer laid out by ``layout``, whose names they must be.
+    Raises ``EOFError`` when the payload ends before a tensor does."""
+    if sorted(e["name"] for e in entries) != sorted(layout.shapes):
+        raise ValueError(f"the {kind} tensors are not the config's {len(layout.shapes)} leading parameters")
+    dtype = np.dtype(entries[0]["dtype"]) if entries else ad.default_dtype()
+    flat = np.empty(layout.size, dtype=dtype)
+    for entry in entries:
+        name = entry["name"]
+        if np.dtype(entry["dtype"]) != dtype or tuple(entry["shape"]) != layout.shapes[name]:
+            raise ValueError(f"{kind} tensor {name!r} is not {dtype} of shape {layout.shapes[name]}")
+        start, end = layout.spans[name]
+        if entry["offset"] + (end - start) * dtype.itemsize > len(body):
+            raise EOFError(f"the payload ends before {kind} tensor {name!r}")
+        flat[start:end] = np.frombuffer(body, dtype=dtype.newbyteorder("<"), count=end - start, offset=entry["offset"])
+    return ad.FlatViews(layout, flat)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
@@ -137,37 +164,26 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     return model
 
 
-def load_params(model: Model, params: dict[str, np.ndarray]) -> None:
-    own = model.parameters()
-    if set(own) != set(params):
-        missing = set(own) ^ set(params)
+def load_params(model: Model, params: Mapping[str, np.ndarray]) -> None:
+    """Writes ``params`` into the model's flat store, leaving its gradients
+    as they are (zero in a fresh model)."""
+    _fill(model.flat.data, model.layout.flat, params)
+
+
+def _fill(flat: np.ndarray, layout: ad.Layout, named: Mapping[str, np.ndarray]) -> None:
+    """Writes the arrays ``named`` into the 1-D ``flat`` laid out by
+    ``layout``: one copy from ``FlatViews`` in that layout, else one per
+    name. Other names or shapes raise ``FingerprintMismatch``."""
+    if isinstance(named, ad.FlatViews) and named.layout == layout:
+        flat[...] = named.data
+        return
+    if set(named) != set(layout.shapes):
+        missing = set(layout.shapes) ^ set(named)
         raise FingerprintMismatch(f"parameter names disagree: {sorted(missing)[:4]}...")
-    for name, arr in params.items():
-        if own[name].data.shape != arr.shape:
+    for name, arr in named.items():
+        if arr.shape != layout.shapes[name]:
             raise FingerprintMismatch(f"shape mismatch for {name}")
-        own[name].data[...] = arr
-    model.flat.zero_grad()
-
-
-def _shapes(params: dict) -> dict[str, tuple]:
-    return {name: p.shape for name, p in params.items()}
-
-
-def snapshot(model: Model, opt: OptimizerState, epoch: int, rng: np.random.Generator,
-             stage: str) -> Checkpoint:
-    """A checkpoint of the model and ``opt``. Its parameters are views of
-    one copy of the model's flat store, so training the model further
-    leaves it as it is; ``opt`` is taken as it is (``_train`` hands over
-    moment buffers that it writes no more)."""
-    return Checkpoint(
-        params=ad.unflatten(model.flat.data.copy(), _shapes(model.parameters())),
-        opt=opt,
-        epoch=epoch,
-        fingerprint=model.cfg.fingerprint(),
-        cfg=model.cfg,
-        rng_state=rng.bit_generator.state,
-        stage=stage,
-    )
+        layout.view(flat, name)[...] = arr
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +219,24 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
     if start is not None:
         load_params(model, start.params)
     # the trained parameters lead the flat store; Adam's moments are flat
-    # buffers over them, which the optimizer state holds by name as views
-    trained = _shapes(model.parameters() if finetuning else model.encoder_parameters())
-    n = sum(math.prod(s) for s in trained.values())
-    m, v = np.empty(n, dtype=model.flat.data.dtype), np.empty(n, dtype=model.flat.data.dtype)
-    # zeroed by writing: a fresh page then faults once, where calloc's pages would
-    # fault twice in Adam's in-place update (a read of the zero page, then a write)
-    m[...] = v[...] = 0.0
-    named_m, named_v = ad.unflatten(m, trained), ad.unflatten(v, trained)
+    # buffers over them, which the optimizer state holds as FlatViews
+    trained = model.layout.flat if finetuning else model.layout.encoder
+    m, v = (np.empty(trained.size, dtype=model.flat.data.dtype) for _ in range(2))
     if start is not None and start.stage == stage:
         # resuming the same stage: restore optimizer and data-order RNG,
         # into new buffers so the caller's checkpoint stays as it was
-        for named, old in ((named_m, start.opt.m), (named_v, start.opt.v)):
-            for name, arr in old.items():
-                named[name][...] = arr
-        opt = dataclasses.replace(start.opt, m=named_m, v=named_v)
+        _fill(m, trained, start.opt.m)
+        _fill(v, trained, start.opt.v)
+        opt = dataclasses.replace(start.opt, m=ad.FlatViews(trained, m), v=ad.FlatViews(trained, v))
         rng = np.random.default_rng()
         rng.bit_generator.state = start.rng_state
         epoch0 = start.epoch
     else:
-        opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup, m=named_m, v=named_v)
+        # zeroed by writing: a fresh page then faults once, where calloc's pages would
+        # fault twice in Adam's in-place update (a read of the zero page, then a write)
+        m[...] = v[...] = 0.0
+        opt = OptimizerState(base_lr=settings.base_lr, warmup=settings.warmup,
+                             m=ad.FlatViews(trained, m), v=ad.FlatViews(trained, v))
         rng = np.random.default_rng(settings.seed)
         epoch0 = 0
 
@@ -261,7 +275,9 @@ def _train(corpus: Corpus, cfg: ModelConfig, epochs: int, stage: str,
         if log_fh:
             log_fh.close()
     ad.reset_tape()
-    return snapshot(model, opt, epoch0 + epochs, rng, stage)
+    # the model ends with this call, so its store is handed out, not copied
+    return Checkpoint(params=ad.FlatViews(model.layout.flat, model.flat.data), opt=opt, epoch=epoch0 + epochs,
+                      fingerprint=cfg.fingerprint(), cfg=cfg, rng_state=rng.bit_generator.state, stage=stage)
 
 
 def pretrain_ctc(corpus: Corpus, cfg: ModelConfig, epochs: int,

@@ -645,20 +645,44 @@ class TestAdam:
 
 
 SHAPES = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5), "b.g": (7,)}
+LAYOUT = ad.Layout(SHAPES)
+
+
+class TestLayout:
+    def test_spans_lie_end_to_end_in_order(self):
+        assert LAYOUT.spans == {"a.w": (0, 12), "a.b": (12, 16), "b.w": (16, 46), "b.g": (46, 53)}
+        assert LAYOUT.size == 53
+        assert LAYOUT.head(2) == ad.Layout({"a.w": (3, 4), "a.b": (4,)}) and LAYOUT.head(2).size == 16
+        assert LAYOUT == ad.Layout(dict(SHAPES)) and LAYOUT != LAYOUT.head(3)
+        # the same names and shapes in another order lay the buffer out differently
+        assert LAYOUT != ad.Layout(dict(reversed(SHAPES.items())))
+
+    def test_flat_views_are_cut_from_the_buffer_when_read(self):
+        flat = np.arange(53, dtype=np.float32)
+        named = ad.FlatViews(LAYOUT, flat)
+        assert list(named) == list(SHAPES) and len(named) == 4 and "b.w" in named and "c" not in named
+        assert named["b.w"].shape == (2, 3, 5) and np.shares_memory(named["b.w"], flat)
+        np.testing.assert_array_equal(named["a.b"], [12, 13, 14, 15])
+        named["b.g"][...] = -1.0
+        np.testing.assert_array_equal(flat[46:], -1.0)
+
+    def test_a_buffer_of_another_size_rejected(self):
+        with pytest.raises(ad.ShapeError, match="53"):
+            ad.FlatViews(LAYOUT, np.zeros(52, dtype=np.float32))
 
 
 class TestFlatAdam:
     """The flat store's one in-place pass against the per-tensor loop."""
 
     def _stores(self, rng):
-        flat, params = ad.flat_parameters(SHAPES)
+        flat, params = ad.flat_parameters(LAYOUT)
         for p in params.values():
             p.data[...] = rng.normal(size=p.shape)
         alone = {k: ad.Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
         return flat, params, alone
 
     def test_parameters_are_views_of_the_store(self):
-        flat, params = ad.flat_parameters(SHAPES)
+        flat, params = ad.flat_parameters(LAYOUT)
         assert flat.data.dtype == np.float32 and flat.shape == (sum(math.prod(s) for s in SHAPES.values()),)
         assert list(params) == list(SHAPES) and all(p.shape == SHAPES[k] for k, p in params.items())
         params["b.w"].data[...] = 2.0
@@ -680,7 +704,7 @@ class TestFlatAdam:
             ad.adam_step(flat, m, v, flat_state, lr)
             per_tensor_adam_step(alone, loop_state, lr)
         assert flat_state.step == loop_state.step == 6
-        named_m, named_v = ad.unflatten(m, SHAPES), ad.unflatten(v, SHAPES)
+        named_m, named_v = ad.FlatViews(LAYOUT, m), ad.FlatViews(LAYOUT, v)
         for name, p in params.items():
             assert p.data.dtype == np.float32
             assert p.data.tobytes() == alone[name].data.tobytes(), name

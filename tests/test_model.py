@@ -1,7 +1,11 @@
 import dataclasses
 import functools
+import hashlib
+import json
 import logging
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,22 @@ class TestConfig:
         cfg = model.ModelConfig(use_ctc=np.True_, use_shrink=np.True_, gradual_downsample=np.False_)
         assert cfg.fingerprint() == model.ModelConfig(gradual_downsample=False).fingerprint()
 
+    def test_fingerprint_is_the_digest_of_the_fields_computed_once(self):
+        cfg = model.ModelConfig(conv_lookahead=[0, 1, 1], wait_k=math.inf)
+        blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str).encode("utf-8")
+        assert cfg.fingerprint() == hashlib.sha256(blob).hexdigest()[:16]
+        other = dataclasses.replace(cfg, d_model=32)
+        blob = json.dumps(dataclasses.asdict(other), sort_keys=True, default=str).encode("utf-8")
+        assert other.fingerprint() == hashlib.sha256(blob).hexdigest()[:16] != cfg.fingerprint()
+        assert dataclasses.replace(cfg).fingerprint() == cfg.fingerprint()
+        assert "_fingerprint" not in dataclasses.asdict(cfg)
+
+    def test_benchmark_header_fingerprint_is_unchanged(self):
+        raw = (Path(__file__).resolve().parents[1] / "perfbench" / "weights.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        assert model.ModelConfig(**header["cfg"]).fingerprint() == header["fingerprint"] == "49f82633f18a290e"
+
     def test_bad_heads_rejected(self):
         with pytest.raises(ValueError):
             model.ModelConfig(d_model=30, n_heads=4)
@@ -80,6 +100,33 @@ class TestConfig:
 def test_bad_loss_settings_rejected_at_construction(kw):
     with pytest.raises(ValueError, match="mode|temperature"):
         model.ModelConfig(**kw)
+
+
+class TestParamLayout:
+    def test_built_once_per_config_and_shared_by_its_models(self):
+        cfg = tiny_cfg()
+        layout = model.param_layout(cfg)
+        assert model.param_layout(dataclasses.replace(cfg)) is layout
+        a, b = model.Model(cfg, seed=0), model.Model(cfg, seed=None)
+        assert a.layout is b.layout is layout and not np.shares_memory(a.flat.data, b.flat.data)
+        assert list(a.params) == list(layout.flat.shapes) and a.flat.shape == (layout.flat.size,)
+        for name, p in a.params.items():
+            start, end = layout.flat.spans[name]
+            assert p.shape == layout.flat.shapes[name] and np.shares_memory(p.data, a.flat.data[start:end])
+        encoder = [name for name in layout.flat.shapes if name.startswith(("acoustic.", "ctc."))]
+        assert list(layout.encoder.shapes) == list(layout.flat.shapes)[:len(encoder)] == encoder
+
+    def test_sublayer_tables_name_each_ops_weights_in_order(self):
+        layout = model.param_layout(tiny_cfg())
+        attention, cross, ffn = layout.sublayers["decoder.tf0"]
+        assert attention == ("decoder.tf0.ln1.g", "decoder.tf0.ln1.b") + tuple(
+            f"decoder.tf0.attn.{p}.{t}" for p in "qkvo" for t in "wb")
+        assert cross == ("decoder.tf0.lnx.g", "decoder.tf0.lnx.b") + tuple(
+            f"decoder.tf0.xattn.{p}.{t}" for p in "qkvo" for t in "wb")
+        assert ffn == ("decoder.tf0.ln2.g", "decoder.tf0.ln2.b", "decoder.tf0.ffn.1.w", "decoder.tf0.ffn.1.b",
+                       "decoder.tf0.ffn.2.w", "decoder.tf0.ffn.2.b")
+        assert layout.sublayers["semantic.tf0"][1] is None
+        assert set(layout.sublayers) == {"acoustic.block0.tf0", "semantic.tf0", "decoder.tf0"}
 
 
 class TestLookahead:

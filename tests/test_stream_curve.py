@@ -54,7 +54,17 @@ def test_each_stretch_is_scaled_by_the_sample_after_it(host):
 
 
 def test_curve_gives_best_median_and_ratio():
-    per_frame, ratio = stream_curve.curve({1600: [3.2, 1.6, 2.4], 12800: [19.2, 38.4, 25.6]})
+    per_frame, ratio = stream_curve.curve({1600: [[3.2], [1.6], [2.4]], 12800: [[19.2], [38.4], [25.6]]})
+    assert per_frame["1600"] == pytest.approx({"best_ms_per_frame": 1.0, "median_ms_per_frame": 1.5})
+    assert per_frame["12800"] == pytest.approx({"best_ms_per_frame": 1.5, "median_ms_per_frame": 2.0})
+    assert ratio == pytest.approx(1.5)
+
+
+def test_curve_takes_the_best_of_each_repeats_mean():
+    # four short streams per repeat, one long one: a repeat's short time is its four's mean,
+    # so the one fast short stream (0.8 s) sets no best on its own
+    short = [[2.4, 0.8, 1.6, 1.6], [1.6, 1.6, 3.2, 3.2], [3.2, 3.2, 3.2, 3.2]]
+    per_frame, ratio = stream_curve.curve({1600: short, 12800: [[19.2], [25.6], [38.4]]})
     assert per_frame["1600"] == pytest.approx({"best_ms_per_frame": 1.0, "median_ms_per_frame": 1.5})
     assert per_frame["12800"] == pytest.approx({"best_ms_per_frame": 1.5, "median_ms_per_frame": 2.0})
     assert ratio == pytest.approx(1.5)
@@ -68,8 +78,12 @@ def test_main_streams_every_length_each_repeat(host, monkeypatch, capsys):
     assert stream_curve.main(["--repeats", "2"]) == 0
     line = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (line["repeats"], line["chunk_frames"]) == (2, run.CHUNK_FRAMES)
-    # a warm-up stream, then each length twice; one end per stream and one sample per stretch
-    frames = [stream_curve.FRAMES[0]] + list(stream_curve.FRAMES) * 2
+    # a warm-up stream, then per repeat the shortest four times and each longer length once;
+    # one end per stream and one sample per stretch
+    frames = [stream_curve.FRAMES[0]] + list(stream_curve.ORDER) * 2
+    assert sorted(stream_curve.ORDER) == [1600] * 4 + [3200, 6400, 12800]
+    assert [n for n, end in host.calls if end] == [0] * len(frames)
+    assert sum(n for n, _ in host.calls) == sum(frames)
     assert sum(end for _, end in host.calls) == len(frames)
     assert len(host.taken) == sum(n // stream_curve.STRETCH_FRAMES for n in frames)
     assert set(line["ms_per_input_frame"]) == {str(n) for n in stream_curve.FRAMES}

@@ -84,9 +84,12 @@ class TestCheckpointIO:
         lambda h: h["opt"].update(bogus=1), lambda h: h["cfg"].update(unidirectional=False),
         lambda h: h["cfg"].update(blank_penalty_weight=True), lambda h: h["opt"].update(beta1="0.9"),
         lambda h: h.update(stage="bogus"), lambda h: h.update(epoch=-1),
+        lambda h: h["tensors"][0].update(name="bogus"), lambda h: h["tensors"][0].update(shape=[1]),
+        lambda h: h["tensors"][-1].update(dtype="float64"), lambda h: h["tensors"].append(h["tensors"][0]),
     ], ids=["no stage", "no tensors", "unknown kind", "negative offset", "tensor entry not an object",
             "unknown dtype", "shape not ints", "unknown cfg key", "unknown opt key", "bidirectional cfg",
-            "true weight in cfg", "string beta1", "unknown stage", "negative epoch"])
+            "true weight in cfg", "string beta1", "unknown stage", "negative epoch",
+            "unknown tensor name", "reshaped tensor", "mixed dtypes", "repeated tensor"])
     def test_malformed_header_rejected_naming_it(self, tmp_path, corrupt):
         corpus = small_corpus(2)
         path = tmp_path / "a.ckpt"
@@ -411,23 +414,44 @@ class TestFlatStore:
         before = train.model_from_checkpoint(train.pretrain_ctc(corpus, cfg, 0, settings()))
         ckpt = train.pretrain_ctc(corpus, cfg, 1, settings())
         after = train.model_from_checkpoint(ckpt)
-        encoder = after.encoder_parameters()
-        assert list(encoder) == list(after.parameters())[:len(encoder)]
-        n = sum(p.data.size for p in encoder.values())
+        encoder = after.layout.encoder
+        assert list(encoder.shapes) == list(after.parameters())[:len(encoder.shapes)]
+        n = encoder.size
         assert (before.flat.data[:n] != after.flat.data[:n]).any()
         assert before.flat.data[n:].tobytes() == after.flat.data[n:].tobytes()
-        assert list(ckpt.opt.m) == list(ckpt.opt.v) == list(encoder)
+        assert list(ckpt.opt.m) == list(ckpt.opt.v) == list(encoder.shapes)
 
-    def test_a_checkpoint_does_not_alias_the_model(self):
+    def test_finetune_shares_no_memory_with_its_start(self, tmp_path):
         corpus = small_corpus(8)
-        m = model.Model(small_cfg(vocab_sizes(corpus), dropout=0.0), seed=3)
-        ckpt = train.snapshot(m, ad.OptimizerState(), 0, np.random.default_rng(0), "init")
-        kept = copy.deepcopy(ckpt.params)
-        assert not any(np.shares_memory(a, m.flat.data) for a in ckpt.params.values())
-        ad.reset_tape()
-        loss_st, loss_ctc, _ = m.forward_train(data.make_batches(corpus, 300)[0])
-        ad.backward(m.total_loss(loss_st, loss_ctc))
-        ad.adam_step(m.flat, *zero_moments(m.flat), ad.OptimizerState(), lr=1e-3)
-        assert any(not np.array_equal(kept[k], p.data) for k, p in m.parameters().items())
-        for name, arr in kept.items():
-            np.testing.assert_array_equal(ckpt.params[name], arr)
+        cfg = small_cfg(vocab_sizes(corpus))
+        path = tmp_path / "half.ckpt"
+        train.save_checkpoint(train.finetune(corpus, train.pretrain_ctc(corpus, cfg, 1, settings()), cfg, 1,
+                                             settings()), path)
+        start = train.load_checkpoint(path)  # a finetune stage, so its moments are resumed too
+        kept = copy.deepcopy(start)
+        tuned = train.finetune(corpus, start, cfg, 1, settings())
+        assert tuned.opt.step == 2 * start.opt.step
+        buffers = [t.data for t in (start.params, start.opt.m, start.opt.v)]
+        for table in (tuned.params, tuned.opt.m, tuned.opt.v):
+            assert list(table) == list(start.params)
+            assert not any(np.shares_memory(arr, b) for arr in table.values() for b in buffers)
+        kept_tuned = copy.deepcopy(tuned)
+        train.finetune(corpus, tuned, cfg, 1, settings())
+        for ck, before in ((start, kept), (tuned, kept_tuned)):  # training wrote neither start
+            for table, old in ((ck.params, before.params), (ck.opt.m, before.opt.m), (ck.opt.v, before.opt.v)):
+                assert table.data.tobytes() == old.data.tobytes()
+
+    def test_a_flat_checkpoint_loads_as_its_arrays_by_name_do(self, tmp_path):
+        corpus = small_corpus(8)
+        ckpt = train.pretrain_ctc(corpus, small_cfg(vocab_sizes(corpus)), 1, settings())
+        path = tmp_path / "a.ckpt"
+        train.save_checkpoint(ckpt, path)
+        loaded = train.load_checkpoint(path)
+        for table, saved in ((loaded.params, ckpt.params), (loaded.opt.m, ckpt.opt.m), (loaded.opt.v, ckpt.opt.v)):
+            assert isinstance(table, ad.FlatViews) and table.layout == saved.layout
+            assert table.data.tobytes() == saved.data.tobytes()
+        by_name = {name: arr.copy() for name, arr in loaded.params.items()}
+        flat, named = (train.model_from_checkpoint(dataclasses.replace(loaded, params=params))
+                       for params in (loaded.params, by_name))
+        assert flat.flat.data.tobytes() == named.flat.data.tobytes()
+        assert not np.shares_memory(flat.flat.data, loaded.params.data)

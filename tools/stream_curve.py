@@ -6,19 +6,22 @@ Each run streams random features through ``Model.acoustic_encode`` alone,
 from the benchmark weights (``perfbench/weights.ckpt``), in 8-frame chunks
 (80 ms, the benchmark's push size) under ``no_grad``, then ends the stream;
 streams are 1,600, 3,200, 6,400 and 12,800 input frames long. Every repeat
-runs each length once, lengths interleaved, so a slower host stretches all
-lengths alike. Each stream's time is stated at reference host speed, as
-``perfbench/run.py`` states its times, stretch by stretch: a
-``run.HostReference`` sample is taken right after each 1,600-frame stretch
-(the last one also ends the stream), the stretch's time is multiplied by
-``run.REFERENCE_S`` over that sample's, and the stream's time is the sum,
-so a host that changes speed within a long stream is tracked. The script
-prints one JSON line: per length the best and the median over the repeats
-of the scaled time per input frame in ms, the ratio of the longest
-stream's best to the shortest's, which is 1.0 when streaming cost grows
-linearly with audio length, and the median raw reference sample in ms. It
-runs on one BLAS thread, as the benchmark does; the seed picks the
-features.
+runs the shortest stream four times and each longer one once, interleaved
+as ``ORDER`` lists them, so a slower host stretches all lengths alike. A
+repeat's time for a length is the mean of its streams: the shortest
+one's four, each an eighth of the longest stream's frames, give the
+ratio below a steadier denominator. Each stream's time is stated at
+reference host speed, as ``perfbench/run.py`` states its times, stretch
+by stretch: a ``run.HostReference`` sample is taken right after each
+1,600-frame stretch (the last one also ends the stream), the stretch's
+time is multiplied by ``run.REFERENCE_S`` over that sample's, and the
+stream's time is the sum, so a host that changes speed within a long
+stream is tracked. The script prints one JSON line: per length the best
+and the median over the repeats of the scaled time per input frame in
+ms, the ratio of the longest stream's best to the shortest's, which is
+1.0 when streaming cost grows linearly with audio length, and the median
+raw reference sample in ms. It runs on one BLAS thread, as the benchmark
+does; the seed picks the features.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ sys.path.insert(0, str(PERFBENCH))
 import run  # noqa: E402  (sets one BLAS thread before numpy loads)
 
 FRAMES = (1600, 3200, 6400, 12800)
+ORDER = (1600, 3200, 1600, 6400, 1600, 12800, 1600)  # the streams of one repeat
 STRETCH_FRAMES = 1600  # input frames timed between two reference samples
 
 
@@ -57,11 +61,15 @@ def scaled_stream(encode, x, reference) -> float:
     return total
 
 
-def curve(times: dict[int, list[float]]) -> tuple[dict, float]:
-    """Per stream length, the best and the median scaled time per input
-    frame in ms, and the longest stream's best over the shortest's."""
-    per_frame = {str(n): {"best_ms_per_frame": min(t) * 1e3 / n, "median_ms_per_frame": statistics.median(t) * 1e3 / n}
-                 for n, t in times.items()}
+def curve(times: dict[int, list[list[float]]]) -> tuple[dict, float]:
+    """Per stream length, from each repeat's scaled stream times, the best
+    and the median over the repeats of the scaled time per input frame in
+    ms, a repeat's time being the mean of its streams of that length; and
+    the longest stream's best over the shortest's."""
+    per_frame = {}
+    for n, repeats in times.items():
+        t = [statistics.fmean(streams) for streams in repeats]
+        per_frame[str(n)] = {"best_ms_per_frame": min(t) * 1e3 / n, "median_ms_per_frame": statistics.median(t) * 1e3 / n}
     return per_frame, per_frame[str(max(times))]["best_ms_per_frame"] / per_frame[str(min(times))]["best_ms_per_frame"]
 
 
@@ -90,8 +98,10 @@ def main(argv=None) -> int:
     stream(features[FRAMES[0]])  # warm-up
     times = {n: [] for n in FRAMES}
     for _ in range(args.repeats):
-        for n in FRAMES:
-            times[n].append(stream(features[n]))
+        for repeats in times.values():
+            repeats.append([])
+        for n in ORDER:
+            times[n][-1].append(stream(features[n]))
     per_frame, ratio = curve(times)
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "chunk_frames": run.CHUNK_FRAMES,
                       "ms_per_input_frame": per_frame, "longest_to_shortest": ratio,

@@ -4,9 +4,11 @@
 
 Each step is one ``train.finetune`` call over a one-batch corpus of B short
 utterances, from the benchmark weights (``perfbench/weights.ckpt``), for B in
-4, 8 and 16; the call includes building the model from the checkpoint and
-the snapshot after the update. Every repeat times each batch once, batch
-sizes interleaved, so a slower host stretches all sizes alike. Each call's
+4, 8 and 16. The call includes its set-up: building the model from the
+checkpoint (one copy of its flat parameter store) and zeroing Adam's
+moments; it hands out the model's own store as the new checkpoint's
+parameters, uncopied. Every repeat times each batch once, batch sizes
+interleaved, so a slower host stretches all sizes alike. Each call's
 time is stated at reference host speed, as ``perfbench/run.py`` states its
 times: a ``run.HostReference`` sample is taken right after the call, and
 the call's time is multiplied by ``run.REFERENCE_S`` over that sample's.
