@@ -27,10 +27,11 @@ of sequences; the layout, not an option, picks whether attention runs on
 the dense grid of all rows or on a batch of blocks padded to the
 longest.
 
-A stream's keys and values are a ``KVCache`` per attention sub-layer,
-kept in the layout attention reads (per head, keys transposed), so a
-streamed call writes only its new rows' keys and values and attends over
-views of the cached ones, copying none of them.
+Attention reads keys and values only from a ``KVCache`` per attention
+sub-layer, kept in the layout attention reads (per head, keys
+transposed): a call makes one of its new rows, or writes only them into
+its past one, then attends over views of the cache's rows on the dense
+grid, or gathers each block's rows from it for a padded batch.
 
 A model's parameters live in one flat buffer (``flat_parameters``), and
 their gradients in another, each laid out by a ``Layout``: each named
@@ -503,32 +504,27 @@ def _packed(x: np.ndarray, slot) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: Blocks, n_heads: int) -> tuple:
-    """Multi-head scaled dot-product attention on arrays: the output, and
-    what ``_attention_vjp`` reads.
+def _attention(q: np.ndarray, cache: KVCache, blocks: Blocks, n_heads: int) -> tuple:
+    """Multi-head scaled dot-product attention of the query rows ``q``
+    [Tq, H*d] over the keys and values a ``KVCache`` holds: the output
+    rows [Tq, H*dv], and what ``_attention_vjp`` reads.
 
-    ``q`` [Tq, H*d], ``k`` [Tk, H*d] and ``v`` [Tk, H*dv] are split into
-    ``n_heads`` column blocks; head h attends with block h and writes
-    output columns h*dv:(h+1)*dv. A layout on the dense grid runs on views
-    of q, k and v; a padded one gathers each block's rows into a batch
-    padded to the longest block, so the work grows with the sum of squared
-    block lengths rather than the square of their sum; padded keys get the
-    bias and padded queries are dropped. ``_attend`` is the kernel.
+    ``q`` is split into ``n_heads`` column blocks; head h attends with
+    block h and writes output columns h*dv:(h+1)*dv. The ``Blocks`` layout
+    says which keys each query row sees; disallowed scores get an additive
+    -1e9 before the softmax. A layout on the dense grid runs on views of
+    q and of the cache's buffers. A padded one gathers each block's rows,
+    from ``q`` and from the cache, into a batch padded to the longest
+    block, so the work grows with the sum of squared block lengths rather
+    than the square of their sum; padded keys get the bias and padded
+    queries are dropped.
     """
-    qh, kh, vh = _heads(q, n_heads, blocks.q_index), _heads(k, n_heads, blocks.k_index), \
-        _heads(v, n_heads, blocks.k_index)
-    # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
-    # a dense grid's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
-    return _attend(qh, np.ascontiguousarray(kh.swapaxes(-1, -2)), vh, blocks, n_heads)
-
-
-def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray, blocks: Blocks, n_heads: int) -> tuple:
-    """The attention kernel over queries, transposed keys and values split
-    into heads (``qh`` [H, (B,) Tq, d], ``kt`` [H, (B,) d, Tk], ``vh``
-    [H, (B,) Tk, dv]): the output rows [Tq, H*dv], and what
-    ``_attention_vjp`` reads. The ``Blocks`` layout says which keys each
-    query row sees; disallowed scores get an additive -1e9 before the
-    softmax. ``kt`` and ``vh`` may be views of a ``KVCache``'s buffers."""
+    if blocks.k_index is None:
+        kt, vh = cache.kt[:, :, :cache.n], cache.vh[:, :cache.n]
+    else:  # [H, d, B, T_max] -> [H, B, d, T_max], contiguous as the dense grid's k^T
+        kt = np.ascontiguousarray(cache.kt.take(blocks.k_index, axis=2).transpose(0, 2, 1, 3))
+        vh = cache.vh.take(blocks.k_index, axis=1)
+    qh = _heads(q, n_heads, blocks.q_index)
     s = 1.0 / math.sqrt(qh.shape[-1])
     scores = (qh @ kt) * s
     if blocks.bias is not None:
@@ -540,7 +536,8 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray, blocks: Blocks, n_he
 
 
 def _attention_vjp(saved: tuple, g: np.ndarray) -> tuple:
-    """The gradients of ``_attention``'s q, k and v."""
+    """The gradients of ``_attention``'s queries and of the cache's keys
+    and values, as rows: [Tq, H*d], [Tk, H*d] and [Tk, H*dv]."""
     w, qh, kt, vh, s, blocks, n_heads = saved
     gh = _heads(g, n_heads)
     if blocks.q_slot is not None:  # into the padded blocks; padded query rows get no gradient
@@ -571,7 +568,8 @@ class KVCache:
     """The keys and values of one attention sub-layer's rows so far, in
     the layout attention reads: per head, the keys transposed, ``kt``
     [H, d, capacity], and the values, ``vh`` [H, capacity, dv], whose
-    first ``n`` rows are this cache's.
+    first ``n`` rows are this cache's. It is the only form of keys and
+    values ``_attention`` takes, in training as in streaming.
 
     ``append`` returns the cache extended by new rows and writes only
     those, into the room after the ``n`` rows. Caches may share buffers,
@@ -592,14 +590,17 @@ class KVCache:
     @classmethod
     def of_rows(cls, keys: np.ndarray, values: np.ndarray, n_heads: int) -> "KVCache":
         """A full cache of the rows ``keys`` [n, H*d] and ``values`` [n, H*dv],
-        split into ``n_heads`` heads: views of them, so no copy; the first
-        append copies them into buffers of its own."""
+        split into ``n_heads`` heads: the keys copied once into one
+        C-contiguous ``kt``, the values viewed; the first append copies
+        both into buffers of its own."""
         if not (keys.ndim == values.ndim == 2 and keys.shape[0] == values.shape[0]
                 and keys.shape[1] % n_heads == values.shape[1] % n_heads == 0):
             raise ShapeError(f"KVCache: keys {keys.shape} and values {values.shape} do not split into "
                              f"{n_heads} heads of the same rows")
         n = keys.shape[0]
-        return cls(keys.reshape(n, n_heads, keys.shape[1] // n_heads).transpose(1, 2, 0),
+        # BLAS rounds by memory layout; with a contiguous k^T and row-major gradients,
+        # a dense grid's outputs and gradients equal a per-head loop of 2-D matmuls bit for bit
+        return cls(np.ascontiguousarray(keys.reshape(n, n_heads, keys.shape[1] // n_heads).transpose(1, 2, 0)),
                    values.reshape(n, n_heads, values.shape[1] // n_heads).transpose(1, 0, 2), n, [n])
 
     @property
@@ -635,29 +636,26 @@ def _dropout_keep(shape, rate: float, rng: np.random.Generator | None, dtype):
 
 
 def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_heads: int = 1,
-                       source: Tensor | None = None, past: KVCache | tuple | None = None,
+                       source: Tensor | None = None, past: KVCache | None = None,
                        rate: float = 0.0, rng: np.random.Generator | None = None) -> tuple[Tensor, KVCache]:
     """A pre-norm attention sub-layer, ``x + dropout(attend(norm(x)))``, as one op.
 
     ``weights`` are the norm's gain and bias, then the weight and bias of
     the q, k, v and output projections. The queries are the normed rows of
-    ``x``; the keys and values are the ``past`` ones (constants to the
-    tape; none by default), then those of ``source``'s rows, or of the
-    normed rows of ``x`` when ``source`` is None (self-attention). A
-    ``source`` of no rows after a past adds none. ``past`` is a
-    ``KVCache`` or a (keys, values) pair of row arrays, and stays as it
-    is. The queries attend the keys over the ``blocks`` layout with
-    ``n_heads`` heads (see ``_attend``), the output projection follows,
-    and inverted dropout at ``rate`` draws its mask from ``rng``. With a
-    past, a layout on the dense grid attends over views of the cache's
-    buffers, so the call writes only its new rows' keys and values.
+    ``x``; the keys and values are those of the ``past`` ``KVCache``
+    (constants to the tape; none by default), then those of ``source``'s
+    rows, or of the normed rows of ``x`` when ``source`` is None
+    (self-attention). A ``source`` of no rows after a past adds none.
+    The new rows' keys and values make a cache (``KVCache.of_rows``) or
+    extend ``past`` (``KVCache.append``), which stays as it is, and the
+    queries attend over that cache on the ``blocks`` layout with
+    ``n_heads`` heads (see ``_attention``). The output projection follows,
+    and inverted dropout at ``rate`` draws its mask from ``rng``.
 
-    Returns the output and the ``KVCache`` of every key and value, past
-    rows first: ``past`` extended by the new rows (``KVCache.append``),
-    or without a past a cache that views the new rows' arrays, so the
-    training and offline path copies nothing for it. The op computes what
-    the chain of primitive ops would, in the same arithmetic, and adds up
-    each input's gradient in the order their tape entries would.
+    Returns the output and the cache of every key and value, past rows
+    first. The op computes what the chain of primitive ops would, in the
+    same arithmetic, and adds up each input's gradient in the order their
+    tape entries would.
     """
     gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = [p.data for p in weights]
     shape, src_shape = x.data.shape, (x if source is None else source).data.shape
@@ -667,28 +665,22 @@ def attention_sublayer(x: Tensor, weights: Sequence[Tensor], blocks: Blocks, n_h
         raise ShapeError(f"attention_sublayer: rows {shape} (at least 2 features for the norm), source rows "
                          f"{src_shape}, norm gain {gain.shape} and projections "
                          f"{[w.shape for w in (wq, wk, wv, wo)]} do not fit")
+    if not (past is None or isinstance(past, KVCache)):
+        raise TypeError(f"attention_sublayer takes an ad.KVCache past, got {type(past).__name__}")
     normed, y, inv = _layer_norm(x.data, gain, bias)
     q = _affine(normed, wq, bq)
     src = normed if source is None else source.data
     fresh = past is None or src.shape[0] > 0  # keys and values of new rows
-    if past is None:
+    cache = past
+    if fresh:
         k, v = _affine(src, wk, bk), _affine(src, wv, bv)
-        _check_attention("attention_sublayer", q.shape, k.shape, v.shape, blocks, n_heads)
-        att, att_saved = _attention(q, k, v, blocks, n_heads)
-        cache = KVCache.of_rows(k, v, n_heads)
-    else:
-        cache = past if isinstance(past, KVCache) else KVCache.of_rows(*past, n_heads)
-        if fresh:
-            cache = cache.append(_affine(src, wk, bk), _affine(src, wv, bv))
-        kt, vh = cache.kt[:, :, :cache.n], cache.vh[:, :cache.n]
-        if kt.shape[0] != n_heads:
-            raise ShapeError(f"attention_sublayer: a cache of {kt.shape[0]} heads for {n_heads} heads")
-        _check_attention("attention_sublayer", q.shape, (cache.n, kt.shape[0] * kt.shape[1]),
-                         (cache.n, vh.shape[0] * vh.shape[2]), blocks, n_heads)
-        if blocks.k_index is None:  # the dense grid runs on views of the cache
-            att, att_saved = _attend(_heads(q, n_heads), kt, vh, blocks, n_heads)
-        else:  # blocks gathered from the rows, as without a cache
-            att, att_saved = _attention(q, *cache, blocks, n_heads)
+        cache = KVCache.of_rows(k, v, n_heads) if past is None else past.append(k, v)
+    heads, d, _ = cache.kt.shape
+    if heads != n_heads:
+        raise ShapeError(f"attention_sublayer: a cache of {heads} heads for {n_heads} heads")
+    _check_attention("attention_sublayer", q.shape, (cache.n, heads * d), (cache.n, heads * cache.vh.shape[2]),
+                     blocks, n_heads)
+    att, att_saved = _attention(q, cache, blocks, n_heads)
     h = _affine(att, wo, bo)
     keep = _dropout_keep(h.shape, rate, rng, h.dtype)
     if keep is not None:

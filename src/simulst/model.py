@@ -388,25 +388,20 @@ class Model:
     def _affine(self, name: str, x: Tensor) -> Tensor:
         return ad.affine(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _attention(self, prefix: str, weights: list[Tensor], x: Tensor, source: Tensor | None, mask: ad.Blocks,
-                   rng, kv_cache: dict) -> Tensor:
-        """One attention sub-layer: the keys and values ``kv_cache`` holds
-        under ``prefix`` (none in a fresh cache) precede those of the new
-        rows, of ``source`` or, for self-attention, of ``x``, and the cache
-        is extended by them."""
-        x, kv_cache[prefix] = ad.attention_sublayer(x, weights, mask, self.cfg.n_heads, source,
-                                                    kv_cache.get(prefix), self.cfg.dropout, rng)
-        return x
-
     def _tf_forward(self, prefix: str, x: Tensor, self_mask: ad.Blocks, rng, kv_cache: dict,
                     cross_kv: Tensor | None = None, cross_mask: ad.Blocks | None = None) -> Tensor:
         """One Transformer layer: self-attention, cross-attention over
-        ``cross_kv`` when given, and the feed-forward net, one op each."""
+        ``cross_kv`` when given, and the feed-forward net, one op each.
+        Each attention's keys and values follow those ``kv_cache`` holds
+        under its name (none in a fresh cache), which it extends."""
         attention, cross, ffn = self._sublayers[prefix]
-        x = self._attention(prefix + ".attn", attention, x, None, self_mask, rng, kv_cache)
+        n_heads, rate = self.cfg.n_heads, self.cfg.dropout
+        x, kv_cache[prefix + ".attn"] = ad.attention_sublayer(x, attention, self_mask, n_heads, None,
+                                                              kv_cache.get(prefix + ".attn"), rate, rng)
         if cross_kv is not None:
-            x = self._attention(prefix + ".xattn", cross, x, cross_kv, cross_mask, rng, kv_cache)
-        return ad.feedforward_sublayer(x, ffn, self.cfg.dropout, rng)
+            x, kv_cache[prefix + ".xattn"] = ad.attention_sublayer(x, cross, cross_mask, n_heads, cross_kv,
+                                                                   kv_cache.get(prefix + ".xattn"), rate, rng)
+        return ad.feedforward_sublayer(x, ffn, rate, rng)
 
     @staticmethod
     def _self_mask(lengths, past: int = 0) -> ad.Blocks:

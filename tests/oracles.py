@@ -186,7 +186,7 @@ def masked_attention(q, k, v, blocks, n_heads=1):
     ``ad.Blocks`` layout ``blocks``, as one op: the attention kernel of
     ``ad.attention_sublayer``, with its checks."""
     ad._check_attention("masked_attention", q.shape, k.shape, v.shape, blocks, n_heads)
-    out, saved = ad._attention(q.data, k.data, v.data, blocks, n_heads)
+    out, saved = ad._attention(q.data, ad.KVCache.of_rows(k.data, v.data, n_heads), blocks, n_heads)
     return ad.record_op(out, (q, k, v), lambda g: ad._attention_vjp(saved, g))
 
 

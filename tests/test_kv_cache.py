@@ -34,12 +34,13 @@ def assert_same_rows(a: dict, b: dict):
 
 
 class TestCache:
-    def test_a_cache_of_rows_views_them_and_gives_them_back(self):
+    def test_a_cache_of_rows_copies_the_keys_once_views_the_values_and_gives_them_back(self):
         rng = np.random.default_rng(0)
         k, v = rows(rng, 5, 8), rows(rng, 5, 6)
         cache = ad.KVCache.of_rows(k, v, n_heads=2)
         assert (cache.n, cache.capacity, cache.kt.shape, cache.vh.shape) == (5, 5, (2, 4, 5), (2, 5, 3))
-        assert np.shares_memory(cache.kt, k) and np.shares_memory(cache.vh, v)
+        assert cache.kt.flags.c_contiguous and not np.shares_memory(cache.kt, k)  # k^T as attention reads it
+        assert np.shares_memory(cache.vh, v)
         np.testing.assert_array_equal(cache.kt[1], k[:, 4:].T)  # head 1's keys, transposed
         np.testing.assert_array_equal(cache.vh[1], v[:, 3:])
         keys, values = cache

@@ -30,6 +30,8 @@ CASES = {
     "a stream's rows over their caches": ([3], [2], 4, 3),
     "rows over cached units only": ([2], [0], 3, 5),
     "a batch of blocks": ([3, 1, 4], [2, 3, 2], 0, 0),
+    # a padded layout over a cache that holds rows: the first key block starts with the cached units
+    "a batch over cached units": ([3, 2], [1, 3], 0, 2),
 }
 
 
@@ -45,15 +47,17 @@ def run_stack(case, dtype, fused, rate, seed=0):
     x_leaf, source_leaf = leaves(rng, dtype, [(n, D), (m, D)])
     layers = [(attention_weights(rng, dtype), attention_weights(rng, dtype), feedforward_weights(rng, dtype))
               for _ in range(2)]
-    pasts = [[rng.normal(size=(p, D)).astype(dtype) for _ in range(2)] if p else None
+    pasts = [ad.KVCache.of_rows(*[rng.normal(size=(p, D)).astype(dtype) for _ in range(2)], HEADS) if p else None
              for p in (self_past, source_past)]
     if len(rows) == 1:
         self_blocks = ad.Blocks(rows, rows, np.arange(1, n + 1), past=self_past)
         seen = source_past + m
         cross_blocks = ad.Blocks(rows, [seen], np.minimum(np.arange(n) + 2, seen))
     else:
+        keys = np.array(units)
+        keys[0] += source_past
         self_blocks = ad.Blocks(rows, rows, ad.packed_offsets(rows) + 1)
-        cross_blocks = ad.Blocks(rows, units, np.minimum(ad.packed_offsets(rows) + 1, np.repeat(units, rows)))
+        cross_blocks = ad.Blocks(rows, keys, np.minimum(ad.packed_offsets(rows) + 1, np.repeat(keys, rows)))
     probe = ad.Tensor(rng.normal(size=(n, D)).astype(dtype), dtype=dtype)
     dropout_rng = np.random.default_rng(seed) if rate else None
     with ad.using_dtype(dtype):
@@ -113,7 +117,7 @@ def test_sublayers_record_one_op_each():
 def test_gradcheck(kind):
     rng = np.random.default_rng(4)
     x, source = rng.normal(size=(3, D)), rng.normal(size=(4, D))
-    past = [rng.normal(size=(2, D)) for _ in range(2)]
+    past = ad.KVCache.of_rows(*[rng.normal(size=(2, D)) for _ in range(2)], HEADS)
     shapes = [(D,), (D,), (D, FFN), (FFN,), (FFN, D), (D,)] if kind == "feed-forward" else \
         [(D,), (D,)] + [(D, D), (D,)] * 4
     weights = [rng.normal(size=s) for s in shapes]
@@ -163,6 +167,9 @@ def test_mismatched_shapes_rejected():
         ad.attention_sublayer(x, weights, blocks, 3)
     with pytest.raises(TypeError, match="Blocks"):
         ad.attention_sublayer(x, weights, np.ones((3, 3), dtype=bool), HEADS)
+    with pytest.raises(TypeError, match="KVCache past, got tuple"):  # a (keys, values) pair is no cache
+        ad.attention_sublayer(x, weights, ad.Blocks([3], [3], [1, 2, 3], past=2), HEADS,
+                              past=(np.zeros((2, D)), np.zeros((2, D))))
     with pytest.raises(ad.ShapeError, match="feedforward_sublayer"):
         ad.feedforward_sublayer(x, feedforward_weights(rng, np.float64)[:4] + [ad.Tensor(np.zeros((FFN, D + 1))),
                                                                              ad.Tensor(np.zeros(D + 1))])
